@@ -18,7 +18,7 @@ from .orderings import (
 )
 from .state import (
     Decision, ProblemState, Propagation, Trail, TrailEntry, clause_level,
-    literal_level, soundness_check, truth_value,
+    literal_level, soundness_check,
 )
 from .calculus import (
     GuardFailed, apply_backtrack, apply_conflict, apply_decide,
@@ -27,8 +27,7 @@ from .calculus import (
 )
 from .strategy import (
     InvariantViolation, RunConfig, RunResult, Statistics, configure_bound,
-    extract_model, next_beta, resolve_conflict_loop, run,
-    run_exhaustive_benchmark, synthesize_beta,
+    extract_model, next_beta, resolve_conflict_loop, run, synthesize_beta,
 )
 from .oracle import (
     check_model, check_proof, ground_entails, ground_sat,

@@ -29,14 +29,6 @@ class GuardFailed(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class RuleApplication:
-    """A reified rule instance; applied to the predecessor state it fully
-    determines the successor."""
-    rule: str
-    detail: str
-
-
 def _require(cond: bool, rule: str, reason: str):
     if not cond:
         raise GuardFailed(rule, reason)

@@ -1,7 +1,8 @@
 """Command-line prover plus the check-proof / check-model subcommands.
 
 Exit codes: 0 unsatisfiable, 1 satisfiable within the bound, 2 resource
-limit, 64 usage error, 65 parse error, 70 internal invariant violation.
+limit, 64 usage error, 65 parse error, 70 internal error (an invariant
+violation or a crash).
 """
 
 from __future__ import annotations
@@ -225,6 +226,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a crash must not exit with a verdict code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

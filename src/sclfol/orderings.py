@@ -18,7 +18,6 @@ and enumerates the finite set of atoms strictly below beta.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Optional, Sequence
 
 from .terms import (
@@ -141,58 +140,103 @@ def make_ordering(kind: str, precedence: Precedence):
 # ---------------------------------------------------------------------------
 # Ground term/atom enumeration by symbol count
 # ---------------------------------------------------------------------------
+#
+# Terms and atoms of one weight come out in ascending count-KBO order under
+# the precedence of the ordering passed in: head symbols by precedence, then
+# argument tuples lexicographically, each argument by weight first.  A
+# ``_memo`` holds the term and argument lists of one signature and ordering.
 
 def ground_terms_of_weight(signature: Signature, weight: int,
-                           _memo=None) -> list[Fn]:
-    """All ground terms with exactly ``weight`` symbols."""
+                           _memo=None, ordering=None) -> list[Fn]:
+    """All ground terms with exactly ``weight`` symbols, ascending under
+    count-KBO (by default with ``Precedence.default_for(signature)``)."""
     if _memo is None:
         _memo = {}
-    if weight in _memo:
-        return _memo[weight]
-    out: list[Fn] = []
-    if weight >= 1:
-        for name, arity in signature.functions:
-            if arity == 0:
-                if weight == 1:
-                    out.append(Fn(name))
-                continue
-            for parts in _compositions(weight - 1, arity):
-                pools = [ground_terms_of_weight(signature, w, _memo)
-                         for w in parts]
-                for args in itertools.product(*pools):
-                    out.append(Fn(name, args))
-    _memo[weight] = out
-    return out
+    if ordering is None:
+        ordering = CountKBO(Precedence.default_for(signature))
+    if weight not in _memo:
+        _memo[weight] = [
+            Fn(name, args)
+            for name, arity in _by_precedence(signature.functions, ordering)
+            for args in _arg_tuples(signature, weight - 1, arity, _memo,
+                                    ordering)]
+    return _memo[weight]
 
 
-def ground_atoms_of_weight(signature: Signature, weight: int,
-                           _memo=None) -> list[Atom]:
+def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
+                           below: Optional[Atom] = None,
+                           ordering=None) -> list[Atom]:
+    """All ground atoms with exactly ``weight`` symbols, ascending under
+    count-KBO (by default with ``Precedence.default_for(signature)``).
+
+    With ``below``, only the atoms that ``ordering`` puts strictly below it.
+    Under count-KBO none is built only to be rejected: a lighter atom is
+    always below and a heavier one never; at ``below``'s own weight the
+    predicates after its head are skipped, and its argument tuples are cut
+    off at the first argument above the matching one of ``below``.  Ground
+    LPO does not order by weight, so there every atom of the weight is
+    built and compared; its bounds have no proper function symbols.
+    """
     if _memo is None:
         _memo = {}
+    if ordering is None:
+        ordering = CountKBO(Precedence.default_for(signature))
+    kbo_limit = symbol_count(below) \
+        if below is not None and isinstance(ordering, CountKBO) else None
+    if kbo_limit is not None and weight > kbo_limit:
+        return []
     out: list[Atom] = []
-    for name, arity in signature.predicates:
-        if arity == 0:
-            if weight == 1:
-                out.append(Atom(name))
-            continue
-        if weight < 1 + arity:
-            continue
-        for parts in _compositions(weight - 1, arity):
-            pools = [ground_terms_of_weight(signature, w, _memo) for w in parts]
-            for args in itertools.product(*pools):
-                out.append(Atom(name, args))
+    for name, arity in _by_precedence(signature.predicates, ordering):
+        args_below = None
+        if weight == kbo_limit:
+            c = ordering.precedence.compare(name, below.pred)
+            if c > 0:
+                break
+            if c == 0:
+                args_below = below.args
+        out += [Atom(name, args)
+                for args in _arg_tuples(signature, weight - 1, arity, _memo,
+                                        ordering, args_below)]
+    if below is not None and kbo_limit is None:
+        out = [a for a in out if ordering.compare_atoms(a, below) < 0]
     return out
 
 
-def _compositions(total: int, k: int):
-    """All k-tuples of integers >= 1 summing to total."""
-    if k == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - k + 2):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
+def _by_precedence(symbols, ordering) -> list[tuple[str, int]]:
+    return sorted(symbols, key=functools.cmp_to_key(
+        lambda f, g: ordering.precedence.compare(f[0], g[0])))
+
+
+def _arg_tuples(signature: Signature, total: int, arity: int, memo,
+                ordering, below: Optional[tuple] = None) -> list[tuple]:
+    """Tuples of ``arity`` ground terms with ``total`` symbols between them,
+    lexicographically ascending; with ``below``, a tuple of the same total,
+    only those lexicographically below it under count-KBO.
+
+    Memoized without ``below``, so a weight split that no terms can fill is
+    found empty once, not once per choice of the arguments before it.
+    """
+    if arity == 0:
+        return [()] if total == 0 and below is None else []
+    key = (total, arity)
+    if below is None and key in memo:
+        return memo[key]
+    out: list[tuple] = []
+    for w in range(1, total - arity + 2):
+        for first in ground_terms_of_weight(signature, w, memo, ordering):
+            rest = None
+            if below is not None:
+                c = ordering.compare_terms(first, below[0])
+                if c > 0:
+                    return out
+                if c == 0:
+                    rest = below[1:]
+            out += [(first,) + tail
+                    for tail in _arg_tuples(signature, total - w, arity - 1,
+                                            memo, ordering, rest)]
+    if below is None:
+        memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +250,8 @@ class Bound:
     """A ground limiting literal beta interpreted under an atom ordering.
 
     ``atoms_below()`` is the complete finite set of ground atoms strictly
-    below beta, enumerated in ascending order.  Construction validates that
-    the enumeration stays within ``cap``.
+    below beta, in ascending order.  Construction validates that the atoms
+    built for it stay within ``cap``.
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
@@ -225,45 +269,36 @@ class Bound:
 
     def atoms_below(self) -> tuple[Atom, ...]:
         if self._atoms_below is None:
-            atoms = self._enumerate_below()
-            key = functools.cmp_to_key(self.ordering.compare_atoms)
-            self._atoms_below = tuple(sorted(atoms, key=key))
+            self._atoms_below = tuple(self._enumerate_below())
         return self._atoms_below
 
     def _enumerate_below(self) -> list[Atom]:
         beta_atom = self.beta.atom
-        found: list[Atom] = []
         if isinstance(self.ordering, CountKBO):
-            memo: dict = {}
-            limit = symbol_count(beta_atom)
-            for w in range(1, limit + 1):
-                for atom in ground_atoms_of_weight(self.signature, w, memo):
-                    if self.ordering.compare_atoms(atom, beta_atom) < 0:
-                        found.append(atom)
-                        if len(found) > self.cap:
-                            raise EnumerationCapExceeded(
-                                self.cap, f"atoms below {self.beta}")
-            return found
-        if isinstance(self.ordering, GroundLPO):
+            weights = range(1, symbol_count(beta_atom) + 1)
+        elif isinstance(self.ordering, GroundLPO):
             if self.signature.has_proper_functions:
                 raise OrderingConfigError(
                     "LPO bound over a signature with non-constant function "
                     "symbols can have infinitely many atoms below the bound; "
                     "use the count-KBO ordering instead")
-            for name, arity in self.signature.predicates:
-                consts = [Fn(c) for c in self.signature.constants]
-                if arity > 0 and not consts:
-                    continue
-                for args in itertools.product(consts, repeat=arity):
-                    atom = Atom(name, tuple(args))
-                    if self.ordering.compare_atoms(atom, beta_atom) < 0:
-                        found.append(atom)
-                        if len(found) > self.cap:
-                            raise EnumerationCapExceeded(
-                                self.cap, f"atoms below {self.beta}")
-            return found
-        raise OrderingConfigError(
-            f"unsupported ordering {type(self.ordering).__name__}")
+            weights = range(1, 2 + max(
+                (k for _, k in self.signature.predicates), default=0))
+        else:
+            raise OrderingConfigError(
+                f"unsupported ordering {type(self.ordering).__name__}")
+        memo: dict = {}
+        found: list[Atom] = []
+        for w in weights:
+            found += ground_atoms_of_weight(self.signature, w, memo,
+                                            below=beta_atom,
+                                            ordering=self.ordering)
+            if len(found) > self.cap:
+                raise EnumerationCapExceeded(self.cap,
+                                             f"atoms below {self.beta}")
+        if isinstance(self.ordering, GroundLPO):
+            found.sort(key=functools.cmp_to_key(self.ordering.compare_atoms))
+        return found
 
     def atom_below(self, atom: Atom) -> bool:
         return self.ordering.compare_atoms(atom, self.beta.atom) < 0

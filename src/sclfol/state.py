@@ -111,10 +111,6 @@ class Trail:
         return ", ".join(str(e) for e in self.entries)
 
 
-def truth_value(lit: Literal, trail: Trail):
-    return trail.truth_value(lit)
-
-
 @dataclass(frozen=True)
 class ProblemState:
     trail: Trail

@@ -22,14 +22,15 @@ guarantee.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import calculus, oracle
 from .calculus import (
-    DecideOption, PropagationOption, RuleApplication, apply_backtrack,
+    DecideOption, PropagationOption, apply_backtrack,
     apply_conflict, apply_decide, apply_factorize, apply_grow,
     apply_propagate, apply_resolve, apply_skip, find_false_instance,
     propagation_candidates, reasonable_decisions,
@@ -70,7 +71,6 @@ class RunConfig:
     check: str = "off"  # off | invariants | full
     enumeration_cap: int = 10 ** 6
     sat_cap: int = 128
-    keep_trace: bool = True
 
 
 @dataclass
@@ -119,7 +119,6 @@ class RunResult:
     model: Optional[tuple[Literal, ...]] = None
     final_bound: Optional[Bound] = None
     trace: list[str] = field(default_factory=list)
-    applications: list[RuleApplication] = field(default_factory=list)
     learned_records: list[LearnedRecord] = field(default_factory=list)
     learned_names: dict[str, Clause] = field(default_factory=dict)
     final_state: Optional[ProblemState] = None
@@ -199,42 +198,25 @@ def next_beta(bound: Bound) -> Literal:
     ordering = bound.ordering
     beta_atom = bound.beta.atom
     sig = bound.signature
+    memo: dict = {}
     if isinstance(ordering, CountKBO):
         base = symbol_count(beta_atom)
         window = max(16, 2 + max([k for _, k in sig.functions] or [0])
                      + max([k for _, k in sig.predicates] or [0]))
-        memo: dict = {}
         for w in range(base + 1, base + window + 1):
-            atoms = [a for a in ground_atoms_of_weight(sig, w, memo)
-                     if ordering.compare_atoms(a, beta_atom) > 0]
+            atoms = ground_atoms_of_weight(sig, w, memo, ordering=ordering)
             if atoms:
-                best = atoms[0]
-                for a in atoms[1:]:
-                    if ordering.compare_atoms(a, best) > 0:
-                        best = a
-                return Literal(best)
+                return Literal(atoms[-1])  # ascending: the largest
         raise SignatureExhausted(str(bound.beta))
     assert isinstance(ordering, GroundLPO)
-    above = [a for a in _all_ground_atoms(sig)
+    # an LPO bound has no proper function symbols, so its atoms are finite
+    heaviest = 1 + max([k for _, k in sig.predicates] or [0])
+    above = [a for w in range(1, heaviest + 1)
+             for a in ground_atoms_of_weight(sig, w, memo, ordering=ordering)
              if ordering.compare_atoms(a, beta_atom) > 0]
     if not above:
         raise SignatureExhausted(str(bound.beta))
-    best = above[0]
-    for a in above[1:]:
-        if ordering.compare_atoms(a, best) < 0:
-            best = a
-    return Literal(best)
-
-
-def _all_ground_atoms(sig: Signature):
-    import itertools
-    consts = [Fn(c) for c in sig.constants]
-    for name, arity in sig.predicates:
-        if arity == 0:
-            yield Atom(name)
-        elif consts:
-            for args in itertools.product(consts, repeat=arity):
-                yield Atom(name, tuple(args))
+    return Literal(min(above, key=functools.cmp_to_key(ordering.compare_atoms)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,44 +353,30 @@ def _choose_extension(state: ProblemState, cfg: RunConfig,
         decides = reasonable_decisions(state)
         return ("decide", decides[0]) if decides else None
 
-    if cfg.heuristic == "random":
-        options: list = [("propagate", p)
-                         for p in propagation_candidates(state, cfg.avoid)]
-        options += [("decide", d)
-                    for d in reasonable_decisions(state, cfg.avoid)]
-        if not options and cfg.avoid:
-            options = [("propagate", p) for p in propagation_candidates(state)]
-            options += [("decide", d) for d in reasonable_decisions(state)]
-        return rng.choice(options) if options else None
-
-    prop = next(iter(propagation_candidates(state, cfg.avoid)), None)
-    if prop is not None:
-        return "propagate", prop
-    decides = reasonable_decisions(state, cfg.avoid)
-    if decides:
-        return "decide", decides[0]
-    if cfg.avoid:
-        prop = next(iter(propagation_candidates(state)), None)
-        if prop is not None:
-            return "propagate", prop
-        decides = reasonable_decisions(state)
-        if decides:
-            return "decide", decides[0]
+    # the avoid list is only a preference: a second pass admits everything
+    for avoid in (cfg.avoid, ()):
+        if cfg.heuristic == "random":
+            options: list = [("propagate", p)
+                             for p in propagation_candidates(state, avoid)]
+            options += [("decide", d)
+                        for d in reasonable_decisions(state, avoid)]
+            if options:
+                return rng.choice(options)
+        else:
+            prop = next(iter(propagation_candidates(state, avoid)), None)
+            if prop is not None:
+                return "propagate", prop
+            decides = reasonable_decisions(state, avoid)
+            if decides:
+                return "decide", decides[0]
+        if not avoid:  # this pass already admitted every predicate
+            break
     return None
 
 
 def extract_model(state: ProblemState) -> tuple[Literal, ...]:
     """The trail's literal set; callers verify it with the model oracle."""
     return state.trail.literals
-
-
-def run_exhaustive_benchmark(clauses: Sequence[Clause], cfg: RunConfig,
-                             names: Optional[Sequence[str]] = None) \
-        -> Statistics:
-    """Runs with mandatory propagation before decisions and reports the
-    trail-growth statistics for comparison against regular mode."""
-    result = run(clauses, replace(cfg, mode="exhaustive"), names)
-    return result.stats
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +389,6 @@ class _Recorder:
         self.cfg = cfg
         self.stats = Statistics()
         self.trace: list[str] = []
-        self.applications: list[RuleApplication] = []
         self.clause_names: list[tuple[Clause, str]] = list(
             zip(clauses, names))
         self.learned_name_set: set[str] = set()
@@ -461,7 +428,6 @@ class _Recorder:
     # -- transitions ---------------------------------------------------
 
     def _after(self, rule: str, detail: str, state: ProblemState):
-        self.applications.append(RuleApplication(rule, detail))
         self.stats.steps += 1
         self.stats.rule_counts[rule] += 1
         self.stats.max_trail = max(self.stats.max_trail, len(state.trail))
@@ -470,8 +436,7 @@ class _Recorder:
             self.stats.max_trail_by_predicate[pred] = max(
                 self.stats.max_trail_by_predicate[pred], n)
         self.last_rule = rule
-        if self.cfg.keep_trace:
-            self.trace.append(trace_line(rule, detail, state))
+        self.trace.append(trace_line(rule, detail, state))
         self._check(state)
 
     def _check(self, state: ProblemState):
@@ -605,7 +570,6 @@ class _Recorder:
                                              f"{mismatch}")
         return RunResult("unsat", self.stats, proof=proof,
                          final_bound=state.bound, trace=self.trace,
-                         applications=self.applications,
                          learned_records=self.learned_records,
                          learned_names={n: c for c, n in self.clause_names
                                         if n in self.learned_name_set},
@@ -620,7 +584,6 @@ class _Recorder:
                 f"model check failed: {falsified} is false under the trail")
         return RunResult("sat-bounded", self.stats, model=model,
                          final_bound=state.bound, trace=self.trace,
-                         applications=self.applications,
                          learned_records=self.learned_records,
                          final_state=state)
 
@@ -628,6 +591,5 @@ class _Recorder:
         self.stats.learned = len(state.learned)
         return RunResult("resource-out", self.stats,
                          final_bound=state.bound, trace=self.trace,
-                         applications=self.applications,
                          learned_records=self.learned_records,
                          final_state=state)

@@ -217,6 +217,11 @@ class TestCli:
         assert main(["--input", self.E1, "--beta", "R(b)", "--ordering",
                      "lpo", "--precedence", "a<b<P<Q<R"]) == 70
 
+    def test_crash_never_exits_with_verdict_code(self, tmp_path, capsys):
+        deep = tmp_path / "deep.native"
+        deep.write_text("P(" + "f(" * 1200 + "a" + ")" * 1200 + ")\n")
+        assert main(["--input", str(deep), "--format", "native"]) in (65, 70)
+
 
 class TestCliModes:
     S1 = os.path.join(DATA, "unit_blowup.native")

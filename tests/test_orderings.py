@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -9,7 +10,10 @@ from sclfol.orderings import (
     TrailOrder, bounded_groundings, bounded_instances,
     ground_atoms_of_weight, ground_terms_of_weight, make_ordering,
 )
-from sclfol.terms import Atom, Clause, Fn, Signature, Subst, apply
+from sclfol.strategy import SignatureExhausted, next_beta
+from sclfol.terms import (
+    Atom, Clause, Fn, Literal, Signature, Subst, apply, symbol_count,
+)
 
 
 def kbo_agp():
@@ -93,16 +97,36 @@ class TestBound:
             {"P(a)", "P(b)", "Q(a)", "Q(b)", "R(a)"}
 
     def test_atoms_below_is_bruteforce_fixpoint(self):
-        # complete against filtering every atom up to the weight of the bound
-        bound = grow_example().bound
-        memo = {}
-        expected = {
-            str(a)
-            for w in range(1, 5)
-            for a in ground_atoms_of_weight(bound.signature, w, memo)
-            if bound.ordering.compare_atoms(a, bound.beta.atom) < 0
-        }
-        assert {str(a) for a in bound.atoms_below()} == expected
+        # atoms_below and next_beta against atoms built with itertools and
+        # filtered with compare_atoms, on random signatures and precedences
+        rng = random.Random(20260418)
+        for case in range(120):
+            kind = "kbo" if case % 3 else "lpo"
+            functions = () if kind == "lpo" else rng.choice(
+                [(), (("f", 1),), (("g", 2),), (("f", 1), ("g", 2))])
+            sig = Signature(
+                tuple((f"P{i}", rng.randint(0, 3))
+                      for i in range(rng.randint(1, 3))),
+                tuple((c, 0) for c in "abc"[:rng.randint(1, 3)])
+                + functions)
+            symbols = list(sig.symbols())
+            rng.shuffle(symbols)
+            ordering = make_ordering(kind, Precedence(symbols))
+            cmp = ordering.compare_atoms
+            atoms = _bruteforce_atoms(sig, 7)
+            light = [a for a in atoms if symbol_count(a) <= 4]
+            for beta in rng.sample(light, min(3, len(light))):
+                bound = Bound(Literal(beta), ordering, sig)
+                expected = sorted((a for a in atoms if cmp(a, beta) < 0),
+                                  key=functools.cmp_to_key(cmp))
+                context = f"{kind} {symbols} {sig} beta {beta}"
+                assert bound.atoms_below() == tuple(expected), context
+                try:
+                    got = next_beta(bound).atom
+                except SignatureExhausted:
+                    got = None
+                assert got == _bruteforce_next_beta(atoms, beta, cmp,
+                                                    kind), context
 
     def test_literal_below(self):
         b1 = Bound(lit("R(b)"), lpo_five_symbols(), sig_five_symbols())
@@ -131,6 +155,43 @@ class TestBound:
     def test_nonground_beta_rejected(self):
         with pytest.raises(OrderingConfigError):
             Bound(lit("P(X)"), kbo_agp(), sig_agp())
+
+
+def _bruteforce_atoms(sig, max_weight):
+    """Every ground atom of at most ``max_weight`` symbols over ``sig``."""
+    size = {Fn(c): 1 for c in sig.constants}  # term -> symbol count
+    grown = True
+    while grown:
+        grown = False
+        for f, k in sig.functions:
+            pool = [t for t in size if size[t] <= max_weight - 1 - k]
+            for args in itertools.product(pool, repeat=k):
+                w = 1 + sum(size[a] for a in args)
+                if w < max_weight and Fn(f, args) not in size:
+                    size[Fn(f, args)] = w
+                    grown = True
+    atoms = []
+    for p, k in sig.predicates:
+        pool = [t for t in size if size[t] <= max_weight - k]
+        atoms += [Atom(p, args) for args in itertools.product(pool, repeat=k)
+                  if 1 + sum(size[a] for a in args) <= max_weight]
+    return atoms
+
+
+def _bruteforce_next_beta(atoms, beta, cmp, kind):
+    """The least atom above beta under LPO; under count-KBO the greatest
+    atom of the least weight above beta's.  ``atoms`` must hold every atom
+    up to three symbols heavier than beta: with arities of at most three
+    and function arities of at most two, the next weight is that close."""
+    if kind == "lpo":
+        above = [a for a in atoms if cmp(a, beta) > 0]
+        return min(above, key=functools.cmp_to_key(cmp), default=None)
+    heavier = [a for a in atoms if symbol_count(a) > symbol_count(beta)]
+    if not heavier:
+        return None
+    lightest = min(map(symbol_count, heavier))
+    return max((a for a in heavier if symbol_count(a) == lightest),
+               key=functools.cmp_to_key(cmp))
 
 
 class TestBoundedGroundings:

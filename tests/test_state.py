@@ -6,7 +6,7 @@ from conftest import (
 )
 from sclfol.state import (
     Decision, NotOnTrail, ProblemState, Propagation, Trail, TrailEntry,
-    clause_level, literal_level, soundness_check, trace_line, truth_value,
+    clause_level, literal_level, soundness_check, trace_line,
 )
 from sclfol.terms import Closure, Subst
 
@@ -36,16 +36,16 @@ def state_with(scenario, entries, learned=(), decisions=None, conflict=None):
 class TestTruthValue:
     def test_false_when_complement_on_trail(self):
         trail = Trail((entry("~P(a)", Decision(1)),))
-        assert truth_value(lit("P(a)"), trail) is False
+        assert trail.truth_value(lit("P(a)")) is False
 
     def test_undefined(self):
         trail = Trail((entry("~P(a)", Decision(1)),))
-        assert truth_value(lit("Q(b)"), trail) is None
+        assert trail.truth_value(lit("Q(b)")) is None
 
     def test_true_after_propagations(self):
         trail = Trail((entry("P(a)", Decision(1)),
                        entry("Q(b)", Decision(2))))
-        assert truth_value(lit("Q(b)"), trail) is True
+        assert trail.truth_value(lit("Q(b)")) is True
 
 
 class TestLevels:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import (
@@ -10,8 +12,7 @@ from sclfol.frontend import parse_native
 from sclfol.oracle import check_model, check_proof
 from sclfol.strategy import (
     RunConfig, SignatureExhausted, configure_bound, default_beta_weight,
-    next_beta, resolve_conflict_loop, run, run_exhaustive_benchmark,
-    synthesize_beta,
+    next_beta, resolve_conflict_loop, run, synthesize_beta,
 )
 from sclfol.terms import Signature, alpha_equal
 
@@ -174,11 +175,6 @@ class TestExponentialContrast:
         assert result.stats.max_trail_by_predicate["R"] == 0
         assert result.stats.max_trail <= 4
 
-    def test_benchmark_wrapper_forces_exhaustive(self):
-        problem = parse_native(UNIT_BLOWUP_TEXT)
-        stats = run_exhaustive_benchmark(problem.clauses, RunConfig())
-        assert stats.propagations_by_predicate["R"] == 8
-
     def test_nonunit_blowup_contrast(self):
         exhaustive, _ = run_text(NONUNIT_BLOWUP_TEXT, mode="exhaustive",
                                  check="invariants")
@@ -245,6 +241,16 @@ class TestDriverBehaviors:
                              beta=lit("R(b)"))
         assert result.verdict == "unsat"
 
+    def test_wide_synthesized_bound_is_built_promptly(self):
+        # betaTop gets arity 17 here; the bound holds only the 18 P and Q
+        # atoms, and building it must not visit the betaTop atoms above it
+        start = time.perf_counter()
+        result, _ = run_text("P(a,b) | Q(c,X) | P(X,Y) | Q(Y,a) | P(b,c)\n"
+                             "~P(X,Y)\n", max_steps=10)
+        assert time.perf_counter() - start < 10
+        assert result.verdict == "resource-out"
+        assert len(result.final_bound.atoms_below()) == 18
+
 
 class TestDegenerateInputs:
     def test_empty_clause_in_input_refutes_immediately(self):
@@ -263,7 +269,7 @@ class TestDegenerateInputs:
     def test_rule_applications_are_recorded(self):
         problem = parse_native("P(a)\n~P(a)\n")
         result = run(problem.clauses, RunConfig(), problem.names)
-        assert [a.rule for a in result.applications] == \
+        assert [line.split("\t")[0] for line in result.trace] == \
             ["propagate", "conflict", "resolve"]
 
     def test_single_unit_clause_model(self):
