@@ -27,7 +27,7 @@ from .calculus import (
 )
 from .strategy import (
     InvariantViolation, RunConfig, RunResult, Statistics, configure_bound,
-    extract_model, next_beta, resolve_conflict_loop, run, synthesize_beta,
+    next_beta, resolve_conflict_loop, run, synthesize_beta,
 )
 from .oracle import (
     check_model, check_proof, ground_entails, ground_sat,

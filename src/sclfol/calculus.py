@@ -34,10 +34,6 @@ def _require(cond: bool, rule: str, reason: str):
         raise GuardFailed(rule, reason)
 
 
-def _in_pool(state: ProblemState, clause: Clause) -> bool:
-    return clause in state.pool
-
-
 # ---------------------------------------------------------------------------
 # Model building rules
 # ---------------------------------------------------------------------------
@@ -64,7 +60,7 @@ def propagation_split(clause: Clause, lit_index: int,
 def apply_propagate(state: ProblemState, clause: Clause, lit_index: int,
                     sigma: Subst) -> ProblemState:
     _require(state.conflict is None, "propagate", "a conflict is active")
-    _require(_in_pool(state, clause), "propagate", "clause not in the pool")
+    _require(clause in state.pool, "propagate", "clause not in the pool")
     _require(0 <= lit_index < len(clause), "propagate", "bad literal index")
     instance = apply(sigma, clause)
     _require(is_ground(instance), "propagate",
@@ -94,7 +90,7 @@ def apply_decide(state: ProblemState, clause: Clause, lit_index: int,
     occurs with only one sign.
     """
     _require(state.conflict is None, "decide", "a conflict is active")
-    _require(_in_pool(state, clause), "decide", "clause not in the pool")
+    _require(clause in state.pool, "decide", "clause not in the pool")
     _require(0 <= lit_index < len(clause), "decide", "bad literal index")
     lit = apply(sigma, clause[lit_index])
     if negate:
@@ -112,7 +108,7 @@ def apply_decide(state: ProblemState, clause: Clause, lit_index: int,
 def apply_conflict(state: ProblemState, clause: Clause,
                    sigma: Subst) -> ProblemState:
     _require(state.conflict is None, "conflict", "a conflict is active")
-    _require(_in_pool(state, clause), "conflict", "clause not in the pool")
+    _require(clause in state.pool, "conflict", "clause not in the pool")
     instance = apply(sigma, clause)
     _require(is_ground(instance), "conflict",
              "substitution does not ground the clause")
@@ -229,9 +225,9 @@ def apply_backtrack(state: ProblemState) -> ProblemState:
              f"not below {state.decisions}")
 
     shortest = None
+    complements = state.trail.complements
     for p in range(1, len(state.trail) + 1):
-        prefix = state.trail.prefix(p)
-        if false_grounding(clause, prefix) is not None:
+        if false_grounding(clause, complements[:p]) is not None:
             shortest = p
             break
     assert shortest is not None, "the conflict is false under the full trail"
@@ -258,18 +254,17 @@ def apply_grow(state: ProblemState, beta2: Literal) -> ProblemState:
 # Applicability searches
 # ---------------------------------------------------------------------------
 
-def false_grounding(clause: Clause, trail: Trail,
+def false_grounding(clause: Clause, targets: tuple[Literal, ...],
                     first_match: Optional[tuple[int, Literal]] = None
                     ) -> Optional[Subst]:
-    """A grounding making every literal of ``clause`` false under ``trail``.
+    """A grounding taking every literal of ``clause`` to one of ``targets``.
 
-    Works by matching each literal against the complements of trail
-    literals, backtracking over candidates left to right.  When
+    With the complements of a trail's literals as ``targets``, that is a
+    grounding false under the trail.  Works by matching each literal
+    against the targets, backtracking over candidates left to right.  When
     ``first_match`` is (position, ground literal), that clause position is
     pinned to that ground literal before the search.
     """
-    targets = [e.literal.complement() for e in trail]
-
     order = list(range(len(clause)))
     start: Optional[Subst] = Subst()
     if first_match is not None:
@@ -302,7 +297,7 @@ def find_false_instance(state: ProblemState) \
     """First pool clause with a grounding false under the trail, searching
     clauses by pool position."""
     for clause in state.pool:
-        sigma = false_grounding(clause, state.trail)
+        sigma = false_grounding(clause, state.trail.complements)
         if sigma is not None:
             return clause, sigma
     return None
@@ -390,13 +385,13 @@ def enables_conflict(state: ProblemState, lit: Literal) -> bool:
     A newly false instance must use the new literal, so the matcher pins one
     clause literal to its complement.
     """
-    hypothetical = state.trail.push(TrailEntry(lit, Decision(0)))
     target = lit.complement()
+    targets = state.trail.complements + (target,)
     for clause in state.pool:
         for pin in range(len(clause)):
             if clause[pin].positive != target.positive:
                 continue
-            if false_grounding(clause, hypothetical,
+            if false_grounding(clause, targets,
                                first_match=(pin, target)) is not None:
                 return True
     return False

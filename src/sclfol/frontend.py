@@ -279,7 +279,7 @@ def parse_subst_text(text: str, line: int = 1) -> Subst:
         if tk.peek() is not None:
             tk.error(f"trailing input {tk.peek()!r}")
         mapping[Var(var_name)] = term
-    return Subst.of(mapping)
+    return Subst(mapping)
 
 
 def _split_top_level(body: str) -> list[str]:

@@ -17,8 +17,8 @@ from .orderings import Bound, TrailOrder, bounded_groundings, bounded_instances,
     bounded_instances_of_set
 from .proofs import Derivation, FactorizeStep, Proof, ResolveStep
 from .terms import (
-    Atom, Clause, Closure, Literal, Subst, alpha_equal, apply, mgu,
-    rename_apart, same_multiset, unify_all,
+    Atom, Clause, Closure, Literal, Subst, alpha_equal, apply, is_ground,
+    mgu, rename_apart, same_multiset, unify_all,
 )
 
 DEFAULT_ATOM_CAP = 24
@@ -280,7 +280,7 @@ def _replay_derivation(known: dict[str, Clause],
                             f"unknown conflict clause {deriv.start.clause_ref}")
     clause = known[deriv.start.clause_ref]
     subst = deriv.start.subst
-    if not subst.is_grounding_for(clause):
+    if not is_ground(apply(subst, clause)):
         return StepMismatch(deriv.name, -1,
                             "conflict substitution is not grounding")
     current = Closure(clause, subst)
@@ -305,6 +305,8 @@ def propagation_annotation(clause: Clause, lit_index: int,
 
     Duplicate literals that ground to the propagated literal are merged into
     the propagated one by their mgu; all other literals are kept in place.
+    This duplicates ``calculus.propagation_split`` on purpose: the oracle
+    imports neither ``calculus`` nor ``strategy``, so it stays independent.
     """
     lit_val = apply(sigma, clause[lit_index])
     dup = [q for q in range(len(clause))
@@ -324,7 +326,7 @@ def _replay_resolve(known: dict[str, Clause], current: Closure,
     parent = known[step.clause_ref]
     if not 0 <= step.lit_index < len(parent):
         return f"literal index {step.lit_index} out of range"
-    if not step.subst.is_grounding_for(parent):
+    if not is_ground(apply(step.subst, parent)):
         return "parent substitution is not grounding"
     ann_clause, ann_idx = propagation_annotation(parent, step.lit_index,
                                                  step.subst)

@@ -46,9 +46,6 @@ class Precedence:
             raise OrderingConfigError("precedence lists a symbol twice")
         self.rank = {s: i for i, s in enumerate(symbols)}
 
-    def __contains__(self, sym: str) -> bool:
-        return sym in self.rank
-
     def compare(self, a: str, b: str) -> int:
         try:
             ra, rb = self.rank[a], self.rank[b]
@@ -300,12 +297,9 @@ class Bound:
             found.sort(key=functools.cmp_to_key(self.ordering.compare_atoms))
         return found
 
-    def atom_below(self, atom: Atom) -> bool:
-        return self.ordering.compare_atoms(atom, self.beta.atom) < 0
-
     def literal_below(self, lit: Literal) -> bool:
         """Literals compare by their atoms."""
-        return self.atom_below(lit.atom)
+        return self.ordering.compare_atoms(lit.atom, self.beta.atom) < 0
 
     def clause_below(self, clause: Clause) -> bool:
         """Multiset comparison of a ground clause against {beta}.

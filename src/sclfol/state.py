@@ -12,13 +12,12 @@ found).  The empty-clause closure is distinct from "no conflict".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from . import oracle
 from .orderings import Bound, TrailOrder, bounded_instances_of_set
 from .terms import Atom, Clause, Closure, Literal, apply, is_ground, match
-
-TRUE, FALSE, UNDEFINED = True, False, None
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,13 @@ class TrailEntry:
 
 @dataclass(frozen=True)
 class Trail:
+    """A sequence of trail entries, never changed once built.
+
+    Lookups go through an index built on the first query: each atom's
+    first position, so an inconsistent trail reads as its earliest entry.
+    ``complements`` holds the complemented trail literals, in trail order.
+    """
+
     entries: tuple[TrailEntry, ...] = ()
 
     def __len__(self):
@@ -87,25 +93,33 @@ class Trail:
     def decision_count(self) -> int:
         return sum(1 for e in self.entries if e.is_decision)
 
-    def position_of_atom(self, atom: Atom) -> Optional[int]:
+    @cached_property
+    def _first_position(self) -> dict[Atom, int]:
+        first: dict[Atom, int] = {}
         for i, e in enumerate(self.entries):
-            if e.literal.atom == atom:
-                return i
-        return None
+            first.setdefault(e.literal.atom, i)
+        return first
 
-    def truth_value(self, lit: Literal):
-        """TRUE if the literal is on the trail, FALSE if its complement is,
-        UNDEFINED otherwise."""
+    @cached_property
+    def complements(self) -> tuple[Literal, ...]:
+        return tuple(e.literal.complement() for e in self.entries)
+
+    def position_of_atom(self, atom: Atom) -> Optional[int]:
+        return self._first_position.get(atom)
+
+    def truth_value(self, lit: Literal) -> Optional[bool]:
+        """True if the literal is on the trail, False if its complement is,
+        None otherwise."""
         pos = self.position_of_atom(lit.atom)
         if pos is None:
-            return UNDEFINED
-        return TRUE if self.entries[pos].literal == lit else FALSE
+            return None
+        return self.entries[pos].literal == lit
 
     def is_defined(self, lit: Literal) -> bool:
-        return self.truth_value(lit) is not UNDEFINED
+        return self.position_of_atom(lit.atom) is not None
 
     def all_false(self, clause: Clause) -> bool:
-        return all(self.truth_value(lit) is FALSE for lit in clause)
+        return all(self.truth_value(lit) is False for lit in clause)
 
     def __str__(self):
         return ", ".join(str(e) for e in self.entries)
@@ -129,25 +143,17 @@ class ProblemState:
         return self.initial + self.learned
 
     @property
-    def has_conflict(self) -> bool:
-        return self.conflict is not None
-
-    @property
     def is_bot(self) -> bool:
         return self.conflict is not None and self.conflict.clause.is_empty
-
-    def status_str(self) -> str:
-        if self.conflict is None:
-            return "T"
-        return str(self.conflict)
 
     def trail_order(self) -> TrailOrder:
         return TrailOrder(self.trail.literals, self.bound.ordering)
 
     def __str__(self):
         learned = "{" + ", ".join(str(c) for c in self.learned) + "}"
+        status = "T" if self.conflict is None else self.conflict
         return (f"({self.trail}; N; {learned}; {self.bound.beta}; "
-                f"{self.decisions}; {self.status_str()})")
+                f"{self.decisions}; {status})")
 
 
 class NotOnTrail(ValueError):
@@ -218,15 +224,13 @@ def soundness_check(state: ProblemState, cap_atoms: int = 128,
     trail = state.trail
     pool = state.pool
 
-    seen_atoms: set[Atom] = set()
-    for entry in trail:
-        if entry.literal.atom in seen_atoms:
+    for i, entry in enumerate(trail):
+        if trail.position_of_atom(entry.literal.atom) != i:
             out.append(Violation(1, f"{entry.literal} conflicts with an "
                                     f"earlier literal on the same atom"))
-        seen_atoms.add(entry.literal.atom)
 
     for i, entry in enumerate(trail):
-        prefix = trail.prefix(i)
+        defined_before = trail.position_of_atom(entry.literal.atom) != i
         if isinstance(entry.annotation, Propagation):
             closure = entry.annotation.closure
             idx = entry.annotation.lit_index
@@ -236,17 +240,20 @@ def soundness_check(state: ProblemState, cap_atoms: int = 128,
                                         f"propagates {lit}"))
                 continue
             side = closure.clause.without(idx)
-            if not prefix.all_false(apply(closure.subst, side)):
+            # the prefix holds an atom exactly when its first position does
+            if not all(trail.truth_value(q) is False
+                       and trail.position_of_atom(q.atom) < i
+                       for q in apply(closure.subst, side)):
                 out.append(Violation(2, f"side literals of {closure} are not "
                                         f"all false under the prefix"))
-            if prefix.is_defined(entry.literal):
+            if defined_before:
                 out.append(Violation(2, f"{entry.literal} already defined "
                                         f"before its propagation"))
             if not _entails_cached(pool, closure.clause, state.bound,
                                    cap_atoms, cache, tag="pool"):
                 out.append(Violation(2, f"pool does not entail {closure.clause}"))
         else:
-            if prefix.is_defined(entry.literal):
+            if defined_before:
                 out.append(Violation(3, f"decision {entry.literal} already "
                                         f"defined before its position"))
 

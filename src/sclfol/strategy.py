@@ -142,7 +142,8 @@ def default_beta_weight(clauses: Sequence[Clause]) -> int:
     return biggest + 2
 
 
-def synthesize_beta(signature: Signature, weight: int) \
+def synthesize_beta(signature: Signature, weight: int,
+                    precedence: Optional[Precedence] = None) \
         -> tuple[Literal, Signature]:
     """A fresh maximal atom dominating every atom of at most ``weight``
     symbols under count-KBO.
@@ -150,7 +151,9 @@ def synthesize_beta(signature: Signature, weight: int) \
     Uses a fresh predicate of maximal precedence.  With constants available
     the atom gets exactly ``weight + 1`` symbols, so everything at or below
     ``weight`` is strictly smaller by weight alone; without constants the
-    signature is propositional and precedence decides.
+    signature is propositional and precedence decides.  The arguments are
+    the constant least in ``precedence`` (by default, the default one), so
+    that no atom of the fresh predicate lies below the bound.
     """
     name = BETA_SYMBOL
     taken = set(signature.symbols())
@@ -159,12 +162,24 @@ def synthesize_beta(signature: Signature, weight: int) \
     constants = signature.constants
     if constants and weight >= 1:
         arity = weight
-        smallest = Fn(sorted(constants)[0])
+        if precedence is None:
+            precedence = Precedence.default_for(signature)
+        smallest = Fn(min(constants, key=precedence.rank.__getitem__))
         atom = Atom(name, (smallest,) * arity)
     else:
         arity = 0
         atom = Atom(name)
     return Literal(atom), signature.with_predicate(name, arity)
+
+
+def _precedence(signature: Signature, cfg: RunConfig) -> Precedence:
+    """The configured precedence, completed by the signature's other
+    symbols in their listed order; the default one if none is given."""
+    if cfg.precedence is None:
+        return Precedence.default_for(signature)
+    symbols = list(cfg.precedence)
+    symbols += [sym for sym in signature.symbols() if sym not in symbols]
+    return Precedence(symbols)
 
 
 def configure_bound(clauses: Sequence[Clause], cfg: RunConfig) -> Bound:
@@ -177,17 +192,10 @@ def configure_bound(clauses: Sequence[Clause], cfg: RunConfig) -> Bound:
                              "ordering; pass an explicit beta literal")
         weight = cfg.beta_weight if cfg.beta_weight is not None \
             else default_beta_weight(clauses)
-        beta, signature = synthesize_beta(Signature.from_clauses(clauses),
-                                          weight)
-    if cfg.precedence is not None:
-        symbols = list(cfg.precedence)
-        for sym in signature.symbols():
-            if sym not in symbols:
-                symbols.append(sym)
-        precedence = Precedence(symbols)
-    else:
-        precedence = Precedence.default_for(signature)
-    ordering = make_ordering(cfg.ordering, precedence)
+        signature = Signature.from_clauses(clauses)
+        beta, signature = synthesize_beta(signature, weight,
+                                          _precedence(signature, cfg))
+    ordering = make_ordering(cfg.ordering, _precedence(signature, cfg))
     return Bound(beta, ordering, signature, cfg.enumeration_cap)
 
 
@@ -374,11 +382,6 @@ def _choose_extension(state: ProblemState, cfg: RunConfig,
     return None
 
 
-def extract_model(state: ProblemState) -> tuple[Literal, ...]:
-    """The trail's literal set; callers verify it with the model oracle."""
-    return state.trail.literals
-
-
 # ---------------------------------------------------------------------------
 # Recording: traces, proofs, snapshots, invariant checking
 # ---------------------------------------------------------------------------
@@ -389,8 +392,10 @@ class _Recorder:
         self.cfg = cfg
         self.stats = Statistics()
         self.trace: list[str] = []
-        self.clause_names: list[tuple[Clause, str]] = list(
-            zip(clauses, names))
+        self.clause_by_name: dict[str, Clause] = {}
+        self.name_by_clause: dict[Clause, str] = {}
+        for clause, name in zip(clauses, names):
+            self._add_name(clause, name)
         self.learned_name_set: set[str] = set()
         self._learned_counter = 0
         self.derivations: list[Derivation] = []
@@ -407,23 +412,26 @@ class _Recorder:
     # -- naming ------------------------------------------------------------
 
     def name_of(self, clause: Clause) -> str:
-        for c, n in self.clause_names:
-            if c == clause:
-                return n
-        name = f"a{len(self.clause_names) + 1}"
-        self.clause_names.append((clause, name))
+        name = self.name_by_clause.get(clause)
+        if name is None:
+            name = f"a{len(self.clause_by_name) + 1}"
+            self._add_name(clause, name)
         return name
 
     def add_learned_name(self, clause: Clause) -> str:
-        taken = {n for _, n in self.clause_names}
         while True:
             self._learned_counter += 1
             name = f"u{self._learned_counter}"
-            if name not in taken:
+            if name not in self.clause_by_name:
                 break
-        self.clause_names.append((clause, name))
+        self._add_name(clause, name)
         self.learned_name_set.add(name)
         return name
+
+    def _add_name(self, clause: Clause, name: str):
+        # a clause answers to its first name
+        self.clause_by_name[name] = clause
+        self.name_by_clause.setdefault(clause, name)
 
     # -- transitions ---------------------------------------------------
 
@@ -431,10 +439,6 @@ class _Recorder:
         self.stats.steps += 1
         self.stats.rule_counts[rule] += 1
         self.stats.max_trail = max(self.stats.max_trail, len(state.trail))
-        census: Counter = Counter(e.literal.atom.pred for e in state.trail)
-        for pred, n in census.items():
-            self.stats.max_trail_by_predicate[pred] = max(
-                self.stats.max_trail_by_predicate[pred], n)
         self.last_rule = rule
         self.trace.append(trace_line(rule, detail, state))
         self._check(state)
@@ -453,7 +457,15 @@ class _Recorder:
                 raise InvariantViolation(
                     "; ".join(str(v) for v in violations))
 
+    def _count_pushed(self, state: ProblemState):
+        """Only a push can raise a predicate's count on the trail."""
+        pred = state.trail[-1].literal.atom.pred
+        n = sum(1 for e in state.trail if e.literal.atom.pred == pred)
+        by_pred = self.stats.max_trail_by_predicate
+        by_pred[pred] = max(by_pred[pred], n)
+
     def on_propagate(self, state: ProblemState, option: PropagationOption):
+        self._count_pushed(state)
         entry = state.trail[-1]
         self.propagation_sources[entry.annotation] = (
             self.name_of(option.clause), option.lit_index, option.clause)
@@ -463,6 +475,7 @@ class _Recorder:
                     f"{option.sigma}", state)
 
     def on_decide(self, state: ProblemState, option: DecideOption):
+        self._count_pushed(state)
         self._after("decide", str(option.literal), state)
 
     def on_conflict(self, prev: ProblemState, state: ProblemState,
@@ -522,7 +535,8 @@ class _Recorder:
         self._after("backtrack",
                     f"learn {learned} to level {state.decisions}", state)
         if self.cfg.check != "off":
-            if calculus.false_grounding(learned, state.trail) is not None:
+            if calculus.false_grounding(learned, state.trail.complements) \
+                    is not None:
                 raise InvariantViolation(
                     f"learned clause {learned} is still falsifiable after "
                     f"backtracking")
@@ -563,7 +577,7 @@ class _Recorder:
             proof = Proof(tuple(self.derivations), self.derivations[-1].name)
             if self.cfg.check == "full":
                 mismatch = oracle.check_proof(
-                    {n: c for c, n in self.clause_names
+                    {n: c for n, c in self.clause_by_name.items()
                      if n not in self.learned_name_set}, proof)
                 if mismatch is not None:
                     raise InvariantViolation(f"proof replay failed: "
@@ -571,13 +585,14 @@ class _Recorder:
         return RunResult("unsat", self.stats, proof=proof,
                          final_bound=state.bound, trace=self.trace,
                          learned_records=self.learned_records,
-                         learned_names={n: c for c, n in self.clause_names
+                         learned_names={n: c for n, c in
+                                        self.clause_by_name.items()
                                         if n in self.learned_name_set},
                          final_state=state)
 
     def finish_sat(self, state: ProblemState) -> RunResult:
         self.stats.learned = len(state.learned)
-        model = extract_model(state)
+        model = state.trail.literals
         falsified = oracle.check_model(model, state.initial, state.bound)
         if falsified is not None:
             raise InvariantViolation(

@@ -152,77 +152,63 @@ def symbol_count(obj) -> int:
 # Substitutions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Subst:
     """A finite mapping from variables to terms.
 
     Bindings with ``x -> x`` are dropped, so ``domain`` contains only the
-    variables actually moved.  Hashable, so closures can be dict keys.
+    variables actually moved.  ``mapping`` is never changed once built, so
+    equality and hash are over the bindings and closures can be dict keys.
     """
 
-    items: tuple[tuple[Var, Term], ...] = ()
+    __slots__ = ("mapping",)
 
-    @staticmethod
-    def of(mapping: dict[Var, Term]) -> "Subst":
-        items = tuple(sorted(
-            ((v, t) for v, t in mapping.items() if v != t),
-            key=lambda vt: vt[0].name,
-        ))
-        return Subst(items)
+    def __init__(self, mapping: Optional[dict[Var, Term]] = None):
+        self.mapping: dict[Var, Term] = \
+            {v: t for v, t in mapping.items() if v != t} if mapping else {}
 
-    @property
-    def mapping(self) -> dict[Var, Term]:
-        return dict(self.items)
+    def __eq__(self, other):
+        return isinstance(other, Subst) and self.mapping == other.mapping
+
+    def __hash__(self):
+        return hash(frozenset(self.mapping.items()))
+
+    def __repr__(self):
+        return f"Subst({self})"
 
     @property
     def domain(self) -> set[Var]:
-        return {v for v, _ in self.items}
-
-    def get(self, v: Var) -> Term:
-        for w, t in self.items:
-            if w == v:
-                return t
-        return v
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.items
+        return set(self.mapping)
 
     def restrict(self, keep: set[Var]) -> "Subst":
-        return Subst(tuple((v, t) for v, t in self.items if v in keep))
+        return Subst({v: t for v, t in self.mapping.items() if v in keep})
 
     def merge(self, other: "Subst") -> "Subst":
         """Union of two substitutions with disjoint domains."""
-        m = self.mapping
-        for v, t in other.items:
-            if v in m and m[v] != t:
+        m = dict(self.mapping)
+        for v, t in other.mapping.items():
+            if m.setdefault(v, t) != t:
                 raise ValueError(f"conflicting bindings for {v}")
-            m[v] = t
-        return Subst.of(m)
+        return Subst(m)
 
     def compose(self, then: "Subst") -> "Subst":
         """Returns sigma with sigma(x) = then(self(x))."""
-        m = {v: apply(then, t) for v, t in self.items}
-        for v, t in then.items:
+        m = {v: apply(then, t) for v, t in self.mapping.items()}
+        for v, t in then.mapping.items():
             m.setdefault(v, t)
-        return Subst.of(m)
-
-    def is_grounding_for(self, obj) -> bool:
-        return is_ground(apply(self, obj))
+        return Subst(m)
 
     def __str__(self):
-        if not self.items:
+        if not self.mapping:
             return "{}"
-        return "{" + ", ".join(f"{v} -> {t}" for v, t in self.items) + "}"
-
-
-IDENTITY = Subst()
+        return "{" + ", ".join(
+            f"{v} -> {t}" for v, t in
+            sorted(self.mapping.items(), key=lambda vt: vt[0].name)) + "}"
 
 
 def apply(sigma: Subst, obj):
     """Simultaneous replacement of variables by their images."""
     if isinstance(obj, Var):
-        return sigma.mapping.get(obj, obj) if sigma.items else obj
+        return sigma.mapping.get(obj, obj)
     if isinstance(obj, Fn):
         if not obj.args:
             return obj
@@ -296,7 +282,7 @@ def mgu(a, b) -> Optional[Subst]:
 
     # flatten so the substitution is idempotent
     flat = {v: _walk(t, sub) for v, t in sub.items()}
-    return Subst.of(flat)
+    return Subst(flat)
 
 
 def _walk(term: Term, sub: dict[Var, Term]) -> Term:
@@ -312,9 +298,9 @@ def _walk(term: Term, sub: dict[Var, Term]) -> Term:
 def unify_all(items) -> Optional[Subst]:
     """Iterated mgu collapsing all items (atoms/literals) into one."""
     items = list(items)
+    sigma = Subst()
     if not items:
-        return IDENTITY
-    sigma = IDENTITY
+        return sigma
     first = items[0]
     for other in items[1:]:
         step = mgu(apply(sigma, first), apply(sigma, other))
@@ -330,7 +316,7 @@ def match(pattern, target, partial: Optional[Subst] = None) -> Optional[Subst]:
     ``target`` must be ground.  Returns the most general such extension, or
     None on a structural clash or a clash with ``partial``.
     """
-    sub = partial.mapping if partial is not None else {}
+    sub = dict(partial.mapping) if partial is not None else {}
 
     def go(p, t) -> bool:
         if isinstance(p, Literal):
@@ -351,7 +337,7 @@ def match(pattern, target, partial: Optional[Subst] = None) -> Optional[Subst]:
 
     if not go(pattern, target):
         return None
-    return Subst.of(sub)
+    return Subst(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +367,7 @@ def rename_clause(clause: Clause, avoid: set[Var]) -> tuple[Clause, Subst]:
         nv = fresh_variant(v, taken)
         taken.add(nv)
         ren[v] = nv
-    sigma = Subst.of(ren)
+    sigma = Subst(ren)
     return apply(sigma, clause), sigma
 
 
@@ -397,7 +383,7 @@ class Closure:
     subst: Subst
 
     def __post_init__(self):
-        if not self.subst.is_grounding_for(self.clause):
+        if not is_ground(apply(self.subst, self.clause)):
             raise ValueError(
                 f"substitution {self.subst} does not ground {self.clause}")
 
@@ -416,7 +402,7 @@ def rename_apart(first: Closure, second: Closure) -> tuple[Closure, Closure]:
     """
     avoid = variables_of(first.clause) | first.subst.domain
     renamed, ren = rename_clause(second.clause, avoid)
-    adjusted = Subst.of({
+    adjusted = Subst({
         apply(ren, v): apply(second.subst, v)
         for v in variables_of(second.clause)
     })
@@ -451,7 +437,7 @@ def canonical_variant(clause: Clause) -> Clause:
     ren = {}
     for i, v in enumerate(order):
         ren[v] = Var(names[i]) if i < len(names) else Var(f"X{i - len(names) + 1}")
-    return apply(Subst.of(ren), clause)
+    return apply(Subst(ren), clause)
 
 
 def alpha_equal(c1: Clause, c2: Clause) -> bool:

@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
+import hashlib
 import time
+from collections import Counter
 
 from conftest import (
     NONUNIT_BLOWUP_PROPOSITIONAL, NONUNIT_BLOWUP_TEXT, LOOPING_TEXT,
@@ -243,6 +245,19 @@ def test_criterion_6_correct_termination(bs_corpus, bs_corpus_results):
     unsat = sum(1 for r in results if r.verdict == "unsat")
     _passed(6, f"{agreements}/{len(results)} verdicts agree with the ground "
                f"oracle ({unsat} unsat); all models check")
+
+
+def test_corpus_trace_fingerprint(bs_corpus_results):
+    # the traces and verdicts are the contract: a change that keeps the
+    # prover's behaviour keeps this digest
+    results, _ = bs_corpus_results
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(("\n".join(result.trace) + result.verdict).encode())
+    verdicts = Counter(result.verdict for result in results)
+    assert digest.hexdigest().startswith("6c7ec91f8cc06499")
+    assert verdicts == {"sat-bounded": 433, "unsat": 67}
+    assert sum(result.stats.learned for result in results) == 64
 
 
 def test_criterion_7_exponential_contrast():

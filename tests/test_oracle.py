@@ -206,7 +206,7 @@ class TestCheckProof:
         deriv = proof.derivations[0]
         bad_steps = []
         for step in deriv.steps:
-            if isinstance(step, ResolveStep) and step.subst.items:
+            if isinstance(step, ResolveStep) and step.subst.mapping:
                 step = ResolveStep(step.clause_ref, step.lit_index,
                                    sub("{X -> a}"), step.conflict_index)
             bad_steps.append(step)

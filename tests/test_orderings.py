@@ -221,7 +221,7 @@ class TestBoundedGroundings:
         from sclfol.terms import Var
         expected = set()
         for x, y in itertools.product([Fn("a"), Fn("b")], repeat=2):
-            tau = Subst.of({Var("X"): x, Var("Y"): y})
+            tau = Subst({Var("X"): x, Var("Y"): y})
             inst = apply(tau, clause)
             if all(bound.literal_below(l) for l in inst):
                 expected.add(str(inst))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (
@@ -46,6 +48,24 @@ class TestTruthValue:
         trail = Trail((entry("P(a)", Decision(1)),
                        entry("Q(b)", Decision(2))))
         assert trail.truth_value(lit("Q(b)")) is True
+
+    def test_index_agrees_with_first_occurrence_scan(self):
+        # repeated atoms included: the earliest entry of an atom decides
+        rng = random.Random(5)
+        atoms = [f"{p}({c})" for p in "PQ" for c in "abc"]
+        for _ in range(200):
+            trail = Trail(tuple(
+                entry(rng.choice(["", "~"]) + rng.choice(atoms), Decision(1))
+                for _ in range(rng.randint(0, 8))))
+            for text in atoms:
+                for query in (lit(text), lit(text).complement()):
+                    scan = [i for i, e in enumerate(trail)
+                            if e.literal.atom == query.atom]
+                    pos = scan[0] if scan else None
+                    assert trail.position_of_atom(query.atom) == pos
+                    expected = None if pos is None \
+                        else trail[pos].literal == query
+                    assert trail.truth_value(query) is expected
 
 
 class TestLevels:

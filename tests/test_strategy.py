@@ -135,6 +135,15 @@ class TestBetaSynthesis:
         assert {str(a) for a in bound.atoms_below()} >= \
             {"P(a,a)", "P(a,b)", "P(b,a)", "P(b,b)"}
 
+    @pytest.mark.parametrize("precedence", [None, ["b", "a"]])
+    def test_arguments_are_the_precedence_least_constant(self, precedence):
+        # with any other constant, atoms of the fresh predicate fall below
+        bound = configure_bound((cl("P(a,b) | ~P(b,a)"),),
+                                RunConfig(precedence=precedence))
+        atoms = bound.atoms_below()
+        assert len(atoms) == 4
+        assert all(a.pred == "P" for a in atoms)
+
     def test_propositional_signature(self):
         bound = configure_bound((cl("P | ~Q"),), RunConfig())
         assert {str(a) for a in bound.atoms_below()} == {"P", "Q"}

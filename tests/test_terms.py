@@ -39,7 +39,7 @@ class TestMgu:
         terms = [Fn("a"), Fn("f", (Fn("a"),)), Fn("f", (Fn("f", (Fn("a"),)),))]
         a, b = lit("P(X,f(X))"), lit("P(Y,Y)")
         for tx, ty in itertools.product(terms, repeat=2):
-            sigma = Subst.of({Var("X"): tx, Var("Y"): ty})
+            sigma = Subst({Var("X"): tx, Var("Y"): ty})
             assert apply(sigma, a) != apply(sigma, b)
 
     def test_polarity_must_match(self):
@@ -94,7 +94,7 @@ class TestMguProperties:
             sigma = mgu(a, b)
             vs = sorted(variables_of((a, b)), key=lambda v: v.name)
             for images in itertools.product(ground_pool, repeat=len(vs)):
-                tau = Subst.of(dict(zip(vs, images)))
+                tau = Subst(dict(zip(vs, images)))
                 if apply(tau, a) != apply(tau, b):
                     continue
                 assert sigma is not None, f"{a} and {b} unify via {tau}"
@@ -110,7 +110,7 @@ class TestMguProperties:
                 continue
             vs = sorted(variables_of((a, b)), key=lambda v: v.name)
             for images in itertools.product(ground_pool, repeat=len(vs)):
-                tau = Subst.of(dict(zip(vs, images)))
+                tau = Subst(dict(zip(vs, images)))
                 assert apply(tau, a) != apply(tau, b)
 
 
@@ -122,6 +122,10 @@ class TestApply:
     def test_identity(self):
         c = cl("P(X) | Q(b)")
         assert apply(Subst(), c) == c
+        # an x -> x binding is dropped
+        trivial = Subst({Var("X"): Var("X")})
+        assert trivial == Subst() and not trivial.domain
+        assert str(trivial) == "{}" and apply(trivial, c) == c
 
     def test_nested_image(self):
         sigma = sub("{X -> g(a)}")
@@ -148,7 +152,7 @@ class TestRenameApart:
         for _ in range(100):
             lits = tuple(random_literal(rng) for _ in range(rng.randint(1, 3)))
             clause = Clause(lits)
-            grounding = Subst.of({
+            grounding = Subst({
                 v: random_term(rng, 1, []) for v in variables_of(clause)})
             first = Closure(cl("P(a,a)"), Subst())
             second = Closure(clause, grounding)
@@ -180,14 +184,18 @@ class TestMatch:
             for t2 in targets2:
                 m2 = match(pattern2, t2, m1)
                 if m2 is not None:
-                    found.add(str(m2))
+                    found.add(m2)
         ground_pool = [Fn("a"), Fn("b")]
         expected = set()
         for x, y in itertools.product(ground_pool, repeat=2):
-            tau = Subst.of({Var("X"): x, Var("Y"): y})
+            # bound in the opposite order to the matcher's: equality, hash
+            # and printing are over the bindings, not their order
+            tau = Subst({Var("Y"): y, Var("X"): x})
             if apply(tau, pattern1) in targets1 and apply(tau, pattern2) in targets2:
-                expected.add(str(tau))
+                expected.add(tau)
         assert found == expected
+        assert {hash(s) for s in found} == {hash(s) for s in expected}
+        assert {str(s) for s in found} == {str(s) for s in expected}
 
 
 class TestClauseHelpers:
