@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .orderings import bounded_groundings
-from .state import Decision, ProblemState, Propagation, Trail, TrailEntry, \
-    clause_level
+from .state import Decision, NotOnTrail, ProblemState, Propagation, Trail, \
+    TrailEntry, clause_level
 from .terms import (
     Clause, Closure, Literal, Subst, apply, canonical_variant, is_ground,
     match, mgu, rename_apart, unify_all,
@@ -152,9 +152,9 @@ def apply_factorize(state: ProblemState, i: int, j: int) -> ProblemState:
                         Closure(new_clause, sigma))
 
 
-def apply_resolve(state: ProblemState,
-                  conflict_index: Optional[int] = None) -> ProblemState:
-    """Resolves the conflict with the propagation on top of the trail.
+def apply_resolve(state: ProblemState) -> ProblemState:
+    """Resolves the conflict with the propagation on top of the trail, on
+    the first conflict literal complementing it.
 
     The parent closure is renamed apart first and the grounding
     substitutions are merged.  The trail is unchanged; the propagated
@@ -167,17 +167,9 @@ def apply_resolve(state: ProblemState,
              "trail top is not a propagation")
     conflict = state.conflict
     ground = conflict.ground_clause()
-    if conflict_index is None:
-        for q, lit in enumerate(ground.literals):
-            if lit.complement() == top.literal:
-                conflict_index = q
-                break
-    _require(conflict_index is not None, "resolve",
+    _require(top.literal.complement() in ground.literals, "resolve",
              "complement of the top literal does not occur in the conflict")
-    k = conflict_index
-    _require(0 <= k < len(ground), "resolve", "bad conflict index")
-    _require(ground[k].complement() == top.literal, "resolve",
-             f"conflict literal {ground[k]} does not complement {top.literal}")
+    k = ground.literals.index(top.literal.complement())
 
     conflict, parent = rename_apart(conflict, top.annotation.closure)
     ann_idx = top.annotation.lit_index
@@ -207,17 +199,12 @@ def apply_backtrack(state: ProblemState) -> ProblemState:
              "top decision is not the current level")
 
     ground = state.conflict.ground_clause()
-    ell = None
-    for q, lit in enumerate(ground.literals):
-        if lit.complement() == top.literal:
-            ell = q
-            break
-    _require(ell is not None, "backtrack",
+    _require(top.literal.complement() in ground.literals, "backtrack",
              "no conflict literal complements the top decision")
-    rest = ground.without(ell)
+    rest = ground.without(ground.literals.index(top.literal.complement()))
     try:
         level = clause_level(rest, state)
-    except Exception:
+    except NotOnTrail:
         raise GuardFailed("backtrack", "remaining conflict literals are not "
                                        "all defined on the trail")
     _require(level < state.decisions, "backtrack",

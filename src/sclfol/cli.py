@@ -3,6 +3,9 @@
 Exit codes: 0 unsatisfiable, 1 satisfiable within the bound, 2 resource
 limit, 64 usage error, 65 parse error, 70 internal error (an invariant
 violation or a crash).
+
+Terms may be nested at most 100 deep (``a`` has depth 1, ``f(a)`` depth 2);
+a deeper term is a parse error.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sclfol", description=__doc__)
+    # no abbreviations: a retired flag must not read as a prefix of another
+    parser = _Parser(prog="sclfol", description=__doc__, allow_abbrev=False)
     parser.add_argument("--input", help="problem file")
     parser.add_argument("--format", choices=["tptp", "native"],
                         default="tptp")
@@ -53,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthesize a bound above this symbol count")
     parser.add_argument("--grow", default="off",
                         help="'off' or the maximum number of bound increases")
-    parser.add_argument("--mode", choices=["regular", "exhaustive"],
-                        default="regular")
     parser.add_argument("--heuristic", default="first",
                         help="first | random | avoid:PRED,...")
     parser.add_argument("--seed", type=int, default=0)
@@ -127,7 +129,7 @@ def _cmd_solve(args) -> int:
     cfg = RunConfig(
         ordering=args.ordering, precedence=precedence, beta=beta,
         beta_weight=args.beta_weight, heuristic=heuristic, avoid=avoid,
-        seed=args.seed, factoring=args.factoring, mode=args.mode,
+        seed=args.seed, factoring=args.factoring,
         max_growths=grow, max_steps=args.max_steps, check=args.check,
     )
     result = run(problem.clauses, cfg, problem.names)

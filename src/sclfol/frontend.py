@@ -52,12 +52,12 @@ _TOKEN_RE = re.compile(r"\$?[A-Za-z_][A-Za-z0-9_]*|\d+|[(),.|~]|!=|=|\S")
 
 
 class _Tokens:
-    def __init__(self, text: str, line: int, col_offset: int = 0,
+    def __init__(self, text: str, line: int,
                  variables: frozenset[str] = frozenset()):
         self.line = line
         self.variables = variables
         self.toks: list[tuple[str, int]] = [
-            (m.group(0), m.start() + col_offset + 1)
+            (m.group(0), m.start() + 1)
             for m in _TOKEN_RE.finditer(text)
         ]
         self.pos = 0
@@ -95,8 +95,16 @@ def _is_variable_name(name: str, extra: frozenset[str]) -> bool:
     return name[0].isupper() or name[0] == "_" or name in extra
 
 
-def _parse_term(tk: _Tokens) -> Term:
+# the parser and the search kernels recurse once per nesting level of a
+# term, and from about 250 levels exceed Python's default recursion limit
+MAX_TERM_DEPTH = 100
+
+
+def _parse_term(tk: _Tokens, depth: int = 1) -> Term:
     col = tk.col()
+    if depth > MAX_TERM_DEPTH:
+        raise ParseError(tk.line, col, f"term nested more than "
+                                       f"{MAX_TERM_DEPTH} deep")
     name = tk.next()
     if name in ("=", "!="):
         raise UnsupportedFeature(tk.line, col, "equality")
@@ -106,10 +114,10 @@ def _parse_term(tk: _Tokens) -> Term:
         return Var(name)
     if tk.peek() == "(":
         tk.next()
-        args = [_parse_term(tk)]
+        args = [_parse_term(tk, depth + 1)]
         while tk.peek() == ",":
             tk.next()
-            args.append(_parse_term(tk))
+            args.append(_parse_term(tk, depth + 1))
         tk.expect(")")
         return Fn(name, tuple(args))
     return Fn(name)

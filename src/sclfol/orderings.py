@@ -252,21 +252,17 @@ class Bound:
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
-                 cap: int = DEFAULT_ENUMERATION_CAP, validate: bool = True):
+                 cap: int = DEFAULT_ENUMERATION_CAP):
         if not is_ground(beta):
             raise OrderingConfigError(f"bound literal {beta} is not ground")
         self.beta = beta
         self.ordering = ordering
         self.signature = signature
         self.cap = cap
-        self._atoms_below: Optional[tuple[Atom, ...]] = None
         self._groundings: dict[Clause, tuple[Subst, ...]] = {}
-        if validate:
-            self.atoms_below()
+        self._atoms_below = tuple(self._enumerate_below())
 
     def atoms_below(self) -> tuple[Atom, ...]:
-        if self._atoms_below is None:
-            self._atoms_below = tuple(self._enumerate_below())
         return self._atoms_below
 
     def _enumerate_below(self) -> list[Atom]:

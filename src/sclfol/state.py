@@ -173,18 +173,10 @@ def literal_level(lit: Literal, state: ProblemState) -> int:
     return level
 
 
-class UndefinedLiteral(ValueError):
-    pass
-
-
 def clause_level(clause: Clause, state: ProblemState) -> int:
-    """Maximal literal level; the empty clause has level 0."""
-    level = 0
-    for lit in clause:
-        if state.trail.position_of_atom(lit.atom) is None:
-            raise UndefinedLiteral(str(lit))
-        level = max(level, literal_level(lit, state))
-    return level
+    """Maximal literal level; the empty clause has level 0.  Raises
+    ``NotOnTrail`` when a literal is undefined."""
+    return max((literal_level(lit, state) for lit in clause), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +192,10 @@ class Violation:
         return f"condition {self.condition}: {self.witness}"
 
 
-def soundness_check(state: ProblemState, cap_atoms: int = 128,
+SOUNDNESS_ATOM_CAP = 128  # ground atoms per entailment check of --check full
+
+
+def soundness_check(state: ProblemState,
                     cache: Optional[dict] = None) -> list[Violation]:
     """Checks the six sound-state conditions; returns violations, never raises.
 
@@ -216,7 +211,8 @@ def soundness_check(state: ProblemState, cap_atoms: int = 128,
        literal (of either polarity, matching how decisions are drawn).
 
     The entailment checks in 2, 4 and 5 are decided exactly over the
-    beta-bounded groundings.
+    beta-bounded groundings; one that exceeds ``SOUNDNESS_ATOM_CAP`` is
+    reported as a failed check.
     """
     if cache is None:
         cache = {}
@@ -249,18 +245,22 @@ def soundness_check(state: ProblemState, cap_atoms: int = 128,
             if defined_before:
                 out.append(Violation(2, f"{entry.literal} already defined "
                                         f"before its propagation"))
-            if not _entails_cached(pool, closure.clause, state.bound,
-                                   cap_atoms, cache, tag="pool"):
-                out.append(Violation(2, f"pool does not entail {closure.clause}"))
+            violation = _entailment_violation(
+                2, "pool does not entail", pool, closure.clause, state.bound,
+                cache, tag="pool")
+            if violation is not None:
+                out.append(violation)
         else:
             if defined_before:
                 out.append(Violation(3, f"decision {entry.literal} already "
                                         f"defined before its position"))
 
     for learned in state.learned:
-        if not _entails_cached(state.initial, learned, state.bound,
-                               cap_atoms, cache, tag="initial"):
-            out.append(Violation(4, f"initial clauses do not entail {learned}"))
+        violation = _entailment_violation(
+            4, "initial clauses do not entail", state.initial, learned,
+            state.bound, cache, tag="initial")
+        if violation is not None:
+            out.append(violation)
 
     if state.conflict is not None:
         inst = state.conflict.ground_clause()
@@ -269,7 +269,7 @@ def soundness_check(state: ProblemState, cap_atoms: int = 128,
                                     f"under the trail"))
         n_ground = _ground_pool(state.initial, state.bound, cache, "initial")
         try:
-            if not oracle.ground_entails(n_ground, inst, cap_atoms):
+            if not oracle.ground_entails(n_ground, inst, SOUNDNESS_ATOM_CAP):
                 out.append(Violation(5, f"bounded groundings do not entail "
                                         f"{inst}"))
         except oracle.CapExceeded as exc:
@@ -301,19 +301,22 @@ def _ground_pool(clauses, bound: Bound, cache: dict, tag: str):
     return cache[key]
 
 
-def _entails_cached(clauses, clause: Clause, bound: Bound, cap_atoms: int,
-                    cache: dict, tag: str) -> bool:
+def _entailment_violation(condition: int, failure: str, clauses,
+                          clause: Clause, bound: Bound, cache: dict,
+                          tag: str) -> Optional[Violation]:
+    """None when ``clauses`` entail ``clause`` over the bounded groundings;
+    otherwise ``failure`` followed by the clause, or the cap overflow."""
     key = ("ent", tag, len(clauses), bound.beta, clause)
-    if key in cache:
-        return cache[key]
-    ground = _ground_pool(clauses, bound, cache, tag)
-    try:
-        ok = oracle.entails_bounded(clauses, clause, bound, cap_atoms,
-                                    pool_ground=ground)
-    except oracle.CapExceeded:
-        ok = False
-    cache[key] = ok
-    return ok
+    if key not in cache:
+        ground = _ground_pool(clauses, bound, cache, tag)
+        try:
+            cache[key] = oracle.entails_bounded(
+                clauses, clause, bound, SOUNDNESS_ATOM_CAP, pool_ground=ground)
+        except oracle.CapExceeded as exc:
+            return Violation(condition, f"entailment check failed: {exc}")
+    if cache[key]:
+        return None
+    return Violation(condition, f"{failure} {clause}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The run driver: regular rule scheduling, conflict resolution, growing.
 
-Scheduling policy (regular mode):
+Scheduling policy:
 
 * Conflict has precedence over every other rule.
 * In conflict status, Skip/Factorize/Resolve are applied per the factoring
@@ -14,10 +14,10 @@ Scheduling policy (regular mode):
   grounding.  If the grow policy still has budget, the bound is raised and
   the trail rebuilt; otherwise the run ends with a verified partial model.
 
-Exhaustive-propagation mode makes propagation mandatory before any decision
-and ignores the avoid list; it exists to reproduce the exponential trail
-growth of propagation-first scheduling and carries no non-redundancy
-guarantee.
+Under the default ``first`` heuristic every available Propagate runs before
+any Decide, as in exhaustive propagation, and decisions are reasonable all
+the same.  Where that fills the trail with the instances of a wide unit that
+a refutation does not need, avoiding the unit's predicate keeps them off.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ from .orderings import (
 )
 from .proofs import ConflictStart, Derivation, FactorizeStep, Proof, \
     ResolveStep
-from .state import ProblemState, Propagation, soundness_check, trace_line
+from .state import (
+    SOUNDNESS_ATOM_CAP, ProblemState, Propagation, soundness_check, trace_line,
+)
 from .terms import (
     Atom, Clause, Fn, Literal, Signature, Subst, symbol_count, variables_of,
 )
@@ -65,12 +67,9 @@ class RunConfig:
     avoid: tuple[str, ...] = ()
     seed: int = 0
     factoring: str = "eager"  # eager | lazy
-    mode: str = "regular"  # regular | exhaustive
     max_growths: int = 0  # 0 = grow off
     max_steps: int = 200_000
     check: str = "off"  # off | invariants | full
-    enumeration_cap: int = 10 ** 6
-    sat_cap: int = 128
 
 
 @dataclass
@@ -186,6 +185,7 @@ def configure_bound(clauses: Sequence[Clause], cfg: RunConfig) -> Bound:
     if cfg.beta is not None:
         signature = Signature.from_clauses(clauses, extra_literals=[cfg.beta])
         beta = cfg.beta
+        precedence = _precedence(signature, cfg)
     else:
         if cfg.ordering != "kbo":
             raise ValueError("a weight-synthesized bound needs the kbo "
@@ -193,10 +193,14 @@ def configure_bound(clauses: Sequence[Clause], cfg: RunConfig) -> Bound:
         weight = cfg.beta_weight if cfg.beta_weight is not None \
             else default_beta_weight(clauses)
         signature = Signature.from_clauses(clauses)
-        beta, signature = synthesize_beta(signature, weight,
-                                          _precedence(signature, cfg))
-    ordering = make_ordering(cfg.ordering, _precedence(signature, cfg))
-    return Bound(beta, ordering, signature, cfg.enumeration_cap)
+        precedence = _precedence(signature, cfg)
+        beta, signature = synthesize_beta(signature, weight, precedence)
+        # the fresh predicate is maximal: without constants its atom has
+        # arity 0 and only the precedence puts the other atoms below it
+        fresh = beta.atom.pred
+        precedence = Precedence(
+            [sym for sym in precedence.rank if sym != fresh] + [fresh])
+    return Bound(beta, make_ordering(cfg.ordering, precedence), signature)
 
 
 def next_beta(bound: Bound) -> Literal:
@@ -294,15 +298,13 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
     return rec.finish_resource_out(state)
 
 
-def resolve_conflict_loop(state: ProblemState, cfg: RunConfig,
-                          rec: Optional["_Recorder"] = None) -> ProblemState:
+def resolve_conflict_loop(state: ProblemState,
+                          cfg: RunConfig) -> ProblemState:
     """Runs one whole conflict-resolution episode: Skip/Factorize/Resolve
     until Backtrack applies (or the conflict collapses to the empty
     clause)."""
-    if rec is None:
-        rec = _Recorder(cfg, [], state.initial)
-        rec.on_conflict(state, state, state.conflict.clause,
-                        state.conflict.subst)
+    rec = _Recorder(cfg, [], state.initial)
+    rec.on_conflict(state, state, state.conflict.clause, state.conflict.subst)
     while state.conflict is not None and not state.is_bot:
         state = _conflict_resolution_step(state, cfg, rec)
     return state
@@ -324,12 +326,12 @@ def _conflict_resolution_step(state: ProblemState, cfg: RunConfig,
     comp_positions = [q for q, lit in enumerate(ground.literals)
                       if lit == top.literal.complement()]
     if isinstance(top.annotation, Propagation) and comp_positions:
-        new = apply_resolve(state, comp_positions[0])
-        rec.on_resolve(state, new, top, comp_positions[0])
+        new = apply_resolve(state)
+        rec.on_resolve(new, top, comp_positions[0])
         return new
     if not comp_positions:
         new = apply_skip(state)
-        rec.on_skip(state, new, top)
+        rec.on_skip(new, top)
         return new
 
     # decision on top whose complement occurs in the conflict
@@ -354,13 +356,6 @@ def _duplicate_pair(ground: Clause) -> Optional[tuple[int, int]]:
 
 def _choose_extension(state: ProblemState, cfg: RunConfig,
                       rng: random.Random):
-    if cfg.mode == "exhaustive":
-        prop = next(iter(propagation_candidates(state)), None)
-        if prop is not None:
-            return "propagate", prop
-        decides = reasonable_decisions(state)
-        return ("decide", decides[0]) if decides else None
-
     # the avoid list is only a preference: a second pass admits everything
     for avoid in (cfg.avoid, ()):
         if cfg.heuristic == "random":
@@ -451,8 +446,7 @@ class _Recorder:
                 f"decision counter {state.decisions} does not match the "
                 f"trail ({state.trail.decision_count()} decisions)")
         if self.cfg.check == "full":
-            violations = soundness_check(state, self.cfg.sat_cap,
-                                         self.sound_cache)
+            violations = soundness_check(state, self.sound_cache)
             if violations:
                 raise InvariantViolation(
                     "; ".join(str(v) for v in violations))
@@ -497,15 +491,14 @@ class _Recorder:
         self._after("conflict",
                     f"{self.name_of(clause)} . {sigma}", state)
 
-    def on_skip(self, prev: ProblemState, state: ProblemState, top):
+    def on_skip(self, state: ProblemState, top):
         self._after("skip", str(top.literal), state)
 
     def on_factorize(self, state: ProblemState, i: int, j: int):
         self.episode_steps.append(FactorizeStep(i, j))
         self._after("factorize", f"{i} {j}", state)
 
-    def on_resolve(self, prev: ProblemState, state: ProblemState, top,
-                   conflict_index: int):
+    def on_resolve(self, state: ProblemState, top, conflict_index: int):
         source = self.propagation_sources.get(top.annotation)
         if source is None:
             # propagation placed by a script rather than this driver
@@ -543,7 +536,7 @@ class _Recorder:
         if self.cfg.check == "full" and self.episode_snapshot is not None:
             if oracle.is_redundant_snapshot(learned, self.episode_pool,
                                             self.episode_snapshot, prev.bound,
-                                            self.cfg.sat_cap):
+                                            SOUNDNESS_ATOM_CAP):
                 raise InvariantViolation(
                     f"learned clause {learned} is redundant at its snapshot")
 

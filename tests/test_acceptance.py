@@ -264,7 +264,7 @@ def test_criterion_7_exponential_contrast():
     start = time.perf_counter()
 
     s1 = parse_native(UNIT_BLOWUP_TEXT)
-    exhaustive = run(s1.clauses, RunConfig(mode="exhaustive"), s1.names)
+    exhaustive = run(s1.clauses, RunConfig(), s1.names)
     assert exhaustive.verdict == "unsat"
     assert exhaustive.stats.propagations_by_predicate["R"] == 8
 
@@ -276,8 +276,7 @@ def test_criterion_7_exponential_contrast():
     REGULAR_STATS.append(("unit-blowup-regular", regular.stats))
 
     appa = parse_native(NONUNIT_BLOWUP_TEXT)
-    appa_exhaustive = run(appa.clauses, RunConfig(mode="exhaustive"),
-                          appa.names)
+    appa_exhaustive = run(appa.clauses, RunConfig(), appa.names)
     assert appa_exhaustive.verdict == "unsat"
     assert appa_exhaustive.stats.max_trail_by_predicate["R"] == 8
 
@@ -294,8 +293,8 @@ def test_criterion_7_exponential_contrast():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    _passed(7, f"exhaustive mode needs all 8 ground instances; regular mode "
-               f"refutes with none and trail <= "
+    _passed(7, f"propagation-first scheduling needs all 8 ground "
+               f"instances; avoiding R refutes with none and trail <= "
                f"{regular.stats.max_trail} ({elapsed:.2f}s)")
 
 

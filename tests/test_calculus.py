@@ -234,6 +234,17 @@ class TestBacktrack:
                 s.trail, s.initial, s.learned, s.bound, s.decisions,
                 Closure(cl("~P(b) | ~P(b)"), Subst())))
 
+    def test_undefined_remainder_rejected(self):
+        clauses, bound = configure_scenario(["P(a) | Q(b)", "~P(a) | ~Q(b)"])
+        s = ProblemState.start(clauses, bound)
+        s = apply_decide(s, clauses[0], 0, Subst())   # P(a)^1
+        with pytest.raises(GuardFailed, match="not all defined"):
+            # ~Q(b) is undefined, so the rest of the conflict has no level
+            apply_backtrack(ProblemState(
+                s.trail, s.initial, s.learned, s.bound, s.decisions,
+                Closure(clauses[1], Subst())))
+
+
 def test_backtrack_minimality_bruteforce():
     clauses, bound = configure_scenario(["~P(X) | Q(X)", "P(a) | P(b)"])
     s = ProblemState.start(clauses, bound)

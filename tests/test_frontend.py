@@ -1,14 +1,15 @@
 import os
 import random
+import re
 
 import pytest
 
 from conftest import LOOPING_TEXT, cl, random_bs_problem
-from sclfol.cli import main
+from sclfol.cli import build_parser, main
 from sclfol.frontend import (
     ParseError, ProblemFile, UnsupportedFeature, parse_literal_text,
-    parse_native, parse_subst_text, parse_tptp_cnf, problem_to_native,
-    problem_to_tptp,
+    parse_native, parse_problem, parse_subst_text, parse_tptp_cnf,
+    problem_to_native, problem_to_tptp,
 )
 from sclfol.terms import Var, variables_of
 
@@ -83,6 +84,31 @@ class TestNative:
     def test_parse_error(self):
         with pytest.raises(ParseError):
             parse_native("P(a) |\n")
+
+
+class TestTermDepth:
+    @staticmethod
+    def problem_text(fmt, depth):
+        term = "f(" * (depth - 1) + "a" + ")" * (depth - 1)
+        if fmt == "native":
+            return f"~P(X) | Q(X)\nP({term})\n"
+        return (f"cnf(c1, axiom, (~P(X) | Q(X))).\n"
+                f"cnf(c2, axiom, (P({term}))).\n")
+
+    @pytest.mark.parametrize("fmt", ["native", "tptp"])
+    def test_depth_100_parses(self, fmt):
+        problem = parse_problem(self.problem_text(fmt, 100), fmt)
+        assert str(problem.clauses[1]).count("f(") == 99
+
+    @pytest.mark.parametrize("fmt", ["native", "tptp"])
+    def test_depth_101_is_a_parse_error(self, fmt):
+        text = self.problem_text(fmt, 101)
+        with pytest.raises(ParseError, match="nested more than 100 deep") \
+                as info:
+            parse_problem(text, fmt)
+        line = text.splitlines()[1]
+        assert (info.value.line, info.value.column) == \
+            (2, line.index("(a)") + 2)
 
 
 class TestRoundTrip:
@@ -220,7 +246,19 @@ class TestCli:
     def test_crash_never_exits_with_verdict_code(self, tmp_path, capsys):
         deep = tmp_path / "deep.native"
         deep.write_text("P(" + "f(" * 1200 + "a" + ")" * 1200 + ")\n")
-        assert main(["--input", str(deep), "--format", "native"]) in (65, 70)
+        assert main(["--input", str(deep), "--format", "native"]) == 65
+
+
+def test_readme_lists_every_flag():
+    with open(os.path.join(os.path.dirname(__file__), "..",
+                           "README.md")) as handle:
+        readme = handle.read()
+    paragraph = readme.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    options = {opt for action in build_parser()._actions
+               for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+    assert documented == options
 
 
 class TestCliModes:
@@ -228,11 +266,13 @@ class TestCliModes:
     E1 = os.path.join(DATA, "bounded_unsat.p")
 
     def test_exhaustive_mode_flag(self, capsys):
-        code = main(["--input", self.S1, "--format", "native",
-                     "--mode", "exhaustive", "--stats"])
+        code = main(["--input", self.S1, "--format", "native", "--stats"])
         out = capsys.readouterr().out
         assert code == 0
         assert "propagations_R=8" in out
+        # the default scheduling propagates first; there is no --mode flag
+        assert main(["--input", self.S1, "--format", "native",
+                     "--mode", "exhaustive"]) == 64
 
     def test_random_heuristic_with_seed(self, capsys):
         code = main(["--input", self.E1, "--beta", "R(b)", "--ordering",
@@ -244,6 +284,20 @@ class TestCliModes:
         code = main(["--input", self.E1, "--beta", "R(b)", "--ordering",
                      "lpo", "--precedence", "a<b<P<Q<R", "--check", "full"])
         assert code == 0
+
+    def test_full_check_reports_a_cap_overflow(self, tmp_path, capsys):
+        # 156 ground atoms: too many to decide, which does not make C(a)
+        # fail to follow from a pool that contains it
+        problem = tmp_path / "wide.native"
+        problem.write_text("P(X,Y) | ~C(X)\n"
+                           + "".join(f"C({c})\n" for c in "abcdefghijkl"))
+        code = main(["--input", str(problem), "--format", "native",
+                     "--check", "full"])
+        err = capsys.readouterr().err
+        assert code == 70
+        assert "entailment check failed: 156 ground atoms exceed the cap " \
+               "of 128" in err
+        assert "does not entail" not in err
 
     def test_bad_heuristic_usage_error(self, capsys):
         assert main(["--input", self.E1, "--heuristic", "maximal"]) == 64

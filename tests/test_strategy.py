@@ -148,6 +148,17 @@ class TestBetaSynthesis:
         bound = configure_bound((cl("P | ~Q"),), RunConfig())
         assert {str(a) for a in bound.atoms_below()} == {"P", "Q"}
 
+    @pytest.mark.parametrize("text, precedence", [
+        ("q\n~q\n", None), ("q | r\n~q\n~r\n", ["r"])],
+        ids=["default", "user"])
+    def test_fresh_predicate_tops_the_precedence(self, text, precedence):
+        # "q" sorts after "betaTop", yet must lie below the bound
+        problem = parse_native(text)
+        cfg = RunConfig(precedence=precedence, check="full")
+        bound = configure_bound(problem.clauses, cfg)
+        assert "q" in {str(a) for a in bound.atoms_below()}
+        assert run(problem.clauses, cfg, problem.names).verdict == "unsat"
+
     def test_default_weight_covers_biggest_clause(self):
         clauses = (cl("P(X,Y) | ~P(Y,X)"),)
         assert default_beta_weight(clauses) == 8
@@ -171,8 +182,7 @@ class TestFactoringPolicies:
 
 class TestExponentialContrast:
     def test_exhaustive_mode_propagates_all_instances(self):
-        result, _ = run_text(UNIT_BLOWUP_TEXT, mode="exhaustive",
-                             check="invariants")
+        result, _ = run_text(UNIT_BLOWUP_TEXT, check="invariants")
         assert result.verdict == "unsat"
         assert result.stats.propagations_by_predicate["R"] == 8
         assert result.stats.max_trail_by_predicate["R"] == 8
@@ -185,8 +195,7 @@ class TestExponentialContrast:
         assert result.stats.max_trail <= 4
 
     def test_nonunit_blowup_contrast(self):
-        exhaustive, _ = run_text(NONUNIT_BLOWUP_TEXT, mode="exhaustive",
-                                 check="invariants")
+        exhaustive, _ = run_text(NONUNIT_BLOWUP_TEXT, check="invariants")
         assert exhaustive.verdict == "unsat"
         assert exhaustive.stats.max_trail_by_predicate["R"] == 8
         regular, problem = run_text(NONUNIT_BLOWUP_TEXT, avoid=("R",),
