@@ -236,6 +236,47 @@ def _arg_tuples(signature: Signature, total: int, arity: int, memo,
     return out
 
 
+def largest_atom_of_weight(signature: Signature, weight: int,
+                           ordering: CountKBO) -> Optional[Atom]:
+    """The count-KBO-largest ground atom with exactly ``weight`` symbols, or
+    None when there is none; built directly, without the other atoms.
+
+    Its head is the highest-precedence predicate whose arguments can fill
+    the weight.  Arguments compare lexicographically, so each one in turn is
+    the heaviest, and then largest, term that leaves a weight the remaining
+    arguments can fill.
+    """
+    functions = _by_precedence(signature.functions, ordering)[::-1]
+
+    @functools.lru_cache(maxsize=None)
+    def fills(total: int, arity: int) -> bool:
+        """Some ``arity`` ground terms have ``total`` symbols between them."""
+        if arity == 0:
+            return total == 0
+        return any(term_of(w) and fills(total - w, arity - 1)
+                   for w in range(1, total - arity + 2))
+
+    @functools.lru_cache(maxsize=None)
+    def term_of(w: int) -> bool:
+        return any(fills(w - 1, k) for _, k in functions)
+
+    def largest_args(total: int, arity: int) -> tuple:
+        args = []
+        for left in range(arity - 1, -1, -1):
+            w = max(w for w in range(1, total - left + 1)
+                    if term_of(w) and fills(total - w, left))
+            name, k = next((n, k) for n, k in functions if fills(w - 1, k))
+            args.append(Fn(name, largest_args(w - 1, k)))
+            total -= w
+        return tuple(args)
+
+    for name, arity in reversed(_by_precedence(signature.predicates,
+                                               ordering)):
+        if fills(weight - 1, arity):
+            return Atom(name, largest_args(weight - 1, arity))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # The bound
 # ---------------------------------------------------------------------------

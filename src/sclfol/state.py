@@ -212,20 +212,32 @@ def soundness_check(state: ProblemState,
 
     The entailment checks in 2, 4 and 5 are decided exactly over the
     beta-bounded groundings; one that exceeds ``SOUNDNESS_ATOM_CAP`` is
-    reported as a failed check.
+    reported as a failed check.  A clause of the pool needs no check under
+    2: the pool entails its own members.
+
+    A ``cache`` carried over the states of one run gives the same result
+    as none, for less work.  It keeps each entailment verdict (under 2 and
+    4 per clause, under 5 per conflict instance; never a cap overflow) and,
+    after a result without violations, the trail entries, bound and pool
+    checked.  While the bound is the same object and the pool extends that
+    one, conditions 1, 2, 3 and 6 are skipped for the entries the trail
+    still shares with it: they read only the entries up to their own, and
+    a larger pool entails and instantiates at least as much.
     """
     if cache is None:
         cache = {}
     out: list[Violation] = []
     trail = state.trail
     pool = state.pool
+    unchecked = range(_verified_prefix(state, cache), len(trail))
 
-    for i, entry in enumerate(trail):
-        if trail.position_of_atom(entry.literal.atom) != i:
-            out.append(Violation(1, f"{entry.literal} conflicts with an "
+    for i in unchecked:
+        if trail.position_of_atom(trail[i].literal.atom) != i:
+            out.append(Violation(1, f"{trail[i].literal} conflicts with an "
                                     f"earlier literal on the same atom"))
 
-    for i, entry in enumerate(trail):
+    for i in unchecked:
+        entry = trail[i]
         defined_before = trail.position_of_atom(entry.literal.atom) != i
         if isinstance(entry.annotation, Propagation):
             closure = entry.annotation.closure
@@ -245,11 +257,12 @@ def soundness_check(state: ProblemState,
             if defined_before:
                 out.append(Violation(2, f"{entry.literal} already defined "
                                         f"before its propagation"))
-            violation = _entailment_violation(
-                2, "pool does not entail", pool, closure.clause, state.bound,
-                cache, tag="pool")
-            if violation is not None:
-                out.append(violation)
+            if closure.clause not in pool:  # a factored clause
+                violation = _entailment_violation(
+                    2, "pool does not entail", pool, closure.clause,
+                    state.bound, cache, tag="pool")
+                if violation is not None:
+                    out.append(violation)
         else:
             if defined_before:
                 out.append(Violation(3, f"decision {entry.literal} already "
@@ -267,23 +280,44 @@ def soundness_check(state: ProblemState,
         if not trail.all_false(inst):
             out.append(Violation(5, f"conflict {state.conflict} is not false "
                                     f"under the trail"))
-        n_ground = _ground_pool(state.initial, state.bound, cache, "initial")
+        key = ("conflict", state.bound.beta, inst)
         try:
-            if not oracle.ground_entails(n_ground, inst, SOUNDNESS_ATOM_CAP):
+            if key not in cache:
+                n_ground = _ground_pool(state.initial, state.bound, cache,
+                                        "initial")
+                cache[key] = oracle.ground_entails(n_ground, inst,
+                                                   SOUNDNESS_ATOM_CAP)
+            if not cache[key]:
                 out.append(Violation(5, f"bounded groundings do not entail "
                                         f"{inst}"))
         except oracle.CapExceeded as exc:
             out.append(Violation(5, f"entailment check failed: {exc}"))
 
     pool_literals = [lit for c in pool for lit in c]
-    for entry in trail:
-        if not state.bound.literal_below(entry.literal):
-            out.append(Violation(6, f"{entry.literal} is not below "
-                                    f"{state.bound.beta}"))
-        if not _instantiates_pool(entry.literal, pool_literals):
-            out.append(Violation(6, f"{entry.literal} instantiates no pool "
-                                    f"literal"))
+    for i in unchecked:
+        lit = trail[i].literal
+        if not state.bound.literal_below(lit):
+            out.append(Violation(6, f"{lit} is not below {state.bound.beta}"))
+        if not _instantiates_pool(lit, pool_literals):
+            out.append(Violation(6, f"{lit} instantiates no pool literal"))
+
+    if not out:
+        cache["sound"] = (trail.entries, state.bound, pool)
     return out
+
+
+def _verified_prefix(state: ProblemState, cache: dict) -> int:
+    """How many leading trail entries the last sound result in ``cache``
+    covers for conditions 1, 2, 3 and 6 (see ``soundness_check``)."""
+    entries, bound, pool = cache.get("sound", ((), None, ()))
+    if bound is not state.bound or state.pool[:len(pool)] != pool:
+        return 0
+    n = 0
+    for old, new in zip(entries, state.trail.entries):
+        if old is not new:
+            break
+        n += 1
+    return n
 
 
 def _instantiates_pool(lit: Literal, pool_literals) -> bool:

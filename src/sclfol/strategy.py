@@ -37,7 +37,7 @@ from .calculus import (
 )
 from .orderings import (
     Bound, CountKBO, GroundLPO, Precedence, TrailOrder,
-    ground_atoms_of_weight, make_ordering,
+    ground_atoms_of_weight, largest_atom_of_weight, make_ordering,
 )
 from .proofs import ConflictStart, Derivation, FactorizeStep, Proof, \
     ResolveStep
@@ -210,19 +210,19 @@ def next_beta(bound: Bound) -> Literal:
     ordering = bound.ordering
     beta_atom = bound.beta.atom
     sig = bound.signature
-    memo: dict = {}
     if isinstance(ordering, CountKBO):
         base = symbol_count(beta_atom)
         window = max(16, 2 + max([k for _, k in sig.functions] or [0])
                      + max([k for _, k in sig.predicates] or [0]))
         for w in range(base + 1, base + window + 1):
-            atoms = ground_atoms_of_weight(sig, w, memo, ordering=ordering)
-            if atoms:
-                return Literal(atoms[-1])  # ascending: the largest
+            atom = largest_atom_of_weight(sig, w, ordering)
+            if atom is not None:
+                return Literal(atom)
         raise SignatureExhausted(str(bound.beta))
     assert isinstance(ordering, GroundLPO)
     # an LPO bound has no proper function symbols, so its atoms are finite
     heaviest = 1 + max([k for _, k in sig.predicates] or [0])
+    memo: dict = {}
     above = [a for w in range(1, heaviest + 1)
              for a in ground_atoms_of_weight(sig, w, memo, ordering=ordering)
              if ordering.compare_atoms(a, beta_atom) > 0]

@@ -285,18 +285,29 @@ class TestCliModes:
                      "lpo", "--precedence", "a<b<P<Q<R", "--check", "full"])
         assert code == 0
 
+    WIDE = "P(X,Y) | ~C(X)\n" + "".join(f"C({c})\n" for c in "abcdefghijkl")
+
     def test_full_check_reports_a_cap_overflow(self, tmp_path, capsys):
-        # 156 ground atoms: too many to decide, which does not make C(a)
-        # fail to follow from a pool that contains it
+        # 156 ground atoms: too many to decide by DPLL, yet each propagation
+        # comes from a pool clause, which the pool entails without a check
         problem = tmp_path / "wide.native"
-        problem.write_text("P(X,Y) | ~C(X)\n"
-                           + "".join(f"C({c})\n" for c in "abcdefghijkl"))
+        problem.write_text(self.WIDE)
+        model = tmp_path / "wide.model"
+        code = main(["--input", str(problem), "--format", "native",
+                     "--check", "full", "--model", str(model)])
+        assert code == 1
+        assert main(["check-model", "--input", str(problem), "--format",
+                     "native", "--model", str(model)]) == 0
+        capsys.readouterr()
+        # a conflict instance is not a pool member: its check overflows,
+        # which is a failed check, not a non-entailment
+        problem.write_text(self.WIDE + "~P(a,b)\n")
         code = main(["--input", str(problem), "--format", "native",
                      "--check", "full"])
         err = capsys.readouterr().err
         assert code == 70
-        assert "entailment check failed: 156 ground atoms exceed the cap " \
-               "of 128" in err
+        assert "condition 5: entailment check failed: 156 ground atoms " \
+               "exceed the cap of 128" in err
         assert "does not entail" not in err
 
     def test_bad_heuristic_usage_error(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,11 +7,13 @@ from conftest import (
     looping_script, cl, lpo_refutation_scenario, lpo_refutation_script, grow_example,
     grow_script, lit, sub,
 )
+from sclfol.oracle import entails_bounded
+from sclfol.orderings import Bound, bounded_groundings
 from sclfol.state import (
-    Decision, NotOnTrail, ProblemState, Propagation, Trail, TrailEntry,
-    clause_level, literal_level, soundness_check, trace_line,
+    SOUNDNESS_ATOM_CAP, Decision, NotOnTrail, ProblemState, Propagation, Trail,
+    TrailEntry, clause_level, literal_level, soundness_check, trace_line,
 )
-from sclfol.terms import Closure, Subst
+from sclfol.terms import Clause, Closure, Literal, Subst, apply, match
 
 
 def entry(literal_text, annotation):
@@ -186,6 +189,104 @@ class TestSoundness:
     def test_every_scripted_state_is_sound(self, script):
         for rule, state in script():
             assert soundness_check(state) == [], f"after {rule}"
+
+    # the bounded initial clauses of the LPO example are unsatisfiable, so
+    # they entail every clause and no learned clause can break condition 4
+    @pytest.mark.parametrize("script,conditions", [
+        (lpo_refutation_script, {1, 2, 3, 5, 6}),
+        (grow_script, {1, 2, 3, 4, 5, 6}),
+        (looping_script, {1, 2, 3, 4, 5, 6}),
+    ])
+    def test_carried_cache_catches_every_unsound_step(self, script,
+                                                      conditions):
+        cache: dict = {}
+        broken = set()
+        for rule, state in script():
+            assert soundness_check(state, cache) == [], f"after {rule}"
+            for condition, bad in unsound_successors(state):
+                fresh = soundness_check(bad)
+                where = f"condition {condition} after {rule}"
+                assert condition in {v.condition for v in fresh}, where
+                assert soundness_check(bad, dict(cache)) == fresh, where
+                broken.add(condition)
+        assert broken == conditions
+
+    @pytest.mark.parametrize("change", ["smaller pool", "other bound"])
+    def test_cache_covers_only_the_same_bound_and_a_larger_pool(self,
+                                                                 change):
+        # ~P(a) instantiates only the learned clause, and the other bound
+        # has it on top
+        sc = satisfiable_scenario()
+        sound = state_with(sc, [entry("~P(a)", Decision(1))],
+                           learned=[cl("Q(b) | P(a)")])
+        cache: dict = {}
+        assert soundness_check(sound, cache) == []
+        if change == "smaller pool":
+            later = dataclasses.replace(sound, learned=())
+        else:
+            later = dataclasses.replace(sound, bound=Bound(
+                lit("P(a)"), sc.bound.ordering, sc.bound.signature))
+        fresh = soundness_check(later)
+        assert [v.condition for v in fresh] == [6]
+        assert soundness_check(later, cache) == fresh
+
+
+def unsound_successors(state):
+    """(condition, state) pairs: ``state`` followed by one step that breaks
+    the condition, for each condition such a step can be built for."""
+    trail, bound, pool = state.trail, state.bound, state.pool
+
+    def push(literal, annotation):
+        decisions = state.decisions + isinstance(annotation, Decision)
+        return dataclasses.replace(
+            state, trail=trail.push(TrailEntry(literal, annotation)),
+            decisions=decisions)
+
+    def decide(literal):
+        return push(literal, Decision(state.decisions + 1))
+
+    def entailed(clauses, literal):
+        return entails_bounded(clauses, Clause.of(literal), bound,
+                               SOUNDNESS_ATOM_CAP)
+
+    undefined = [Literal(atom, positive)
+                 for atom in bound.atoms_below() for positive in (True, False)
+                 if not trail.is_defined(Literal(atom))]
+    if len(trail):
+        yield 1, decide(trail[0].literal.complement())
+        yield 3, decide(trail[-1].literal)
+    side_not_false = next((
+        (clause, sigma, i) for clause in pool if len(clause) > 1
+        for sigma in bounded_groundings(clause, bound)
+        for i, target in enumerate(apply(sigma, clause))
+        if not trail.is_defined(target)
+        and not all(trail.truth_value(q) is False
+                    for q in apply(sigma, clause.without(i)))), None)
+    if side_not_false is not None:
+        clause, sigma, i = side_not_false
+        yield 2, push(apply(sigma, clause[i]),
+                      Propagation(Closure(clause, sigma), i))
+    ghost = next((q for q in undefined if not entailed(pool, q)), None)
+    if ghost is not None:
+        yield 2, push(ghost, Propagation(Closure(Clause.of(ghost), Subst()),
+                                         0))
+    unentailed = next((q for q in undefined
+                       if not entailed(state.initial, q)), None)
+    if unentailed is not None:
+        yield 4, dataclasses.replace(
+            state, learned=state.learned + (Clause.of(unentailed),))
+    not_false = next(((clause, sigma) for clause in state.initial
+                      for sigma in bounded_groundings(clause, bound)
+                      if not trail.all_false(apply(sigma, clause))), None)
+    if not_false is not None:
+        yield 5, dataclasses.replace(state, conflict=Closure(*not_false))
+    if not trail.is_defined(bound.beta):
+        yield 6, decide(bound.beta)
+    sourceless = next((q for q in undefined
+                       if not any(match(p.atom, q.atom) is not None
+                                  for c in pool for p in c)), None)
+    if sourceless is not None:
+        yield 6, decide(sourceless)
 
 
 class TestTraceLine:

@@ -8,6 +8,7 @@ from conftest import (
     assert_conflict, assert_trail, cl, factoring_divergence_state,
     grow_example, grow_script, lit,
 )
+from sclfol import strategy
 from sclfol.frontend import parse_native
 from sclfol.oracle import check_model, check_proof
 from sclfol.strategy import (
@@ -124,6 +125,15 @@ class TestNextBeta:
         else:
             raise AssertionError("growing never dominated the target")
 
+    def test_largest_atom_is_built_directly(self):
+        # 177,309 atoms share the next weight; only the largest is built
+        bound = configure_bound((cl("P(f(a),b) | Q(c,X)"),), RunConfig())
+        start = time.perf_counter()
+        beta = next_beta(bound)
+        elapsed = time.perf_counter() - start
+        assert str(beta) == "betaTop(f(c),c,c,c,c,c,c,c,c)"
+        assert elapsed < 0.05, f"next_beta took {elapsed:.3f} s"
+
 
 class TestBetaSynthesis:
     def test_fresh_predicate_dominates_weight(self):
@@ -223,6 +233,33 @@ class TestLoopingRegression:
         assert result.verdict == "sat-bounded"
         bound = result.final_bound
         assert all(bound.literal_below(l) for l in result.model)
+
+
+class TestIncrementalSoundness:
+    def test_carried_cache_changes_no_result(self, bs_corpus, monkeypatch):
+        # every full-check step is checked twice: with the run's cache and
+        # without one
+        check = strategy.soundness_check
+        cached = []
+
+        def both_ways(state, cache=None):
+            got = check(state, cache)
+            assert got == check(state), str(state)
+            cached.append(cache is not None)
+            return got
+
+        monkeypatch.setattr(strategy, "soundness_check", both_ways)
+        runs = [(clauses, RunConfig(check="full", max_steps=50_000))
+                for clauses in bs_corpus[:100]]
+        runs.append((parse_native(GROW_TEXT).clauses, RunConfig(
+            precedence=["a", "g", "P"], beta=lit("P(g(g(a)))"),
+            max_growths=1, check="full")))
+        runs.append((parse_native(LOOPING_TEXT).clauses, RunConfig(
+            precedence=["a", "f", "P"], beta=lit("P(f(f(f(a))))"),
+            max_growths=2, check="full")))
+        verdicts = [run(clauses, cfg).verdict for clauses, cfg in runs]
+        assert verdicts[-2:] == ["unsat", "sat-bounded"]
+        assert len(cached) > 500 and all(cached)
 
 
 class TestDriverBehaviors:
