@@ -6,6 +6,24 @@ The searches (false-instance matching, propagation candidates, reasonable
 decisions) are what a driver uses to pick rule instances; they are
 deterministic: clauses by pool position, literals by position, groundings
 in the enumeration order of the atoms below the bound.
+
+Between two Grows every rule works on the same finite set of atoms below
+the bound, so the searches keep on the ``Bound`` what only depends on it
+and on the pool, and a step pays for what changed:
+
+* each clause's bounded groundings with their ground instances
+  (``orderings.grounded_instances``), which the propagation search reads
+  instead of applying substitutions;
+* a decision index: the atoms that instantiate a pool literal, each with
+  its first source, in enumeration order.  A learned clause is matched only
+  against the atoms that have no source yet; a Decide walks the index and
+  skips the defined atoms.  ``first_reasonable_decision`` stops at the first
+  candidate that enables no conflict.
+
+After a Propagate or Decide, the conflict search visits only the clauses
+that can take the complement of the newest trail literal
+(``find_false_instance(after_push=True)``).  None of this changes which
+candidates come out, or in which order.
 """
 
 from __future__ import annotations
@@ -13,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .orderings import bounded_groundings
+from .orderings import grounded_instances
 from .state import Decision, NotOnTrail, ProblemState, Propagation, Trail, \
     TrailEntry, clause_level
 from .terms import (
-    Clause, Closure, Literal, Subst, apply, canonical_variant, is_ground,
-    match, mgu, rename_apart, unify_all,
+    Atom, Clause, Closure, Literal, Subst, apply, canonical_variant,
+    is_ground, match, mgu, rename_apart, unify_all,
 )
 
 
@@ -279,12 +297,26 @@ def false_grounding(clause: Clause, targets: tuple[Literal, ...],
     return extend(0, start)
 
 
-def find_false_instance(state: ProblemState) \
+def find_false_instance(state: ProblemState, after_push: bool = False) \
         -> Optional[tuple[Clause, Subst]]:
     """First pool clause with a grounding false under the trail, searching
-    clauses by pool position."""
+    clauses by pool position.
+
+    ``after_push`` tells that no instance was false before the trail's last
+    literal was pushed.  A newly false instance then has a literal whose
+    instance is the complement of the pushed one, so only the clauses with
+    a literal of that sign that matches it are searched; in pool order and
+    unpinned, so the same clause and grounding come out.
+    """
+    targets = state.trail.complements
+    newest = targets[-1] if after_push and targets else None
     for clause in state.pool:
-        sigma = false_grounding(clause, state.trail.complements)
+        if newest is not None and not any(
+                lit.positive == newest.positive
+                and match(lit.atom, newest.atom) is not None
+                for lit in clause):
+            continue
+        sigma = false_grounding(clause, targets)
         if sigma is not None:
             return clause, sigma
     return None
@@ -307,8 +339,7 @@ def propagation_candidates(state: ProblemState,
     literal of the instance is undefined and the rest are false.
     """
     for clause in state.pool:
-        for sigma in bounded_groundings(clause, state.bound):
-            instance = apply(sigma, clause)
+        for sigma, instance in grounded_instances(clause, state.bound):
             undefined: list[int] = []
             satisfied = False
             for q, lit in enumerate(instance.literals):
@@ -337,33 +368,76 @@ class DecideOption:
     literal: Literal  # the ground literal that would go on the trail
 
 
+class _DecisionIndex:
+    """The atoms below a bound that instantiate a pool literal, each with
+    its first source, in the enumeration order of the atoms.
+
+    An atom's first source is the first pool clause, and in it the first
+    literal, whose atom matches it, of either sign.  The pool grows only at
+    its end, so a source never changes: an appended clause is matched only
+    against the atoms that have none yet.
+    """
+
+    def __init__(self, bound):
+        self.pool: tuple[Clause, ...] = ()
+        # (position in the enumeration, atom) of the atoms with no source
+        self.unsourced: dict[str, list[tuple[int, Atom]]] = {}
+        for i, atom in enumerate(bound.atoms_below()):
+            self.unsourced.setdefault(atom.pred, []).append((i, atom))
+        # (position, atom, its positive and its negative option), by position
+        self.entries: list[tuple[int, Atom, DecideOption, DecideOption]] = []
+
+    def extend(self, pool: tuple[Clause, ...]):
+        found = []
+        for clause in pool[len(self.pool):]:
+            for q, lit in enumerate(clause.literals):
+                pending = self.unsourced.get(lit.atom.pred)
+                if not pending:
+                    continue
+                left = []
+                for i, atom in pending:
+                    m = match(lit.atom, atom)
+                    if m is None:
+                        left.append((i, atom))
+                        continue
+                    found.append((i, atom,
+                                  DecideOption(clause, q, m, not lit.positive,
+                                               Literal(atom, True)),
+                                  DecideOption(clause, q, m, lit.positive,
+                                               Literal(atom, False))))
+                self.unsourced[lit.atom.pred] = left
+        self.pool = pool
+        if found:
+            self.entries = sorted(self.entries + found,
+                                  key=lambda entry: entry[0])
+
+
+def _decision_index(state: ProblemState) -> _DecisionIndex:
+    """The bound's index, extended to the state's pool; rebuilt when the
+    pool does not extend the one it was built for."""
+    pool = state.pool
+    index = state.bound.decision_index
+    if index is None or pool[:len(index.pool)] != index.pool:
+        index = state.bound.decision_index = _DecisionIndex(state.bound)
+    if len(pool) > len(index.pool):
+        index.extend(pool)
+    return index
+
+
+def _decide_options(state: ProblemState,
+                    avoid: tuple[str, ...]) -> Iterator[DecideOption]:
+    position = state.trail.position_of_atom
+    for _, atom, positive, negative in _decision_index(state).entries:
+        if atom.pred not in avoid and position(atom) is None:
+            yield positive
+            yield negative
+
+
 def decision_candidates(state: ProblemState,
                         avoid: tuple[str, ...] = ()) -> list[DecideOption]:
     """Undefined bounded instances of pool literals, both polarities,
     ordered by the atom enumeration (positive sign first)."""
-    out: list[DecideOption] = []
-    for atom in state.bound.atoms_below():
-        if atom.pred in avoid:
-            continue
-        if state.trail.position_of_atom(atom) is not None:
-            continue
-        source = None
-        for clause in state.pool:
-            for q, lit in enumerate(clause.literals):
-                m = match(lit.atom, atom)
-                if m is not None:
-                    source = (clause, q, m, lit.positive)
-                    break
-            if source is not None:
-                break
-        if source is None:
-            continue
-        clause, q, sigma, src_positive = source
-        for positive in (True, False):
-            out.append(DecideOption(clause, q, sigma,
-                                    negate=(src_positive != positive),
-                                    literal=Literal(atom, positive)))
-    return out
+    return list(_decide_options(state, avoid))
 
 
 def enables_conflict(state: ProblemState, lit: Literal) -> bool:
@@ -389,3 +463,12 @@ def reasonable_decisions(state: ProblemState,
     """Decide candidates that do not enable an immediate Conflict."""
     return [opt for opt in decision_candidates(state, avoid)
             if not enables_conflict(state, opt.literal)]
+
+
+def first_reasonable_decision(state: ProblemState,
+                              avoid: tuple[str, ...] = ()) \
+        -> Optional[DecideOption]:
+    """The first of ``reasonable_decisions``, testing no candidate after
+    it."""
+    return next((opt for opt in _decide_options(state, avoid)
+                 if not enables_conflict(state, opt.literal)), None)

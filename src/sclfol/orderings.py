@@ -18,10 +18,11 @@ and enumerates the finite set of atoms strictly below beta.
 from __future__ import annotations
 
 import functools
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .terms import (
-    Atom, Clause, Fn, Literal, Signature, Subst, apply, is_ground, match,
+    Atom, Clause, Fn, Literal, Signature, Subst, is_ground, match,
     symbol_count,
 )
 
@@ -288,8 +289,13 @@ class Bound:
     """A ground limiting literal beta interpreted under an atom ordering.
 
     ``atoms_below()`` is the complete finite set of ground atoms strictly
-    below beta, in ascending order.  Construction validates that the atoms
+    below beta, in ascending order; ``atoms_by_predicate`` splits it by
+    predicate, keeping the order.  Construction validates that the atoms
     built for it stay within ``cap``.
+
+    A bound never changes once built (Grow builds a new one), so it also
+    holds what is derived from it: each clause's bounded groundings with
+    their ground instances, and the decision index of ``calculus``.
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
@@ -300,11 +306,21 @@ class Bound:
         self.ordering = ordering
         self.signature = signature
         self.cap = cap
-        self._groundings: dict[Clause, tuple[Subst, ...]] = {}
+        self._groundings: dict[Clause,
+                               tuple[tuple[Subst, Clause], ...]] = {}
+        self.decision_index = None  # kept by ``calculus``
         self._atoms_below = tuple(self._enumerate_below())
 
     def atoms_below(self) -> tuple[Atom, ...]:
         return self._atoms_below
+
+    @cached_property
+    def atoms_by_predicate(self) -> dict[str, tuple[Atom, ...]]:
+        """The atoms below beta of each predicate, in ascending order."""
+        by_pred: dict[str, list[Atom]] = {}
+        for atom in self._atoms_below:
+            by_pred.setdefault(atom.pred, []).append(atom)
+        return {pred: tuple(atoms) for pred, atoms in by_pred.items()}
 
     def _enumerate_below(self) -> list[Atom]:
         beta_atom = self.beta.atom
@@ -354,48 +370,51 @@ class Bound:
 # Bounded grounding enumeration
 # ---------------------------------------------------------------------------
 
-def literal_groundings(lit: Literal, bound: Bound,
-                       partial: Optional[Subst] = None) -> list[Subst]:
-    """Substitutions extending ``partial`` that take ``lit`` below the bound."""
-    out = []
-    for atom in bound.atoms_below():
-        if atom.pred != lit.atom.pred:
-            continue
-        m = match(lit.atom, atom, partial)
-        if m is not None:
-            out.append(m)
-    return out
-
-
 def bounded_groundings(clause: Clause, bound: Bound) -> tuple[Subst, ...]:
     """All grounding substitutions producing only literals below the bound.
 
     Deterministic order: atoms below beta ascending, literals left to right.
-    Cached on the bound, which never changes once built.
+    """
+    return tuple(sigma for sigma, _ in grounded_instances(clause, bound))
+
+
+def grounded_instances(clause: Clause,
+                       bound: Bound) -> tuple[tuple[Subst, Clause], ...]:
+    """``bounded_groundings`` paired with the ground instances they give.
+
+    Cached on the bound, which never changes once built.  An instance is
+    built from the atoms below beta that its literals matched, with no
+    substitution applied.
     """
     cached = bound._groundings.get(clause)
     if cached is not None:
         return cached
-    results: list[Subst] = []
+    pairs: list[tuple[Subst, Clause]] = []
+    literals = clause.literals
 
-    def extend(i: int, sigma: Optional[Subst]):
-        if len(results) > bound.cap:
+    def extend(i: int, sigma: Optional[Subst], atoms: tuple[Atom, ...]):
+        if len(pairs) > bound.cap:
             raise EnumerationCapExceeded(bound.cap,
                                          f"groundings of {clause}")
-        if i == len(clause.literals):
-            results.append(sigma if sigma is not None else Subst())
+        if i == len(literals):
+            instance = Clause(tuple(Literal(atom, lit.positive)
+                                    for atom, lit in zip(atoms, literals)))
+            pairs.append((sigma if sigma is not None else Subst(), instance))
             return
-        for ext in literal_groundings(clause[i], bound, sigma):
-            extend(i + 1, ext)
+        pattern = literals[i].atom
+        for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
+            m = match(pattern, atom, sigma)
+            if m is not None:
+                extend(i + 1, m, atoms + (atom,))
 
-    extend(0, None)
-    bound._groundings[clause] = tuple(results)
+    extend(0, None, ())
+    bound._groundings[clause] = tuple(pairs)
     return bound._groundings[clause]
 
 
 def bounded_instances(clause: Clause, bound: Bound) -> list[Clause]:
     """The set Gnd restricted below the bound, as ground clauses."""
-    return [apply(sigma, clause) for sigma in bounded_groundings(clause, bound)]
+    return [instance for _, instance in grounded_instances(clause, bound)]
 
 
 def bounded_instances_of_set(clauses: Iterable[Clause],

@@ -11,9 +11,10 @@ found).  The empty-clause closure is distinct from "no conflict".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import oracle
 from .orderings import Bound, TrailOrder, bounded_instances_of_set
@@ -57,13 +58,23 @@ class TrailEntry:
         return f"{self.literal}^{self.annotation}"
 
 
+class TrailIndex(NamedTuple):
+    first: dict[Atom, int]  # each atom's first position
+    levels: list[int]  # each position's decision level
+    decisions: int
+    by_predicate: Counter  # entries per predicate
+
+
 @dataclass(frozen=True)
 class Trail:
     """A sequence of trail entries, never changed once built.
 
-    Lookups go through an index built on the first query: each atom's
-    first position, so an inconsistent trail reads as its earliest entry.
-    ``complements`` holds the complemented trail literals, in trail order.
+    Lookups go through ``index``, built in one pass on the first query:
+    each atom's first position, so an inconsistent trail reads as its
+    earliest entry; each position's level, that of the last decision at or
+    before it (0 with none); the number of decisions; and the number of
+    entries of each predicate.  ``complements`` holds the complemented
+    trail literals, in trail order.
     """
 
     entries: tuple[TrailEntry, ...] = ()
@@ -90,22 +101,31 @@ class Trail:
     def prefix(self, n: int) -> "Trail":
         return Trail(self.entries[:n])
 
-    def decision_count(self) -> int:
-        return sum(1 for e in self.entries if e.is_decision)
-
     @cached_property
-    def _first_position(self) -> dict[Atom, int]:
+    def index(self) -> TrailIndex:
         first: dict[Atom, int] = {}
+        levels: list[int] = []
+        level = decisions = 0
+        by_predicate: Counter = Counter()
         for i, e in enumerate(self.entries):
-            first.setdefault(e.literal.atom, i)
-        return first
+            atom = e.literal.atom
+            first.setdefault(atom, i)
+            if isinstance(e.annotation, Decision):
+                level = e.annotation.level
+                decisions += 1
+            levels.append(level)
+            by_predicate[atom.pred] += 1
+        return TrailIndex(first, levels, decisions, by_predicate)
+
+    def decision_count(self) -> int:
+        return self.index.decisions
 
     @cached_property
     def complements(self) -> tuple[Literal, ...]:
         return tuple(e.literal.complement() for e in self.entries)
 
     def position_of_atom(self, atom: Atom) -> Optional[int]:
-        return self._first_position.get(atom)
+        return self.index.first.get(atom)
 
     def truth_value(self, lit: Literal) -> Optional[bool]:
         """True if the literal is on the trail, False if its complement is,
@@ -161,16 +181,12 @@ class NotOnTrail(ValueError):
 
 
 def literal_level(lit: Literal, state: ProblemState) -> int:
-    """Level of a defined literal: the level of the first decision at or
+    """Level of a defined literal: the level of the last decision at or
     left of its occurrence; 0 when no decision precedes it."""
     pos = state.trail.position_of_atom(lit.atom)
     if pos is None:
         raise NotOnTrail(str(lit))
-    level = 0
-    for entry in state.trail.entries[:pos + 1]:
-        if entry.is_decision:
-            level = entry.annotation.level
-    return level
+    return state.trail.index.levels[pos]
 
 
 def clause_level(clause: Clause, state: ProblemState) -> int:

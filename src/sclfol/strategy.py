@@ -33,11 +33,12 @@ from .calculus import (
     DecideOption, PropagationOption, apply_backtrack,
     apply_conflict, apply_decide, apply_factorize, apply_grow,
     apply_propagate, apply_resolve, apply_skip, find_false_instance,
-    propagation_candidates, reasonable_decisions,
+    first_reasonable_decision, propagation_candidates, reasonable_decisions,
 )
 from .orderings import (
-    Bound, CountKBO, GroundLPO, Precedence, TrailOrder,
-    ground_atoms_of_weight, largest_atom_of_weight, make_ordering,
+    Bound, CountKBO, EnumerationCapExceeded, GroundLPO, Precedence,
+    TrailOrder, ground_atoms_of_weight, largest_atom_of_weight,
+    make_ordering,
 )
 from .proofs import ConflictStart, Derivation, FactorizeStep, Proof, \
     ResolveStep
@@ -246,55 +247,61 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
     rng = random.Random(cfg.seed)
     growths = 0
 
-    while rec.stats.steps < cfg.max_steps:
-        if state.conflict is not None:
-            if state.is_bot:
-                rec.close_episode(state)
-                return rec.finish_unsat(state)
-            state = _conflict_resolution_step(state, cfg, rec)
-            continue
+    # past the initial bound, a cap reached by a Grow or by one clause's
+    # groundings ends the run out of resources
+    try:
+        while rec.stats.steps < cfg.max_steps:
+            if state.conflict is not None:
+                if state.is_bot:
+                    rec.close_episode(state)
+                    return rec.finish_unsat(state)
+                state = _conflict_resolution_step(state, cfg, rec)
+                continue
 
-        found = find_false_instance(state)
-        if found is not None:
-            clause, sigma = found
-            if rec.last_rule == "decide":
-                rec.stats.unreasonable_decides += 1
-                if cfg.check != "off":
-                    raise InvariantViolation(
-                        f"decide enabled an immediate conflict with "
-                        f"{clause} . {sigma}")
-            new = apply_conflict(state, clause, sigma)
-            rec.on_conflict(state, new, clause, sigma)
-            state = new
-            continue
+            # a Propagate or Decide runs only when no instance is false
+            found = find_false_instance(
+                state, after_push=rec.last_rule in ("propagate", "decide"))
+            if found is not None:
+                clause, sigma = found
+                if rec.last_rule == "decide":
+                    rec.stats.unreasonable_decides += 1
+                    if cfg.check != "off":
+                        raise InvariantViolation(
+                            f"decide enabled an immediate conflict with "
+                            f"{clause} . {sigma}")
+                new = apply_conflict(state, clause, sigma)
+                rec.on_conflict(state, new, clause, sigma)
+                state = new
+                continue
 
-        choice = _choose_extension(state, cfg, rng)
-        if choice is not None:
-            kind, option = choice
-            if kind == "propagate":
-                new = apply_propagate(state, option.clause, option.lit_index,
-                                      option.sigma)
-                rec.on_propagate(new, option)
-            else:
-                new = apply_decide(state, option.clause, option.lit_index,
-                                   option.sigma, option.negate)
-                rec.on_decide(new, option)
-            state = new
-            continue
+            choice = _choose_extension(state, cfg, rng)
+            if choice is not None:
+                kind, option = choice
+                if kind == "propagate":
+                    new = apply_propagate(state, option.clause,
+                                          option.lit_index, option.sigma)
+                    rec.on_propagate(new, option)
+                else:
+                    new = apply_decide(state, option.clause, option.lit_index,
+                                       option.sigma, option.negate)
+                    rec.on_decide(new, option)
+                state = new
+                continue
 
-        # stalled: the trail models the bounded grounding
-        if growths < cfg.max_growths:
-            try:
-                beta2 = next_beta(state.bound)
-            except SignatureExhausted:
-                return rec.finish_sat(state)
-            new = apply_grow(state, beta2)
-            growths += 1
-            rec.on_grow(state, new)
-            state = new
-            continue
-        return rec.finish_sat(state)
-
+            # stalled: the trail models the bounded grounding
+            if growths < cfg.max_growths:
+                try:
+                    beta2 = next_beta(state.bound)
+                except SignatureExhausted:
+                    return rec.finish_sat(state)
+                new = apply_grow(state, beta2)
+                growths += 1
+                rec.on_grow(state, new)
+                state = new
+                continue
+            return rec.finish_sat(state)
+    except EnumerationCapExceeded:
+        pass
     return rec.finish_resource_out(state)
 
 
@@ -369,9 +376,9 @@ def _choose_extension(state: ProblemState, cfg: RunConfig,
             prop = next(iter(propagation_candidates(state, avoid)), None)
             if prop is not None:
                 return "propagate", prop
-            decides = reasonable_decisions(state, avoid)
-            if decides:
-                return "decide", decides[0]
+            decide = first_reasonable_decision(state, avoid)
+            if decide is not None:
+                return "decide", decide
         if not avoid:  # this pass already admitted every predicate
             break
     return None
@@ -454,9 +461,9 @@ class _Recorder:
     def _count_pushed(self, state: ProblemState):
         """Only a push can raise a predicate's count on the trail."""
         pred = state.trail[-1].literal.atom.pred
-        n = sum(1 for e in state.trail if e.literal.atom.pred == pred)
         by_pred = self.stats.max_trail_by_predicate
-        by_pred[pred] = max(by_pred[pred], n)
+        by_pred[pred] = max(by_pred[pred],
+                            state.trail.index.by_predicate[pred])
 
     def on_propagate(self, state: ProblemState, option: PropagationOption):
         self._count_pushed(state)

@@ -3,12 +3,17 @@
 Terms are immutable values with structural equality.  Clauses are literal
 *sequences* treated as multisets: duplicate literals are kept until an
 explicit factoring step removes them.
+
+``Fn``, ``Atom`` and ``Literal`` keep their hash once computed (the value
+the generated dataclass hash gives), so a dict or set lookup of a deep term
+hashes its subterms only the first time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 
@@ -27,6 +32,13 @@ class Fn:
     name: str
     args: tuple["Term", ...] = ()
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.args))
+
+    def __hash__(self):
+        return self._hash
+
     def __str__(self):
         if not self.args:
             return self.name
@@ -41,6 +53,13 @@ class Atom:
     pred: str
     args: tuple[Term, ...] = ()
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.pred, self.args))
+
+    def __hash__(self):
+        return self._hash
+
     def __str__(self):
         if not self.args:
             return self.pred
@@ -51,6 +70,13 @@ class Atom:
 class Literal:
     atom: Atom
     positive: bool = True
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.atom, self.positive))
+
+    def __hash__(self):
+        return self._hash
 
     def complement(self) -> "Literal":
         return Literal(self.atom, not self.positive)

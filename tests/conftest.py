@@ -122,6 +122,18 @@ P(a)
 """
 
 
+def cap_bounds(monkeypatch, cap: int):
+    """Runs started after this build their bounds with enumeration cap
+    ``cap``; grown bounds keep it."""
+    from sclfol import strategy
+    configure = strategy.configure_bound
+
+    def capped(clauses, cfg):
+        bound = configure(clauses, cfg)
+        return Bound(bound.beta, bound.ordering, bound.signature, cap=cap)
+    monkeypatch.setattr(strategy, "configure_bound", capped)
+
+
 def grow_example() -> Scenario:
     problem = parse_native(GROW_TEXT)
     beta = lit("P(g(g(a)))")

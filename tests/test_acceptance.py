@@ -247,17 +247,48 @@ def test_criterion_6_correct_termination(bs_corpus, bs_corpus_results):
                f"oracle ({unsat} unsat); all models check")
 
 
+def _trace_fingerprint(results):
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(("\n".join(result.trace) + result.verdict).encode())
+    return digest.hexdigest()[:16]
+
+
 def test_corpus_trace_fingerprint(bs_corpus_results):
     # the traces and verdicts are the contract: a change that keeps the
     # prover's behaviour keeps this digest
     results, _ = bs_corpus_results
-    digest = hashlib.sha256()
-    for result in results:
-        digest.update(("\n".join(result.trace) + result.verdict).encode())
     verdicts = Counter(result.verdict for result in results)
-    assert digest.hexdigest().startswith("6c7ec91f8cc06499")
+    assert _trace_fingerprint(results) == "6c7ec91f8cc06499"
     assert verdicts == {"sat-bounded": 433, "unsat": 67}
     assert sum(result.stats.learned for result in results) == 64
+
+
+# nested g/2 terms and a bound of 1,459 atoms after one Grow: what the
+# function-free, first-heuristic corpus does not reach
+GROWCAP_TEXT = """\
+P(a)
+~P(X) | P(g(X,X))
+Q(b) | Q(c)
+R(d,e)
+~P(g(g(g(g(g(g(g(g(a,a),a),a),a),a),a),a),a))
+"""
+
+
+def test_large_bound_trace_fingerprint():
+    problem = parse_native(GROWCAP_TEXT)
+    result = run(problem.clauses, RunConfig(beta_weight=4, max_growths=1),
+                 problem.names)
+    assert _trace_fingerprint([result]) == "12e867d792b07acc"
+    assert result.verdict == "sat-bounded"
+    assert result.stats.steps == 317
+    assert len(result.final_bound.atoms_below()) == 1459
+
+
+def test_random_heuristic_trace_fingerprint(bs_corpus):
+    cfg = RunConfig(heuristic="random", check="invariants", max_steps=50_000)
+    results = [run(clauses, cfg) for clauses in bs_corpus[:100]]
+    assert _trace_fingerprint(results) == "996900846974692d"
 
 
 def test_criterion_7_exponential_contrast():

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from conftest import LOOPING_TEXT, cl, random_bs_problem
+from conftest import LOOPING_TEXT, cap_bounds, cl, random_bs_problem
 from sclfol.cli import build_parser, main
 from sclfol.frontend import (
     ParseError, ProblemFile, UnsupportedFeature, parse_literal_text,
@@ -158,6 +158,20 @@ class TestCli:
                      "lpo", "--precedence", "a<b<P<Q<R", "--max-steps", "2"])
         assert code == 2
         assert capsys.readouterr().out.strip() == "UNKNOWN(resource)"
+
+    @pytest.mark.parametrize("cap,code", [(2, 2), (1, 64)])
+    def test_enumeration_cap_exit_code(self, monkeypatch, capsys, cap, code):
+        # the initial bound holds 2 atoms and the grown one 3: a cap reached
+        # by the Grow is a resource limit, one reached by the initial bound
+        # a configuration error
+        cap_bounds(monkeypatch, cap)
+        assert main(["--input", self.GROW, "--beta", "P(g(g(a)))",
+                     "--precedence", "a<g<P", "--grow", "1"]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out.strip() == "UNKNOWN(resource)"
+        else:
+            assert "enumeration exceeded cap of 1" in err
 
     def test_usage_error(self, capsys):
         assert main(["--beta", "R(b)"]) == 64

@@ -5,14 +5,20 @@ import random
 import pytest
 
 from conftest import cl, factoring_divergence_state, grow_example, lit
+from sclfol.calculus import (
+    DecideOption, decision_candidates, first_reasonable_decision,
+    reasonable_decisions,
+)
 from sclfol.orderings import (
     Bound, EnumerationCapExceeded, OrderingConfigError, Precedence,
     TrailOrder, bounded_groundings, bounded_instances,
     ground_atoms_of_weight, ground_terms_of_weight, make_ordering,
 )
+from sclfol.state import Decision, ProblemState, Trail, TrailEntry
 from sclfol.strategy import SignatureExhausted, next_beta
 from sclfol.terms import (
-    Atom, Clause, Fn, Literal, Signature, Subst, apply, symbol_count,
+    Atom, Clause, Fn, Literal, Signature, Subst, Var, apply, match,
+    symbol_count, variables_of,
 )
 
 
@@ -99,34 +105,18 @@ class TestBound:
     def test_atoms_below_is_bruteforce_fixpoint(self):
         # atoms_below and next_beta against atoms built with itertools and
         # filtered with compare_atoms, on random signatures and precedences
-        rng = random.Random(20260418)
-        for case in range(120):
-            kind = "kbo" if case % 3 else "lpo"
-            functions = () if kind == "lpo" else rng.choice(
-                [(), (("f", 1),), (("g", 2),), (("f", 1), ("g", 2))])
-            sig = Signature(
-                tuple((f"P{i}", rng.randint(0, 3))
-                      for i in range(rng.randint(1, 3))),
-                tuple((c, 0) for c in "abc"[:rng.randint(1, 3)])
-                + functions)
-            symbols = list(sig.symbols())
-            rng.shuffle(symbols)
-            ordering = make_ordering(kind, Precedence(symbols))
+        for kind, ordering, sig, atoms, beta, context in _random_bounds():
             cmp = ordering.compare_atoms
-            atoms = _bruteforce_atoms(sig, 7)
-            light = [a for a in atoms if symbol_count(a) <= 4]
-            for beta in rng.sample(light, min(3, len(light))):
-                bound = Bound(Literal(beta), ordering, sig)
-                expected = sorted((a for a in atoms if cmp(a, beta) < 0),
-                                  key=functools.cmp_to_key(cmp))
-                context = f"{kind} {symbols} {sig} beta {beta}"
-                assert bound.atoms_below() == tuple(expected), context
-                try:
-                    got = next_beta(bound).atom
-                except SignatureExhausted:
-                    got = None
-                assert got == _bruteforce_next_beta(atoms, beta, cmp,
-                                                    kind), context
+            bound = Bound(Literal(beta), ordering, sig)
+            expected = sorted((a for a in atoms if cmp(a, beta) < 0),
+                              key=functools.cmp_to_key(cmp))
+            assert bound.atoms_below() == tuple(expected), context
+            try:
+                got = next_beta(bound).atom
+            except SignatureExhausted:
+                got = None
+            assert got == _bruteforce_next_beta(atoms, beta, cmp,
+                                                kind), context
 
     def test_literal_below(self):
         b1 = Bound(lit("R(b)"), lpo_five_symbols(), sig_five_symbols())
@@ -157,25 +147,84 @@ class TestBound:
             Bound(lit("P(X)"), kbo_agp(), sig_agp())
 
 
-def _bruteforce_atoms(sig, max_weight):
-    """Every ground atom of at most ``max_weight`` symbols over ``sig``."""
-    size = {Fn(c): 1 for c in sig.constants}  # term -> symbol count
+def _random_bounds():
+    """(kind, ordering, signature, atoms, beta, context) on 120 seeded
+    random signatures (1-3 predicates of arity 0-3, 1-3 constants,
+    optionally ``f/1`` and ``g/2``) and precedences, both orderings; up to
+    three betas of at most four symbols each; ``atoms`` holds every atom of
+    at most seven symbols."""
+    rng = random.Random(20260418)
+    for case in range(120):
+        kind = "kbo" if case % 3 else "lpo"
+        functions = () if kind == "lpo" else rng.choice(
+            [(), (("f", 1),), (("g", 2),), (("f", 1), ("g", 2))])
+        sig = Signature(
+            tuple((f"P{i}", rng.randint(0, 3))
+                  for i in range(rng.randint(1, 3))),
+            tuple((c, 0) for c in "abc"[:rng.randint(1, 3)])
+            + functions)
+        symbols = list(sig.symbols())
+        rng.shuffle(symbols)
+        ordering = make_ordering(kind, Precedence(symbols))
+        atoms = _bruteforce_atoms(sig, 7)
+        light = [a for a in atoms if symbol_count(a) <= 4]
+        for beta in rng.sample(light, min(3, len(light))):
+            yield (kind, ordering, sig, atoms, beta,
+                   f"{kind} {symbols} {sig} beta {beta}")
+
+
+def _bruteforce_terms(sig, max_weight):
+    """Every ground term of at most ``max_weight`` symbols over ``sig``,
+    with its symbol count."""
+    size = {Fn(c): 1 for c in sig.constants}
     grown = True
     while grown:
         grown = False
         for f, k in sig.functions:
-            pool = [t for t in size if size[t] <= max_weight - 1 - k]
+            pool = [t for t in size if size[t] <= max_weight - k]
             for args in itertools.product(pool, repeat=k):
                 w = 1 + sum(size[a] for a in args)
-                if w < max_weight and Fn(f, args) not in size:
+                if w <= max_weight and Fn(f, args) not in size:
                     size[Fn(f, args)] = w
                     grown = True
+    return size
+
+
+def _bruteforce_atoms(sig, max_weight):
+    """Every ground atom of at most ``max_weight`` symbols over ``sig``."""
+    size = _bruteforce_terms(sig, max_weight - 1)
     atoms = []
     for p, k in sig.predicates:
         pool = [t for t in size if size[t] <= max_weight - k]
         atoms += [Atom(p, args) for args in itertools.product(pool, repeat=k)
                   if 1 + sum(size[a] for a in args) <= max_weight]
     return atoms
+
+
+def _random_clause(rng, sig):
+    """1-3 literals of both polarities over ``sig``, arguments drawn from
+    three variables (so repeated ones are common), constants and ``f``/``g``
+    nested up to twice; about one literal in five is ground."""
+    variables = [Var(v) for v in "XYZ"]
+    nesting = [(f, k) for f, k in sig.functions if k > 0]
+
+    def term(depth, ground):
+        r = rng.random()
+        if nesting and depth < 2 and r < 0.3:
+            f, k = rng.choice(nesting)
+            return Fn(f, tuple(term(depth + 1, ground) for _ in range(k)))
+        if not ground and r < 0.8:
+            return rng.choice(variables)
+        return Fn(rng.choice(sig.constants))
+
+    literals = []
+    for _ in range(rng.randint(1, 3)):
+        p, k = rng.choice(sig.predicates)
+        ground = rng.random() < 0.2
+        literals.append(Literal(Atom(p, tuple(term(0, ground)
+                                              for _ in range(k))),
+                                rng.random() < 0.5))
+    return Clause(tuple(literals))
 
 
 def _bruteforce_next_beta(atoms, beta, cmp, kind):
@@ -218,7 +267,6 @@ class TestBoundedGroundings:
     def test_agrees_with_bruteforce_instantiation(self):
         bound = Bound(lit("R(b)"), lpo_five_symbols(), sig_five_symbols())
         clause = cl("P(X) | ~Q(Y) | R(X)")
-        from sclfol.terms import Var
         expected = set()
         for x, y in itertools.product([Fn("a"), Fn("b")], repeat=2):
             tau = Subst({Var("X"): x, Var("Y"): y})
@@ -227,6 +275,96 @@ class TestBoundedGroundings:
                 expected.add(str(inst))
         got = {str(c) for c in bounded_instances(clause, bound)}
         assert got == expected
+
+    def test_groundings_are_bruteforce_instantiations(self):
+        # random clauses over the signatures of the atoms-below cross-check:
+        # every map of the variables onto brute-force terms, kept when
+        # compare_atoms puts every literal below beta, in the order of the
+        # literals' atoms below beta, left to right
+        rng = random.Random(20260419)
+        for kind, ordering, sig, atoms, beta, context in _random_bounds():
+            cmp = ordering.compare_atoms
+            bound = Bound(Literal(beta), ordering, sig)
+            rank = {a: i for i, a in enumerate(sorted(
+                (a for a in atoms if cmp(a, beta) < 0),
+                key=functools.cmp_to_key(cmp)))}
+            # an atom below beta has at most beta's symbol count under
+            # count-KBO; an LPO bound has constants only
+            terms = list(_bruteforce_terms(sig, symbol_count(beta) - 1))
+            for _ in range(2):
+                clause = _random_clause(rng, sig)
+                found = []
+                variables = sorted(variables_of(clause), key=str)
+                for image in itertools.product(terms,
+                                               repeat=len(variables)):
+                    sigma = Subst(dict(zip(variables, image)))
+                    instance = [apply(sigma, q.atom) for q in clause]
+                    if all(cmp(a, beta) < 0 for a in instance):
+                        found.append(([rank[a] for a in instance], sigma))
+                expected = tuple(sigma for _, sigma in sorted(
+                    found, key=lambda pair: pair[0]))
+                got = bounded_groundings(clause, bound)
+                assert set(got) == set(expected), f"{context}: {clause}"
+                assert got == expected, f"{context}: {clause}"
+                assert bounded_instances(clause, bound) == \
+                    [apply(sigma, clause) for sigma in expected]
+
+
+class TestDecisionIndex:
+    def test_agrees_with_a_scan_of_every_atom(self):
+        # decision_candidates against a scan of every atom below the bound
+        # and every pool literal: on random states, then with a learned
+        # clause appended, a shorter pool, and a grown bound
+        rng = random.Random(20260420)
+        for kind, ordering, sig, atoms, beta, context in _random_bounds():
+            bound = Bound(Literal(beta), ordering, sig)
+            initial = tuple(_random_clause(rng, sig)
+                            for _ in range(rng.randint(1, 3)))
+            learned = _random_clause(rng, sig)
+            try:
+                grown = bound.grow_to(next_beta(bound))
+            except SignatureExhausted:
+                grown = bound
+            for b, extra in ((bound, ()), (bound, (learned,)), (bound, ()),
+                             (grown, ()), (grown, (learned,))):
+                below = b.atoms_below()
+                trail = Trail(tuple(
+                    TrailEntry(Literal(atom, rng.random() < 0.5),
+                               Decision(level + 1))
+                    for level, atom in enumerate(
+                        rng.sample(below, rng.randint(0, len(below) // 2)))))
+                state = ProblemState(trail, initial, extra, b,
+                                     len(trail), None)
+                avoid = tuple(rng.sample([p for p, _ in sig.predicates], 1))
+                for skip in ((), avoid):
+                    expected = _scanned_decisions(state, skip)
+                    assert decision_candidates(state, skip) == expected, \
+                        f"{context}: {initial} + {extra}"
+                reasonable = reasonable_decisions(state)
+                assert first_reasonable_decision(state) == \
+                    (reasonable[0] if reasonable else None)
+
+
+def _scanned_decisions(state, avoid):
+    """Each undefined atom below the bound, not of an ``avoid`` predicate,
+    with its first pool clause and literal that match it, either sign;
+    positive first."""
+    out = []
+    for atom in state.bound.atoms_below():
+        if atom.pred in avoid or state.trail.is_defined(Literal(atom)):
+            continue
+        source = next(((clause, q, m, lit.positive)
+                       for clause in state.pool
+                       for q, lit in enumerate(clause.literals)
+                       for m in (match(lit.atom, atom),) if m is not None),
+                      None)
+        if source is None:
+            continue
+        clause, q, sigma, src_positive = source
+        out += [DecideOption(clause, q, sigma, src_positive != positive,
+                             Literal(atom, positive))
+                for positive in (True, False)]
+    return out
 
 
 class TestTrailOrder:

@@ -120,6 +120,39 @@ class TestLevels:
         levels = [literal_level(e.literal, s) for e in s.trail]
         assert levels == sorted(levels)
 
+    def test_index_agrees_with_trail_scans(self):
+        # levels, decision and predicate counts against walks of the trail,
+        # on random trails with repeated atoms and uneven decision levels
+        sc = lpo_refutation_scenario()
+        rng = random.Random(6)
+        atoms = [f"{p}({c})" for p in "PQ" for c in "abc"]
+        for _ in range(200):
+            entries = []
+            for _ in range(rng.randint(0, 8)):
+                literal = lit(rng.choice(["", "~"]) + rng.choice(atoms))
+                annotation = Decision(rng.randint(1, 4)) \
+                    if rng.random() < 0.4 else Propagation(
+                        Closure(Clause((literal,)), Subst()), 0)
+                entries.append(TrailEntry(literal, annotation))
+            s = state_with(sc, entries)
+            trail = s.trail
+            assert trail.decision_count() == sum(
+                1 for e in trail if e.is_decision)
+            for text in atoms:
+                query = lit(text)
+                assert trail.index.by_predicate[query.atom.pred] == sum(
+                    1 for e in trail if e.literal.atom.pred == query.atom.pred)
+                first = next((i for i, e in enumerate(trail)
+                              if e.literal.atom == query.atom), None)
+                if first is None:
+                    with pytest.raises(NotOnTrail):
+                        literal_level(query, s)
+                    continue
+                decided = [e.annotation.level for e in trail[:first + 1]
+                           if e.is_decision]
+                assert literal_level(query, s) == \
+                    (decided[-1] if decided else 0)
+
 
 class TestSoundness:
     def test_initial_state_is_sound(self):

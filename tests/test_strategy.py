@@ -5,12 +5,13 @@ import pytest
 from conftest import (
     NONUNIT_BLOWUP_TEXT, LOOPING_TEXT, LPO_REFUTATION_TEXT, FACTORING_EAGER_CLAUSE,
     FACTORING_LAZY_CLAUSE, GROW_TEXT, UNIT_BLOWUP_TEXT, assert_clause_alpha,
-    assert_conflict, assert_trail, cl, factoring_divergence_state,
+    assert_conflict, assert_trail, cap_bounds, cl, factoring_divergence_state,
     grow_example, grow_script, lit,
 )
 from sclfol import strategy
 from sclfol.frontend import parse_native
 from sclfol.oracle import check_model, check_proof
+from sclfol.orderings import EnumerationCapExceeded
 from sclfol.strategy import (
     RunConfig, SignatureExhausted, configure_bound, default_beta_weight,
     next_beta, resolve_conflict_loop, run, synthesize_beta,
@@ -305,6 +306,31 @@ class TestDriverBehaviors:
         assert time.perf_counter() - start < 10
         assert result.verdict == "resource-out"
         assert len(result.final_bound.atoms_below()) == 18
+
+
+class TestEnumerationCap:
+    GROW = dict(precedence=["a", "g", "P"], beta=lit("P(g(g(a)))"),
+                max_growths=1)
+
+    def test_grow_past_the_cap_is_resource_out(self, monkeypatch):
+        # the grow bound holds 3 atoms; uncapped, the run refutes after it
+        cap_bounds(monkeypatch, 2)
+        result, _ = run_text(GROW_TEXT, **self.GROW)
+        assert result.verdict == "resource-out"
+        assert result.stats.growths == 0
+        assert len(result.final_bound.atoms_below()) == 2
+
+    def test_groundings_past_the_cap_are_resource_out(self, monkeypatch):
+        # 6 atoms below the bound, but P(X) | Q(Y) has 9 groundings
+        cap_bounds(monkeypatch, 6)
+        result, _ = run_text("P(X) | Q(Y)\n~P(a)\nQ(b) | Q(c)\n")
+        assert result.verdict == "resource-out"
+        assert len(result.final_bound.atoms_below()) == 6
+
+    def test_initial_bound_past_the_cap_raises(self, monkeypatch):
+        cap_bounds(monkeypatch, 1)
+        with pytest.raises(EnumerationCapExceeded):
+            run_text(GROW_TEXT, **self.GROW)
 
 
 class TestDegenerateInputs:
