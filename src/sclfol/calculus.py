@@ -7,27 +7,43 @@ decisions) are what a driver uses to pick rule instances; they are
 deterministic: clauses by pool position, literals by position, groundings
 in the enumeration order of the atoms below the bound.
 
+The searches range over the bounded ground instances of a consistent trail
+below the bound.  Every trail the driver builds is one: Decide and
+Propagate push only literals below the bound, Grow empties the trail, and
+soundness condition 6 requires it.  On such a trail every grounding false
+under it is a bounded instance.
+
 Between two Grows every rule works on the same finite set of atoms below
-the bound, so the searches keep on the ``Bound`` what only depends on it
-and on the pool, and a step pays for what changed:
+the bound, so the searches keep one ``GroundIndex`` on the ``Bound``
+(``Bound.ground_index``), built for a pool and synced to a trail:
 
-* each clause's bounded groundings with their ground instances
-  (``orderings.grounded_instances``), which the propagation search reads
-  instead of applying substitutions;
-* a decision index: the atoms that instantiate a pool literal, each with
-  its first source, in enumeration order.  A learned clause is matched only
-  against the atoms that have no source yet; a Decide walks the index and
-  skips the defined atoms.  ``first_reasonable_decision`` stops at the first
-  candidate that enables no conflict.
+* the bounded ground instances of the pool clauses, numbered in pool order
+  and then grounding order, each with how many of its distinct literals
+  the trail makes true and how many false.  An instance with none true and
+  all but one false is a unit, and the Propagate candidates are the units
+  in order; one with all false is false, and Conflict takes the pool clause
+  of the lowest-numbered one;
+* the atoms that instantiate a pool literal, each with its first source,
+  in enumeration order.  A Decide walks them and skips the defined atoms;
+  ``first_reasonable_decision`` stops at the first candidate that enables
+  no conflict, which is one whose complement is the undefined literal of
+  no unit.
 
-After a Propagate or Decide, the conflict search visits only the clauses
-that can take the complement of the newest trail literal
-(``find_false_instance(after_push=True)``).  None of this changes which
-candidates come out, or in which order.
+When the pool extends the one the index was built for (a learned clause
+is appended), only the new clauses are grounded and matched; any other
+pool rebuilds it.  A sync walks the trail entries the index has counted
+and the ones asked about while they are the same objects, takes back the
+counts of the rest of the old entries and adds those of the new ones.
+Each costs the occurrences of its atom, so a step pays for what changed.
+Counters rather than watched literals, because states are immutable
+values: the driver returns to earlier trails through Skip and Backtrack,
+and a count is taken back the way it was added.  None of this changes
+which candidates come out, or in which order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -47,9 +63,12 @@ class GuardFailed(Exception):
         self.reason = reason
 
 
-def _require(cond: bool, rule: str, reason: str):
+def _require(cond: bool, rule: str, reason):
+    """Raises unless ``cond``; ``reason`` is the message, or a function
+    giving it, called only when the guard fails."""
     if not cond:
-        raise GuardFailed(rule, reason)
+        raise GuardFailed(rule,
+                          reason if isinstance(reason, str) else reason())
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +103,16 @@ def apply_propagate(state: ProblemState, clause: Clause, lit_index: int,
     _require(is_ground(instance), "propagate",
              "substitution does not ground the clause")
     _require(state.bound.clause_below(instance), "propagate",
-             f"instance {instance} is not below the bound {state.bound.beta}")
+             lambda: f"instance {instance} is not below the bound "
+                     f"{state.bound.beta}")
     lit_val = instance[lit_index]
     annotated, ann_idx, rest = propagation_split(clause, lit_index, sigma)
     for q in rest:
-        _require(state.trail.truth_value(apply(sigma, clause[q])) is False,
-                 "propagate", f"side literal {apply(sigma, clause[q])} is "
-                              f"not false under the trail")
+        _require(state.trail.truth_value(instance[q]) is False, "propagate",
+                 lambda: f"side literal {instance[q]} is not false under "
+                         f"the trail")
     _require(not state.trail.is_defined(lit_val), "propagate",
-             f"{lit_val} is already defined")
+             lambda: f"{lit_val} is already defined")
     entry = TrailEntry(lit_val, Propagation(Closure(annotated, sigma), ann_idx))
     return ProblemState(state.trail.push(entry), state.initial, state.learned,
                         state.bound, state.decisions, None)
@@ -113,11 +133,12 @@ def apply_decide(state: ProblemState, clause: Clause, lit_index: int,
     lit = apply(sigma, clause[lit_index])
     if negate:
         lit = lit.complement()
-    _require(is_ground(lit), "decide", f"{lit} is not ground")
+    _require(is_ground(lit), "decide", lambda: f"{lit} is not ground")
     _require(not state.trail.is_defined(lit), "decide",
-             f"{lit} is already defined")
+             lambda: f"{lit} is already defined")
     _require(state.bound.literal_below(lit), "decide",
-             f"{lit} is not strictly below the bound {state.bound.beta}")
+             lambda: f"{lit} is not strictly below the bound "
+                     f"{state.bound.beta}")
     entry = TrailEntry(lit, Decision(state.decisions + 1))
     return ProblemState(state.trail.push(entry), state.initial, state.learned,
                         state.bound, state.decisions + 1, None)
@@ -131,7 +152,7 @@ def apply_conflict(state: ProblemState, clause: Clause,
     _require(is_ground(instance), "conflict",
              "substitution does not ground the clause")
     _require(state.trail.all_false(instance), "conflict",
-             f"instance {instance} is not false under the trail")
+             lambda: f"instance {instance} is not false under the trail")
     return ProblemState(state.trail, state.initial, state.learned,
                         state.bound, state.decisions, Closure(clause, sigma))
 
@@ -146,7 +167,7 @@ def apply_skip(state: ProblemState) -> ProblemState:
     top = state.trail[-1]
     ground = state.conflict.ground_clause()
     _require(top.literal.complement() not in ground.literals, "skip",
-             f"complement of {top.literal} occurs in the conflict")
+             lambda: f"complement of {top.literal} occurs in the conflict")
     k = state.decisions - (1 if top.is_decision else 0)
     return ProblemState(state.trail.pop(), state.initial, state.learned,
                         state.bound, k, state.conflict)
@@ -226,8 +247,8 @@ def apply_backtrack(state: ProblemState) -> ProblemState:
         raise GuardFailed("backtrack", "remaining conflict literals are not "
                                        "all defined on the trail")
     _require(level < state.decisions, "backtrack",
-             f"remaining conflict literals are of level {level}, "
-             f"not below {state.decisions}")
+             lambda: f"remaining conflict literals are of level {level}, "
+                     f"not below {state.decisions}")
 
     shortest = None
     complements = state.trail.complements
@@ -247,10 +268,10 @@ def apply_grow(state: ProblemState, beta2: Literal) -> ProblemState:
     """Clears the trail and strictly increases the bound; learned clauses
     are kept."""
     _require(state.conflict is None, "grow", "a conflict is active")
-    _require(is_ground(beta2), "grow", f"{beta2} is not ground")
+    _require(is_ground(beta2), "grow", lambda: f"{beta2} is not ground")
     cmp = state.bound.ordering.compare_atoms(state.bound.beta.atom, beta2.atom)
     _require(cmp < 0, "grow",
-             f"{beta2} is not strictly above {state.bound.beta}")
+             lambda: f"{beta2} is not strictly above {state.bound.beta}")
     return ProblemState(Trail(), state.initial, state.learned,
                         state.bound.grow_to(beta2), 0, None)
 
@@ -259,31 +280,18 @@ def apply_grow(state: ProblemState, beta2: Literal) -> ProblemState:
 # Applicability searches
 # ---------------------------------------------------------------------------
 
-def false_grounding(clause: Clause, targets: tuple[Literal, ...],
-                    first_match: Optional[tuple[int, Literal]] = None
-                    ) -> Optional[Subst]:
+def false_grounding(clause: Clause,
+                    targets: tuple[Literal, ...]) -> Optional[Subst]:
     """A grounding taking every literal of ``clause`` to one of ``targets``.
 
     With the complements of a trail's literals as ``targets``, that is a
     grounding false under the trail.  Works by matching each literal
-    against the targets, backtracking over candidates left to right.  When
-    ``first_match`` is (position, ground literal), that clause position is
-    pinned to that ground literal before the search.
+    against the targets, backtracking over candidates left to right.
     """
-    order = list(range(len(clause)))
-    start: Optional[Subst] = Subst()
-    if first_match is not None:
-        pin, lit = first_match
-        start = match(clause[pin], lit, None) \
-            if clause[pin].positive == lit.positive else None
-        if start is None:
-            return None
-        order.remove(pin)
-
     def extend(i: int, sigma: Subst) -> Optional[Subst]:
-        if i == len(order):
+        if i == len(clause):
             return sigma
-        lit = clause[order[i]]
+        lit = clause[i]
         for target in targets:
             if target.positive != lit.positive:
                 continue
@@ -294,32 +302,7 @@ def false_grounding(clause: Clause, targets: tuple[Literal, ...],
                     return found
         return None
 
-    return extend(0, start)
-
-
-def find_false_instance(state: ProblemState, after_push: bool = False) \
-        -> Optional[tuple[Clause, Subst]]:
-    """First pool clause with a grounding false under the trail, searching
-    clauses by pool position.
-
-    ``after_push`` tells that no instance was false before the trail's last
-    literal was pushed.  A newly false instance then has a literal whose
-    instance is the complement of the pushed one, so only the clauses with
-    a literal of that sign that matches it are searched; in pool order and
-    unpinned, so the same clause and grounding come out.
-    """
-    targets = state.trail.complements
-    newest = targets[-1] if after_push and targets else None
-    for clause in state.pool:
-        if newest is not None and not any(
-                lit.positive == newest.positive
-                and match(lit.atom, newest.atom) is not None
-                for lit in clause):
-            continue
-        sigma = false_grounding(clause, targets)
-        if sigma is not None:
-            return clause, sigma
-    return None
+    return extend(0, Subst())
 
 
 @dataclass(frozen=True)
@@ -328,35 +311,6 @@ class PropagationOption:
     lit_index: int
     sigma: Subst
     literal: Literal  # the ground literal that would go on the trail
-
-
-def propagation_candidates(state: ProblemState,
-                           avoid: tuple[str, ...] = ()) \
-        -> Iterator[PropagationOption]:
-    """All Propagate instances, deterministically ordered.
-
-    A bounded grounding of a pool clause propagates when exactly one ground
-    literal of the instance is undefined and the rest are false.
-    """
-    for clause in state.pool:
-        for sigma, instance in grounded_instances(clause, state.bound):
-            undefined: list[int] = []
-            satisfied = False
-            for q, lit in enumerate(instance.literals):
-                value = state.trail.truth_value(lit)
-                if value is True:
-                    satisfied = True
-                    break
-                if value is None:
-                    undefined.append(q)
-            if satisfied or not undefined:
-                continue
-            first = instance[undefined[0]]
-            if any(instance[q] != first for q in undefined[1:]):
-                continue
-            if first.atom.pred in avoid:
-                continue
-            yield PropagationOption(clause, undefined[0], sigma, first)
 
 
 @dataclass(frozen=True)
@@ -368,66 +322,191 @@ class DecideOption:
     literal: Literal  # the ground literal that would go on the trail
 
 
-class _DecisionIndex:
-    """The atoms below a bound that instantiate a pool literal, each with
-    its first source, in the enumeration order of the atoms.
+class GroundIndex:
+    """What the searches keep about one bound: the bounded ground instances
+    of a pool with their truth counts under a trail, and the decision
+    sources of the atoms below the bound (see the module docstring).
 
-    An atom's first source is the first pool clause, and in it the first
-    literal, whose atom matches it, of either sign.  The pool grows only at
-    its end, so a source never changes: an appended clause is matched only
-    against the atoms that have none yet.
+    ``extend`` adds the clauses appended to the pool; ``sync`` moves the
+    counts to another trail, which must be consistent.
     """
 
     def __init__(self, bound):
+        self.bound = bound
         self.pool: tuple[Clause, ...] = ()
+        # (pool clause, grounding, ground instance), by instance number
+        self.instances: list[tuple[Clause, Subst, Clause]] = []
+        self.distinct: list[tuple[Literal, ...]] = []
+        self.true: list[int] = []
+        self.false: list[int] = []
+        # (instance number, sign) of each distinct literal, by atom
+        self.occurrences: dict[Atom, list[tuple[int, bool]]] = {}
+        self.units: dict[int, Literal] = {}  # unit -> its undefined literal
+        self.awaiting: Counter = Counter()  # units per undefined literal
+        self.falsified: set[int] = set()
+        self.trail = Trail()
+        self.assigned: dict[Atom, bool] = {}  # the trail's sign of each atom
         # (position in the enumeration, atom) of the atoms with no source
         self.unsourced: dict[str, list[tuple[int, Atom]]] = {}
         for i, atom in enumerate(bound.atoms_below()):
             self.unsourced.setdefault(atom.pred, []).append((i, atom))
         # (position, atom, its positive and its negative option), by position
-        self.entries: list[tuple[int, Atom, DecideOption, DecideOption]] = []
+        self.sources: list[tuple[int, Atom, DecideOption, DecideOption]] = []
 
     def extend(self, pool: tuple[Clause, ...]):
+        added = [(clause, grounded_instances(clause, self.bound))
+                 for clause in pool[len(self.pool):]]
         found = []
-        for clause in pool[len(self.pool):]:
-            for q, lit in enumerate(clause.literals):
-                pending = self.unsourced.get(lit.atom.pred)
-                if not pending:
-                    continue
-                left = []
-                for i, atom in pending:
-                    m = match(lit.atom, atom)
-                    if m is None:
-                        left.append((i, atom))
-                        continue
-                    found.append((i, atom,
-                                  DecideOption(clause, q, m, not lit.positive,
-                                               Literal(atom, True)),
-                                  DecideOption(clause, q, m, lit.positive,
-                                               Literal(atom, False))))
-                self.unsourced[lit.atom.pred] = left
+        for clause, pairs in added:
+            found += self._source(clause)
+            for sigma, instance in pairs:
+                self._add_instance(clause, sigma, instance)
         self.pool = pool
         if found:
-            self.entries = sorted(self.entries + found,
-                                  key=lambda entry: entry[0])
+            self.sources = sorted(self.sources + found,
+                                  key=lambda source: source[0])
+
+    def _source(self, clause: Clause) -> list:
+        """Makes ``clause`` the first source of the unsourced atoms its
+        literals match; returns their entries."""
+        found = []
+        for q, lit in enumerate(clause.literals):
+            pending = self.unsourced.get(lit.atom.pred)
+            if not pending:
+                continue
+            left = []
+            for i, atom in pending:
+                m = match(lit.atom, atom)
+                if m is None:
+                    left.append((i, atom))
+                    continue
+                found.append((i, atom,
+                              DecideOption(clause, q, m, not lit.positive,
+                                           Literal(atom, True)),
+                              DecideOption(clause, q, m, lit.positive,
+                                           Literal(atom, False))))
+            self.unsourced[lit.atom.pred] = left
+        return found
+
+    def _add_instance(self, clause: Clause, sigma: Subst, instance: Clause):
+        i = len(self.instances)
+        distinct = tuple(dict.fromkeys(instance.literals))
+        self.instances.append((clause, sigma, instance))
+        self.distinct.append(distinct)
+        true = false = 0
+        for lit in distinct:
+            self.occurrences.setdefault(lit.atom, []).append((i, lit.positive))
+            value = self.assigned.get(lit.atom)
+            if value is not None:
+                if value == lit.positive:
+                    true += 1
+                else:
+                    false += 1
+        self.true.append(true)
+        self.false.append(false)
+        self._classify(i)
+
+    def sync(self, trail: Trail):
+        if trail is self.trail:
+            return
+        old, new = self.trail.entries, trail.entries
+        shared = 0
+        for a, b in zip(old, new):
+            if a is not b:
+                break
+            shared += 1
+        for entry in reversed(old[shared:]):
+            del self.assigned[entry.literal.atom]
+            self._count(entry.literal, -1)
+        for entry in new[shared:]:
+            self.assigned[entry.literal.atom] = entry.literal.positive
+            self._count(entry.literal, 1)
+        self.trail = trail
+
+    def _count(self, lit: Literal, step: int):
+        """Adds ``step`` to the counts ``lit`` makes on its atom's
+        occurrences, then classifies them again."""
+        touched = self.occurrences.get(lit.atom, ())
+        for i, positive in touched:
+            if positive == lit.positive:
+                self.true[i] += step
+            else:
+                self.false[i] += step
+        for i, _ in touched:
+            self._classify(i)
+
+    def _classify(self, i: int):
+        """Files instance ``i`` as a unit, as false, or neither, by its
+        counts."""
+        false, n = self.false[i], len(self.distinct[i])
+        unit = self.true[i] == 0 and false == n - 1
+        if unit and i not in self.units:
+            lit = next(lit for lit in self.distinct[i]
+                       if lit.atom not in self.assigned)
+            self.units[i] = lit
+            self.awaiting[lit] += 1
+        elif not unit and i in self.units:
+            self.awaiting[self.units.pop(i)] -= 1
+        if false == n:
+            self.falsified.add(i)
+        else:
+            self.falsified.discard(i)
 
 
-def _decision_index(state: ProblemState) -> _DecisionIndex:
-    """The bound's index, extended to the state's pool; rebuilt when the
-    pool does not extend the one it was built for."""
+def _ground_index(state: ProblemState) -> GroundIndex:
+    """The bound's index, extended to the state's pool and synced to its
+    trail; rebuilt when the pool does not extend the one it was built
+    for."""
     pool = state.pool
-    index = state.bound.decision_index
+    index = state.bound.ground_index
     if index is None or pool[:len(index.pool)] != index.pool:
-        index = state.bound.decision_index = _DecisionIndex(state.bound)
+        index = state.bound.ground_index = GroundIndex(state.bound)
     if len(pool) > len(index.pool):
         index.extend(pool)
+    index.sync(state.trail)
     return index
+
+
+def find_false_instance(state: ProblemState) \
+        -> Optional[tuple[Clause, Subst]]:
+    """The first pool clause with a grounding false under the trail, by
+    pool position, with the first such grounding that ``false_grounding``
+    finds.  Ranges over the bounded instances of a consistent trail below
+    the bound, which hold every false grounding of such a trail.
+    """
+    index = _ground_index(state)
+    if not index.falsified:
+        return None
+    clause = index.instances[min(index.falsified)][0]
+    sigma = false_grounding(clause, state.trail.complements)
+    assert sigma is not None, "a false instance is a false grounding"
+    return clause, sigma
+
+
+def propagation_candidates(state: ProblemState,
+                           avoid: tuple[str, ...] = ()) \
+        -> Iterator[PropagationOption]:
+    """All Propagate instances, deterministically ordered.
+
+    A bounded ground instance of a pool clause propagates when none of its
+    literals is true and exactly one of its distinct literals is undefined
+    under the trail, which must be consistent and below the bound.  The
+    literal index is the first position of that literal.
+    """
+    index = _ground_index(state)
+    instances = index.instances
+    for i, literal in sorted(index.units.items()):
+        if literal.atom.pred in avoid:
+            continue
+        clause, sigma, instance = instances[i]
+        yield PropagationOption(clause, instance.literals.index(literal),
+                                sigma, literal)
 
 
 def _decide_options(state: ProblemState,
                     avoid: tuple[str, ...]) -> Iterator[DecideOption]:
     position = state.trail.position_of_atom
-    for _, atom, positive, negative in _decision_index(state).entries:
+    for _, atom, positive, negative in _ground_index(state).sources:
         if atom.pred not in avoid and position(atom) is None:
             yield positive
             yield negative
@@ -441,26 +520,21 @@ def decision_candidates(state: ProblemState,
 
 
 def enables_conflict(state: ProblemState, lit: Literal) -> bool:
-    """Would some clause instance become false right after deciding ``lit``?
+    """Would some bounded instance become false right after deciding the
+    undefined literal ``lit``, on a consistent trail below the bound?
 
-    A newly false instance must use the new literal, so the matcher pins one
-    clause literal to its complement.
+    Exactly when the complement of ``lit`` is the undefined literal of a
+    unit: an instance that becomes false has that complement, the one
+    literal the Decide makes false, and all its other literals were false
+    before.
     """
-    target = lit.complement()
-    targets = state.trail.complements + (target,)
-    for clause in state.pool:
-        for pin in range(len(clause)):
-            if clause[pin].positive != target.positive:
-                continue
-            if false_grounding(clause, targets,
-                               first_match=(pin, target)) is not None:
-                return True
-    return False
+    return _ground_index(state).awaiting[lit.complement()] > 0
 
 
 def reasonable_decisions(state: ProblemState,
                          avoid: tuple[str, ...] = ()) -> list[DecideOption]:
-    """Decide candidates that do not enable an immediate Conflict."""
+    """Decide candidates that do not enable an immediate Conflict over the
+    bounded instances, on a consistent trail below the bound."""
     return [opt for opt in decision_candidates(state, avoid)
             if not enables_conflict(state, opt.literal)]
 

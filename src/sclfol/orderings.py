@@ -22,8 +22,8 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .terms import (
-    Atom, Clause, Fn, Literal, Signature, Subst, is_ground, match,
-    symbol_count,
+    Atom, Clause, Fn, Literal, Signature, Subst, apply, is_ground, match,
+    symbol_count, variables_of,
 )
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -290,12 +290,17 @@ class Bound:
 
     ``atoms_below()`` is the complete finite set of ground atoms strictly
     below beta, in ascending order; ``atoms_by_predicate`` splits it by
-    predicate, keeping the order.  Construction validates that the atoms
-    built for it stay within ``cap``.
+    predicate, keeping the order, and ``atom_set`` holds it for lookups.
+    Construction validates that the atoms built for it stay within ``cap``.
 
     A bound never changes once built (Grow builds a new one), so it also
     holds what is derived from it: each clause's bounded groundings with
-    their ground instances, and the decision index of ``calculus``.
+    their ground instances (``grounded_instances``), and the
+    ``calculus.GroundIndex`` of the searches.  That index is built for one
+    pool and extended when a clause is appended to it, rebuilt for any
+    other pool, and synced to the trail each search asks about; it covers
+    the bounded instances, which is all a consistent trail below beta can
+    make false.
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
@@ -308,7 +313,7 @@ class Bound:
         self.cap = cap
         self._groundings: dict[Clause,
                                tuple[tuple[Subst, Clause], ...]] = {}
-        self.decision_index = None  # kept by ``calculus``
+        self.ground_index = None  # kept by ``calculus``
         self._atoms_below = tuple(self._enumerate_below())
 
     def atoms_below(self) -> tuple[Atom, ...]:
@@ -321,6 +326,10 @@ class Bound:
         for atom in self._atoms_below:
             by_pred.setdefault(atom.pred, []).append(atom)
         return {pred: tuple(atoms) for pred, atoms in by_pred.items()}
+
+    @cached_property
+    def atom_set(self) -> frozenset[Atom]:
+        return frozenset(self._atoms_below)
 
     def _enumerate_below(self) -> list[Atom]:
         beta_atom = self.beta.atom
@@ -384,13 +393,20 @@ def grounded_instances(clause: Clause,
 
     Cached on the bound, which never changes once built.  An instance is
     built from the atoms below beta that its literals matched, with no
-    substitution applied.
+    substitution applied.  A literal whose variables all occur in earlier
+    literals has at most one candidate atom, which is looked up.
     """
     cached = bound._groundings.get(clause)
     if cached is not None:
         return cached
     pairs: list[tuple[Subst, Clause]] = []
     literals = clause.literals
+    determined = []
+    earlier: set = set()
+    for lit in literals:
+        variables = variables_of(lit)
+        determined.append(variables <= earlier)
+        earlier |= variables
 
     def extend(i: int, sigma: Optional[Subst], atoms: tuple[Atom, ...]):
         if len(pairs) > bound.cap:
@@ -402,6 +418,11 @@ def grounded_instances(clause: Clause,
             pairs.append((sigma if sigma is not None else Subst(), instance))
             return
         pattern = literals[i].atom
+        if determined[i]:
+            atom = pattern if sigma is None else apply(sigma, pattern)
+            if atom in bound.atom_set:
+                extend(i + 1, sigma, atoms + (atom,))
+            return
         for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
             m = match(pattern, atom, sigma)
             if m is not None:

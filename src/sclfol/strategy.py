@@ -259,8 +259,7 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
                 continue
 
             # a Propagate or Decide runs only when no instance is false
-            found = find_false_instance(
-                state, after_push=rec.last_rule in ("propagate", "decide"))
+            found = find_false_instance(state)
             if found is not None:
                 clause, sigma = found
                 if rec.last_rule == "decide":

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import cl, factoring_divergence_state, grow_example, lit
 from sclfol.calculus import (
-    DecideOption, decision_candidates, first_reasonable_decision,
+    DecideOption, PropagationOption, decision_candidates,
+    find_false_instance, first_reasonable_decision, propagation_candidates,
     reasonable_decisions,
 )
 from sclfol.orderings import (
@@ -365,6 +366,138 @@ def _scanned_decisions(state, avoid):
                              Literal(atom, positive))
                 for positive in (True, False)]
     return out
+
+
+class TestGroundIndex:
+    def test_agrees_with_rescans_along_random_walks(self):
+        # one bound's index driven through trail states that a run could
+        # reach in any order: pushes, pops, backtrack-style jumps to a
+        # prefix, jumps to an unrelated trail; then with a learned clause
+        # appended, a shorter pool, and a grown bound.  The pool holds a
+        # repeated literal (p(X..) | p(c..) at X=c) and a tautology
+        # (p(X..) | ~p(c..) at X=c).  Every state is compared with
+        # rescans of every bounded grounding and of the trail.  Every third
+        # bound of the cross-checks above keeps this to a few seconds.
+        rng = random.Random(20260421)
+        for kind, ordering, sig, atoms, beta, context in itertools.islice(
+                _random_bounds(), 0, None, 3):
+            bound = Bound(Literal(beta), ordering, sig)
+            p, k = rng.choice(sig.predicates)
+            x = Atom(p, (Var("X"),) * k)
+            c = Atom(p, (Fn(sig.constants[0]),) * k)
+            initial = (Clause((Literal(x), Literal(c))),
+                       Clause((Literal(x), Literal(c, False)))) + tuple(
+                _random_clause(rng, sig) for _ in range(rng.randint(1, 3)))
+            learned = _random_clause(rng, sig)
+            try:
+                grown = bound.grow_to(next_beta(bound))
+            except SignatureExhausted:
+                grown = bound
+            avoid = (rng.choice(sig.predicates)[0],)
+            trail = Trail()
+            for b, extra in ((bound, ()), (bound, (learned,)), (bound, ()),
+                             (grown, ()), (grown, (learned,))):
+                # every decision option of this bound and pool
+                options = _scanned_decisions(
+                    ProblemState(Trail(), initial, extra, b, 0, None), ())
+                for _ in range(4):
+                    trail = _random_step(rng, trail, b)
+                    state = ProblemState(trail, initial, extra, b,
+                                         trail.decision_count(), None)
+                    where = (f"{context}: "
+                             f"{'; '.join(map(str, initial + extra))} "
+                             f"on {trail}")
+                    propagations = _scanned_propagations(state)
+                    for skip in ((), avoid):
+                        assert list(propagation_candidates(state, skip)) == [
+                            opt for opt in propagations
+                            if opt.literal.atom.pred not in skip], where
+                    assert find_false_instance(state) == \
+                        _scanned_false_instance(state), where
+                    assert reasonable_decisions(state) == [
+                        opt for opt in options
+                        if not trail.is_defined(opt.literal)
+                        and not _scanned_enables_conflict(state, opt.literal)
+                    ], where
+
+
+def _random_step(rng, trail, bound):
+    """Pushes of 1-3 undefined atoms below ``bound`` (either sign), a pop,
+    a cut to a random prefix, or a fresh trail of 1-3 new entries."""
+    move = rng.random()
+    if move < 0.15:
+        trail = Trail()
+    elif move < 0.3:
+        return trail.prefix(rng.randint(0, len(trail)))
+    elif move < 0.45:
+        return trail.pop()
+    undefined = [a for a in bound.atoms_below()
+                 if not trail.is_defined(Literal(a))]
+    for atom in rng.sample(undefined, min(len(undefined), rng.randint(1, 3))):
+        trail = trail.push(TrailEntry(Literal(atom, rng.random() < 0.5),
+                                      Decision(len(trail) + 1)))
+    return trail
+
+
+def _scanned_false_grounding(clause, targets, pin=None):
+    """Every literal of ``clause`` matched to one of ``targets``, left to
+    right with backtracking; with ``pin`` = (position, ground literal),
+    that position matched to that literal first."""
+    order = list(range(len(clause)))
+    start = Subst()
+    if pin is not None:
+        q, target = pin
+        start = match(clause[q], target)
+        if start is None:
+            return None
+        order.remove(q)
+
+    def extend(i, sigma):
+        if i == len(order):
+            return sigma
+        for target in targets:
+            m = match(clause[order[i]], target, sigma)
+            if m is not None:
+                found = extend(i + 1, m)
+                if found is not None:
+                    return found
+        return None
+    return extend(0, start)
+
+
+def _scanned_false_instance(state):
+    """The first pool clause with a grounding false under the trail."""
+    for clause in state.pool:
+        sigma = _scanned_false_grounding(clause, state.trail.complements)
+        if sigma is not None:
+            return clause, sigma
+    return None
+
+
+def _scanned_propagations(state):
+    """Each bounded grounding with no true literal and one undefined
+    literal, at its first position, by pool position then grounding."""
+    out = []
+    for clause in state.pool:
+        for sigma in bounded_groundings(clause, state.bound):
+            instance = apply(sigma, clause)
+            values = [state.trail.truth_value(lit) for lit in instance]
+            undefined = {lit for lit, v in zip(instance, values) if v is None}
+            if True in values or len(undefined) != 1:
+                continue
+            q = values.index(None)
+            out.append(PropagationOption(clause, q, sigma, instance[q]))
+    return out
+
+
+def _scanned_enables_conflict(state, lit):
+    """Some pool clause has a grounding false under the trail and ``lit``
+    that takes one of its literals to the complement of ``lit``."""
+    target = lit.complement()
+    targets = state.trail.complements + (target,)
+    return any(_scanned_false_grounding(clause, targets, (q, target))
+               is not None
+               for clause in state.pool for q in range(len(clause)))
 
 
 class TestTrailOrder:
