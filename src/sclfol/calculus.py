@@ -76,16 +76,21 @@ def _require(cond: bool, rule: str, reason):
 # ---------------------------------------------------------------------------
 
 def propagation_split(clause: Clause, lit_index: int,
-                      sigma: Subst) -> tuple[Clause, int, list[int]]:
+                      instance: Clause) -> tuple[Clause, int, list[int]]:
     """Splits C0 | C1 | L for Propagate and factors C1 into L.
 
-    Returns the annotated clause (C0 | L) after applying the mgu of the C1
-    literals with L, the position of L inside it, and the C0 positions of
-    the original clause.
+    ``instance`` is the ground instance of ``clause`` the Propagate uses;
+    C1 holds the other literals whose instance is that of L.  Returns the
+    annotated clause (C0 | L) after applying the mgu of the C1 literals
+    with L, the position of L inside it, and the C0 positions of the
+    original clause.  With C1 empty that is ``clause`` itself.
     """
-    lit_val = apply(sigma, clause[lit_index])
+    lit_val = instance[lit_index]
     dup = [q for q in range(len(clause))
-           if q != lit_index and apply(sigma, clause[q]) == lit_val]
+           if q != lit_index and instance[q] == lit_val]
+    if not dup:
+        return clause, lit_index, [q for q in range(len(clause))
+                                   if q != lit_index]
     delta = unify_all([clause[lit_index]] + [clause[q] for q in dup])
     assert delta is not None, "literals with equal ground instances unify"
     keep = [q for q in range(len(clause)) if q not in dup]
@@ -106,7 +111,8 @@ def apply_propagate(state: ProblemState, clause: Clause, lit_index: int,
              lambda: f"instance {instance} is not below the bound "
                      f"{state.bound.beta}")
     lit_val = instance[lit_index]
-    annotated, ann_idx, rest = propagation_split(clause, lit_index, sigma)
+    annotated, ann_idx, rest = propagation_split(clause, lit_index,
+                                                 instance)
     for q in rest:
         _require(state.trail.truth_value(instance[q]) is False, "propagate",
                  lambda: f"side literal {instance[q]} is not false under "

@@ -69,12 +69,13 @@ class TrailIndex(NamedTuple):
 class Trail:
     """A sequence of trail entries, never changed once built.
 
-    Lookups go through ``index``, built in one pass on the first query:
-    each atom's first position, so an inconsistent trail reads as its
-    earliest entry; each position's level, that of the last decision at or
-    before it (0 with none); the number of decisions; and the number of
-    entries of each predicate.  ``complements`` holds the complemented
-    trail literals, in trail order.
+    Lookups go through ``index``: each atom's first position, so an
+    inconsistent trail reads as its earliest entry; each position's level,
+    that of the last decision at or before it (0 with none); the number of
+    decisions; and the number of entries of each predicate.  It is built in
+    one pass on the first query, or by ``push`` from the index of the trail
+    pushed onto when that one is built.  ``complements`` holds the
+    complemented trail literals, in trail order.
     """
 
     entries: tuple[TrailEntry, ...] = ()
@@ -93,7 +94,24 @@ class Trail:
         return tuple(e.literal for e in self.entries)
 
     def push(self, entry: TrailEntry) -> "Trail":
-        return Trail(self.entries + (entry,))
+        """The trail with ``entry`` on top.  When this trail's index is
+        built, the new one's is derived from it by copies, not a walk."""
+        trail = Trail(self.entries + (entry,))
+        index = self.__dict__.get("index")
+        if index is not None:
+            first, levels, decisions, by_predicate = index
+            atom = entry.literal.atom
+            first = dict(first)
+            first.setdefault(atom, len(self.entries))
+            level = levels[-1] if levels else 0
+            if isinstance(entry.annotation, Decision):
+                level = entry.annotation.level
+                decisions += 1
+            by_predicate = by_predicate.copy()
+            by_predicate[atom.pred] += 1
+            trail.__dict__["index"] = TrailIndex(first, levels + [level],
+                                                 decisions, by_predicate)
+        return trail
 
     def pop(self) -> "Trail":
         return Trail(self.entries[:-1])

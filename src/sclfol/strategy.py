@@ -13,6 +13,8 @@ Scheduling policy:
 * When nothing applies the run stalls: the trail models the bounded
   grounding.  If the grow policy still has budget, the bound is raised and
   the trail rebuilt; otherwise the run ends with a verified partial model.
+  A Grow to a bound with a term nested deeper than the parser accepts
+  (``frontend.MAX_TERM_DEPTH``) counts as a spent budget.
 
 Under the default ``first`` heuristic every available Propagate runs before
 any Decide, as in exhaustive propagation, and decisions are reasonable all
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import calculus, oracle
+from .frontend import MAX_TERM_DEPTH
 from .calculus import (
     DecideOption, PropagationOption, apply_backtrack,
     apply_conflict, apply_decide, apply_factorize, apply_grow,
@@ -46,7 +49,8 @@ from .state import (
     SOUNDNESS_ATOM_CAP, ProblemState, Propagation, soundness_check, trace_line,
 )
 from .terms import (
-    Atom, Clause, Fn, Literal, Signature, Subst, symbol_count, variables_of,
+    Atom, Clause, Fn, Literal, Signature, Subst, symbol_count, term_depth,
+    variables_of,
 )
 
 
@@ -294,6 +298,8 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
                 except SignatureExhausted:
                     return rec.finish_sat(state)
                 new = apply_grow(state, beta2)
+                if _too_deep(new.bound):
+                    return rec.finish_sat(state)
                 growths += 1
                 rec.on_grow(state, new)
                 state = new
@@ -302,6 +308,23 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
     except EnumerationCapExceeded:
         pass
     return rec.finish_resource_out(state)
+
+
+def _too_deep(bound: Bound) -> bool:
+    """Does ``bound`` hold or admit a term nested deeper than the parser
+    accepts?  ``run`` takes such a Grow as a spent grow budget: the
+    kernels and the printing recurse on terms, and the bound and model a
+    run writes must parse again.
+
+    Under count-KBO every atom below beta weighs at most what beta weighs,
+    and a term in it is less deep than its atom weighs; an LPO bound has
+    only constants.  So a light beta settles it without a scan.
+    """
+    beta = bound.beta.atom
+    if symbol_count(beta) <= MAX_TERM_DEPTH + 1:
+        return False
+    return any(term_depth(t) > MAX_TERM_DEPTH
+               for atom in (beta, *bound.atoms_below()) for t in atom.args)
 
 
 def resolve_conflict_loop(state: ProblemState,

@@ -4,16 +4,21 @@ Terms are immutable values with structural equality.  Clauses are literal
 *sequences* treated as multisets: duplicate literals are kept until an
 explicit factoring step removes them.
 
-``Fn``, ``Atom`` and ``Literal`` keep their hash once computed (the value
-the generated dataclass hash gives), so a dict or set lookup of a deep term
-hashes its subterms only the first time.
+Since terms never change, ``Fn`` and ``Atom`` keep three facts about
+themselves once asked for them, in fixed slots outside equality: their
+hash (the value ``hash((name, args))`` the generated dataclass hash
+gives), whether they are ground (``is_ground``) and their symbol count
+(``symbol_count``); ``Literal`` keeps its hash.  So a dict or set lookup of
+a deep term hashes its subterms only the first time, and the bound checks
+count a term's symbols once.  ``apply`` returns a ground term, atom or
+literal as it is, so applying a grounding shares the ground subterms of
+the pattern instead of rebuilding them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 
@@ -25,19 +30,41 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+def _cache():
+    """A slot for a fact computed on first request: unset until then, and
+    never part of equality, hash or repr."""
+    return field(init=False, repr=False, compare=False)
+
+
+def _keep(obj, slot: str, value):
+    """Stores ``value`` in the cache ``slot`` of ``obj``; returns it."""
+    object.__setattr__(obj, slot, value)
+    return value
+
+
+def _reduce(self):
+    """Copies and pickles by the constructor arguments, as the cache slots
+    may be unset."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self)
+                             if f.init)
+
+
+@dataclass(frozen=True, slots=True)
 class Fn:
     """Function application; a constant is a function with no arguments."""
 
     name: str
     args: tuple["Term", ...] = ()
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.name, self.args))
+    _hash: int = _cache()
+    _ground: bool = _cache()
+    _weight: int = _cache()
+    __reduce__ = _reduce
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            return _keep(self, "_hash", hash((self.name, self.args)))
 
     def __str__(self):
         if not self.args:
@@ -48,17 +75,20 @@ class Fn:
 Term = Union[Var, Fn]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     pred: str
     args: tuple[Term, ...] = ()
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.pred, self.args))
+    _hash: int = _cache()
+    _ground: bool = _cache()
+    _weight: int = _cache()
+    __reduce__ = _reduce
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            return _keep(self, "_hash", hash((self.pred, self.args)))
 
     def __str__(self):
         if not self.args:
@@ -66,17 +96,18 @@ class Atom:
         return f"{self.pred}({','.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     atom: Atom
     positive: bool = True
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.atom, self.positive))
+    _hash: int = _cache()
+    __reduce__ = _reduce
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            return _keep(self, "_hash", hash((self.atom, self.positive)))
 
     def complement(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -129,17 +160,16 @@ def variables_of(obj) -> set[Var]:
 
 
 def _collect_vars(obj, out: set[Var]):
-    if isinstance(obj, Var):
+    cls = type(obj)
+    if cls is Var:
         out.add(obj)
-    elif isinstance(obj, Fn):
-        for a in obj.args:
-            _collect_vars(a, out)
-    elif isinstance(obj, Atom):
-        for a in obj.args:
-            _collect_vars(a, out)
-    elif isinstance(obj, Literal):
+    elif cls is Fn or cls is Atom:
+        if not is_ground(obj):
+            for a in obj.args:
+                _collect_vars(a, out)
+    elif cls is Literal:
         _collect_vars(obj.atom, out)
-    elif isinstance(obj, Clause):
+    elif cls is Clause:
         for lit in obj.literals:
             _collect_vars(lit, out)
     else:
@@ -148,30 +178,43 @@ def _collect_vars(obj, out: set[Var]):
 
 
 def is_ground(obj) -> bool:
-    if isinstance(obj, Var):
+    cls = type(obj)
+    if cls is Fn or cls is Atom:
+        ground = getattr(obj, "_ground", None)
+        if ground is None:
+            return _keep(obj, "_ground", all(map(is_ground, obj.args)))
+        return ground
+    if cls is Var:
         return False
-    if isinstance(obj, Fn):
-        return all(is_ground(a) for a in obj.args)
-    if isinstance(obj, Atom):
-        return all(is_ground(a) for a in obj.args)
-    if isinstance(obj, Literal):
+    if cls is Literal:
         return is_ground(obj.atom)
-    if isinstance(obj, Clause):
-        return all(is_ground(lit) for lit in obj.literals)
-    return all(is_ground(x) for x in obj)
+    if cls is Clause:
+        return all(map(is_ground, obj.literals))
+    return all(map(is_ground, obj))
 
 
 def symbol_count(obj) -> int:
     """Total number of predicate/function/constant/variable symbols."""
-    if isinstance(obj, Var):
+    cls = type(obj)
+    if cls is Fn or cls is Atom:
+        weight = getattr(obj, "_weight", None)
+        if weight is None:
+            return _keep(obj, "_weight", 1 + sum(map(symbol_count, obj.args)))
+        return weight
+    if cls is Var:
         return 1
-    if isinstance(obj, (Fn, Atom)):
-        return 1 + sum(symbol_count(a) for a in obj.args)
-    if isinstance(obj, Literal):
+    if cls is Literal:
         return symbol_count(obj.atom)
-    if isinstance(obj, Clause):
+    if cls is Clause:
         return sum(symbol_count(lit) for lit in obj.literals)
     raise TypeError(f"no symbol count for {obj!r}")
+
+
+def term_depth(term: Term) -> int:
+    """Nesting depth: a variable or a constant has depth 1, ``f(a)`` 2."""
+    if type(term) is Var or not term.args:
+        return 1
+    return 1 + max(map(term_depth, term.args))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +234,14 @@ class Subst:
     def __init__(self, mapping: Optional[dict[Var, Term]] = None):
         self.mapping: dict[Var, Term] = \
             {v: t for v, t in mapping.items() if v != t} if mapping else {}
+
+    @staticmethod
+    def _of(mapping: dict[Var, Term]) -> "Subst":
+        """A substitution over ``mapping`` itself, which must bind no
+        variable to itself."""
+        sigma = object.__new__(Subst)
+        sigma.mapping = mapping
+        return sigma
 
     def __eq__(self, other):
         return isinstance(other, Subst) and self.mapping == other.mapping
@@ -232,22 +283,31 @@ class Subst:
 
 
 def apply(sigma: Subst, obj):
-    """Simultaneous replacement of variables by their images."""
-    if isinstance(obj, Var):
+    """Simultaneous replacement of variables by their images.  A ground
+    term, atom or literal is returned as it is, and so is a literal whose
+    atom is."""
+    cls = type(obj)
+    if cls is Var:
         return sigma.mapping.get(obj, obj)
-    if isinstance(obj, Fn):
-        if not obj.args:
-            return obj
-        return Fn(obj.name, tuple(apply(sigma, a) for a in obj.args))
-    if isinstance(obj, Atom):
-        if not obj.args:
-            return obj
-        return Atom(obj.pred, tuple(apply(sigma, a) for a in obj.args))
-    if isinstance(obj, Literal):
-        return Literal(apply(sigma, obj.atom), obj.positive)
-    if isinstance(obj, Clause):
-        return Clause(tuple(apply(sigma, lit) for lit in obj.literals))
+    if cls is Fn or cls is Atom:
+        return _substitute(sigma.mapping, obj)
+    if cls is Literal:
+        atom = _substitute(sigma.mapping, obj.atom)
+        return obj if atom is obj.atom else Literal(atom, obj.positive)
+    if cls is Clause:
+        return Clause(tuple([apply(sigma, lit) for lit in obj.literals]))
     raise TypeError(f"cannot apply substitution to {obj!r}")
+
+
+def _substitute(mapping: dict[Var, Term], term):
+    """A term or atom under ``mapping``; a ground one as it is."""
+    if type(term) is Var:
+        return mapping.get(term, term)
+    ground = getattr(term, "_ground", None)
+    if ground or ground is None and is_ground(term):
+        return term
+    args = tuple([_substitute(mapping, a) for a in term.args])
+    return Fn(term.name, args) if type(term) is Fn else Atom(term.pred, args)
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +400,38 @@ def match(pattern, target, partial: Optional[Subst] = None) -> Optional[Subst]:
     """One-sided matching: extend ``partial`` to tau with pattern*tau = target.
 
     ``target`` must be ground.  Returns the most general such extension, or
-    None on a structural clash or a clash with ``partial``.
+    None on a structural clash or a clash with ``partial``.  The new
+    bindings follow those of ``partial``, in the order a left-to-right walk
+    of ``pattern`` meets their variables.
     """
     sub = dict(partial.mapping) if partial is not None else {}
-
-    def go(p, t) -> bool:
-        if isinstance(p, Literal):
-            return (isinstance(t, Literal) and p.positive == t.positive
-                    and go(p.atom, t.atom))
-        if isinstance(p, Atom):
-            return (isinstance(t, Atom) and p.pred == t.pred
-                    and len(p.args) == len(t.args)
-                    and all(go(pa, ta) for pa, ta in zip(p.args, t.args)))
-        if isinstance(p, Var):
-            if p in sub:
-                return sub[p] == t
-            sub[p] = t
-            return True
-        return (isinstance(t, Fn) and p.name == t.name
-                and len(p.args) == len(t.args)
-                and all(go(pa, ta) for pa, ta in zip(p.args, t.args)))
-
-    if not go(pattern, target):
-        return None
-    return Subst(sub)
+    if type(pattern) is Literal:
+        if type(target) is not Literal or pattern.positive != target.positive:
+            return None
+        pattern, target = pattern.atom, target.atom
+    if type(pattern) is Atom:
+        if (type(target) is not Atom or pattern.pred != target.pred
+                or len(pattern.args) != len(target.args)):
+            return None
+        # pairs still to match; the first argument pair is popped first
+        stack = list(zip(reversed(pattern.args), reversed(target.args)))
+    else:
+        stack = [(pattern, target)]
+    while stack:
+        p, t = stack.pop()
+        if type(p) is Var:
+            bound = sub.get(p)
+            if bound is None:
+                sub[p] = t
+            elif bound is not t and bound != t:
+                return None
+        elif (type(t) is not Fn or p.name != t.name
+              or len(p.args) != len(t.args)):
+            return None
+        elif p.args:
+            stack.extend(zip(reversed(p.args), reversed(t.args)))
+    # a ground target binds no variable to itself
+    return Subst._of(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +477,11 @@ class Closure:
     subst: Subst
 
     def __post_init__(self):
-        if not is_ground(apply(self.subst, self.clause)):
+        # grounds the clause exactly when it maps each variable to a
+        # ground term; nothing is built to find out
+        image = self.subst.mapping
+        if not all(is_ground(image.get(v, v))
+                   for v in variables_of(self.clause)):
             raise ValueError(
                 f"substitution {self.subst} does not ground {self.clause}")
 

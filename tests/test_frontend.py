@@ -7,7 +7,7 @@ import pytest
 from conftest import LOOPING_TEXT, cap_bounds, cl, random_bs_problem
 from sclfol.cli import build_parser, main
 from sclfol.frontend import (
-    ParseError, ProblemFile, UnsupportedFeature, parse_literal_text,
+    MAX_TERM_DEPTH, ParseError, ProblemFile, UnsupportedFeature, parse_literal_text,
     parse_native, parse_problem, parse_subst_text, parse_tptp_cnf,
     problem_to_native, problem_to_tptp,
 )
@@ -256,6 +256,24 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "run", boom)
         assert main(["--input", self.E1, "--beta", "R(b)", "--ordering",
                      "lpo", "--precedence", "a<b<P<Q<R"]) == 70
+
+    def test_grow_stops_at_the_term_depth_limit(self, tmp_path, capsys):
+        # each Grow nests the argument of P one level deeper; a Grow past
+        # the parse limit counts as a spent budget, and the model of the
+        # last bound, beta included, parses and checks again
+        problem = tmp_path / "deep.native"
+        problem.write_text("P(a)\n~P(X) | P(f(X))\n")
+        model = tmp_path / "deep.model"
+        code = main(["--input", str(problem), "--format", "native",
+                     "--beta", "P(a)", "--grow", "400", "--stats",
+                     "--model", str(model)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert out[0] == "SATISFIABLE-BOUNDED"
+        assert f"growths={MAX_TERM_DEPTH - 1}" in out
+        assert main(["check-model", "--input", str(problem), "--format",
+                     "native", "--model", str(model)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "MODEL OK"
 
     def test_crash_never_exits_with_verdict_code(self, tmp_path, capsys):
         deep = tmp_path / "deep.native"

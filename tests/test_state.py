@@ -122,9 +122,12 @@ class TestLevels:
 
     def test_index_agrees_with_trail_scans(self):
         # levels, decision and predicate counts against walks of the trail,
-        # on random trails with repeated atoms and uneven decision levels
+        # on random trails with repeated atoms and uneven decision levels,
+        # each built in one piece and by pushes onto trails whose index was
+        # mostly built first, so that the push derives the new index
         sc = lpo_refutation_scenario()
         rng = random.Random(6)
+        touch = random.Random(7)
         atoms = [f"{p}({c})" for p in "PQ" for c in "abc"]
         for _ in range(200):
             entries = []
@@ -134,24 +137,37 @@ class TestLevels:
                     if rng.random() < 0.4 else Propagation(
                         Closure(Clause((literal,)), Subst()), 0)
                 entries.append(TrailEntry(literal, annotation))
-            s = state_with(sc, entries)
-            trail = s.trail
-            assert trail.decision_count() == sum(
-                1 for e in trail if e.is_decision)
-            for text in atoms:
-                query = lit(text)
-                assert trail.index.by_predicate[query.atom.pred] == sum(
-                    1 for e in trail if e.literal.atom.pred == query.atom.pred)
-                first = next((i for i, e in enumerate(trail)
-                              if e.literal.atom == query.atom), None)
-                if first is None:
-                    with pytest.raises(NotOnTrail):
-                        literal_level(query, s)
-                    continue
-                decided = [e.annotation.level for e in trail[:first + 1]
-                           if e.is_decision]
-                assert literal_level(query, s) == \
-                    (decided[-1] if decided else 0)
+            pushed, parents = Trail(), []
+            for e in entries:
+                if touch.random() < 0.8:
+                    parents.append((pushed, pushed.index))
+                pushed = pushed.push(e)
+            assert pushed.entries == tuple(entries)
+            for trail in (Trail(tuple(entries)), pushed):
+                self.check_index(sc, trail, atoms)
+            # a push leaves the index it extends as it was
+            for parent, index in parents:
+                assert parent.index is index
+                assert index == Trail(parent.entries).index
+
+    def check_index(self, sc, trail, atoms):
+        assert trail.decision_count() == sum(1 for e in trail if e.is_decision)
+        s = ProblemState(trail, sc.clauses, (), sc.bound,
+                         trail.decision_count(), None)
+        for text in atoms:
+            query = lit(text)
+            assert trail.index.by_predicate[query.atom.pred] == sum(
+                1 for e in trail if e.literal.atom.pred == query.atom.pred)
+            first = next((i for i, e in enumerate(trail)
+                          if e.literal.atom == query.atom), None)
+            if first is None:
+                with pytest.raises(NotOnTrail):
+                    literal_level(query, s)
+                continue
+            decided = [e.annotation.level for e in trail[:first + 1]
+                       if e.is_decision]
+            assert literal_level(query, s) == \
+                (decided[-1] if decided else 0)
 
 
 class TestSoundness:

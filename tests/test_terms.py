@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+from copy import deepcopy
 
 import pytest
 
@@ -7,7 +9,8 @@ from conftest import cl, lit, sub
 from sclfol.terms import (
     Atom, Clause, Closure, Fn, Literal, Signature, SignatureError, Subst,
     Var, alpha_equal, apply, canonical_variant, is_ground, match, mgu,
-    rename_apart, rename_clause, same_multiset, symbol_count, variables_of,
+    rename_apart, rename_clause, same_multiset, symbol_count, term_depth,
+    variables_of,
 )
 
 
@@ -221,6 +224,10 @@ class TestClauseHelpers:
         assert symbol_count(lit("P(g(g(a)))")) == 4
         assert symbol_count(cl("P | Q")) == 2
 
+    def test_term_depth(self):
+        assert [term_depth(t) for t in lit("P(X,a,f(X),g(a,f(f(b))))")
+                .atom.args] == [1, 1, 2, 4]
+
 
 class TestSignature:
     def test_arity_mismatch_rejected(self):
@@ -244,3 +251,166 @@ def test_rename_clause_avoids_taken_names():
     renamed, _ = rename_clause(clause, {Var("X"), Var("Y")})
     assert not (variables_of(renamed) & {Var("X"), Var("Y")})
     assert alpha_equal(renamed, clause)
+
+
+# ---------------------------------------------------------------------------
+# The term kernels against plain recursive references
+# ---------------------------------------------------------------------------
+
+def _ref_is_ground(obj):
+    if isinstance(obj, Var):
+        return False
+    if isinstance(obj, (Fn, Atom)):
+        return all(_ref_is_ground(a) for a in obj.args)
+    if isinstance(obj, Literal):
+        return _ref_is_ground(obj.atom)
+    return all(_ref_is_ground(lit) for lit in obj.literals)
+
+
+def _ref_symbol_count(obj):
+    if isinstance(obj, Var):
+        return 1
+    if isinstance(obj, (Fn, Atom)):
+        return 1 + sum(_ref_symbol_count(a) for a in obj.args)
+    if isinstance(obj, Literal):
+        return _ref_symbol_count(obj.atom)
+    return sum(_ref_symbol_count(lit) for lit in obj.literals)
+
+
+def _ref_apply(sigma, obj):
+    # rebuilds every node
+    if isinstance(obj, Var):
+        return sigma.mapping.get(obj, obj)
+    if isinstance(obj, Fn):
+        return Fn(obj.name, tuple(_ref_apply(sigma, a) for a in obj.args))
+    if isinstance(obj, Atom):
+        return Atom(obj.pred, tuple(_ref_apply(sigma, a) for a in obj.args))
+    if isinstance(obj, Literal):
+        return Literal(_ref_apply(sigma, obj.atom), obj.positive)
+    return Clause(tuple(_ref_apply(sigma, lit) for lit in obj.literals))
+
+
+def _ref_match(pattern, target, partial=None):
+    sub = dict(partial.mapping) if partial is not None else {}
+
+    def go(p, t):
+        if isinstance(p, Literal):
+            return (isinstance(t, Literal) and p.positive == t.positive
+                    and go(p.atom, t.atom))
+        if isinstance(p, Atom):
+            return (isinstance(t, Atom) and p.pred == t.pred
+                    and len(p.args) == len(t.args)
+                    and all(go(pa, ta) for pa, ta in zip(p.args, t.args)))
+        if isinstance(p, Var):
+            if p in sub:
+                return sub[p] == t
+            sub[p] = t
+            return True
+        return (isinstance(t, Fn) and p.name == t.name
+                and len(p.args) == len(t.args)
+                and all(go(pa, ta) for pa, ta in zip(p.args, t.args)))
+
+    return Subst(sub) if go(pattern, target) else None
+
+
+class TestKernelsAgainstReferences:
+    VARS = [Var("X"), Var("Y"), Var("Z")]
+    PREDICATES = [("P", 2), ("Q", 1), ("R", 0)]
+
+    def term(self, rng, depth, variables):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice([Fn("a"), Fn("b")] + variables)
+        name, arity = rng.choice([("f", 1), ("g", 2)])
+        return Fn(name, tuple(self.term(rng, depth - 1, variables)
+                              for _ in range(arity)))
+
+    def literal(self, rng, variables):
+        # few variables, so that they repeat
+        pred, arity = rng.choice(self.PREDICATES)
+        args = tuple(self.term(rng, 3, variables) for _ in range(arity))
+        return Literal(Atom(pred, args), rng.random() < 0.5)
+
+    def objects(self, rng):
+        """A term, an atom, a literal and a clause, fresh objects each, with
+        variables or without."""
+        variables = self.VARS[:rng.randint(0, 3)]
+        lits = [self.literal(rng, variables) for _ in range(rng.randint(1, 3))]
+        return [self.term(rng, 3, variables), lits[0].atom, lits[0],
+                Clause(tuple(lits))]
+
+    def grounding(self, rng):
+        return {v: self.term(rng, 2, []) for v in self.VARS}
+
+    def test_cached_facts(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            for obj in self.objects(rng):
+                for _ in range(2):  # computed, then read back
+                    assert is_ground(obj) == _ref_is_ground(obj)
+                    assert symbol_count(obj) == _ref_symbol_count(obj)
+                if isinstance(obj, Fn):
+                    assert hash(obj) == hash((obj.name, obj.args))
+                elif isinstance(obj, Atom):
+                    assert hash(obj) == hash((obj.pred, obj.args))
+                elif isinstance(obj, Literal):
+                    assert hash(obj) == hash((obj.atom, obj.positive))
+                assert hash(obj) == hash(obj)
+        # the caches are no part of equality, printing, copies or pickles
+        fresh, used = lit("~P(f(X),g(a,b))"), lit("~P(f(X),g(a,b))")
+        hash(used), is_ground(used.atom), symbol_count(used)
+        assert fresh == used and repr(fresh) == repr(used)
+        for copy in (pickle.loads(pickle.dumps(used)), deepcopy(used)):
+            assert copy == used and hash(copy) == hash(used)
+
+    def test_apply(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            image = self.grounding(rng)
+            # partial, and with a variable mapped to a non-ground term
+            kept = {v: t for v, t in image.items() if rng.random() < 0.6}
+            if rng.random() < 0.3:
+                kept[Var("Y")] = Fn("f", (Var("Z"),))
+            sigma = Subst(kept)
+            for obj in self.objects(rng):
+                result = apply(sigma, obj)
+                assert result == _ref_apply(sigma, obj)
+                if isinstance(obj, Var):
+                    continue
+                assert type(result) is type(obj)
+                # ground parts come back as they are, the others are built
+                if not isinstance(obj, Clause):
+                    assert (result is obj) == is_ground(obj)
+                args = obj.args if isinstance(obj, (Fn, Atom)) else ()
+                for a, b in zip(args, getattr(result, "args", ())):
+                    if not isinstance(a, Var):
+                        assert (b is a) == is_ground(a)
+
+    def test_match(self):
+        rng = random.Random(13)
+        clashes = matched = 0
+        for _ in range(600):
+            image = self.grounding(rng)
+            objects = self.objects(rng)[:3]
+            obj = rng.choice(objects)
+            target = _ref_apply(Subst(image), obj)
+            if rng.random() < 0.2:  # some other ground target
+                target = _ref_apply(Subst(self.grounding(rng)),
+                                    rng.choice(objects))
+            partial = None
+            if rng.random() < 0.7:
+                # bindings that agree with the target's, and sometimes one
+                # that clashes, in a random order
+                pairs = [(v, image[v] if rng.random() < 0.8
+                          else self.term(rng, 2, []))
+                         for v in rng.sample(self.VARS, rng.randint(0, 3))]
+                partial = Subst(dict(pairs))
+            got = match(obj, target, partial)
+            want = _ref_match(obj, target, partial)
+            assert got == want
+            if want is None:
+                clashes += 1
+                continue
+            matched += 1
+            assert list(got.mapping.items()) == list(want.mapping.items())
+            assert _ref_apply(got, obj) == target
+        assert clashes > 100 and matched > 200
