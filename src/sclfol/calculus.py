@@ -31,10 +31,12 @@ the bound, so the searches keep one ``GroundIndex`` on the ``Bound``
 
 When the pool extends the one the index was built for (a learned clause
 is appended), only the new clauses are grounded and matched; any other
-pool rebuilds it.  A sync walks the trail entries the index has counted
-and the ones asked about while they are the same objects, takes back the
-counts of the rest of the old entries and adds those of the new ones.
-Each costs the occurrences of its atom, so a step pays for what changed.
+pool rebuilds it.  The index keeps no assignment of its own; it reads
+``Trail.index``.  A sync takes back the counts of the old entries the new
+trail does not share (``Trail.shared_prefix``), adds those of its new
+entries, then files each instance they touched once, against the new
+trail.  Each costs the occurrences of its atom: a step pays for what
+changed.
 Counters rather than watched literals, because states are immutable
 values: the driver returns to earlier trails through Skip and Backtrack,
 and a count is taken back the way it was added.  None of this changes
@@ -350,8 +352,7 @@ class GroundIndex:
         self.units: dict[int, Literal] = {}  # unit -> its undefined literal
         self.awaiting: Counter = Counter()  # units per undefined literal
         self.falsified: set[int] = set()
-        self.trail = Trail()
-        self.assigned: dict[Atom, bool] = {}  # the trail's sign of each atom
+        self.trail = Trail()  # the trail the counts are taken under
         # (position in the enumeration, atom) of the atoms with no source
         self.unsourced: dict[str, list[tuple[int, Atom]]] = {}
         for i, atom in enumerate(bound.atoms_below()):
@@ -363,10 +364,11 @@ class GroundIndex:
         added = [(clause, grounded_instances(clause, self.bound))
                  for clause in pool[len(self.pool):]]
         found = []
+        first = self.trail.index.first
         for clause, pairs in added:
             found += self._source(clause)
             for sigma, instance in pairs:
-                self._add_instance(clause, sigma, instance)
+                self._add_instance(clause, sigma, instance, first)
         self.pool = pool
         if found:
             self.sources = sorted(self.sources + found,
@@ -394,65 +396,62 @@ class GroundIndex:
             self.unsourced[lit.atom.pred] = left
         return found
 
-    def _add_instance(self, clause: Clause, sigma: Subst, instance: Clause):
+    def _add_instance(self, clause: Clause, sigma: Subst, instance: Clause,
+                      first: dict[Atom, int]):
         i = len(self.instances)
         distinct = tuple(dict.fromkeys(instance.literals))
         self.instances.append((clause, sigma, instance))
         self.distinct.append(distinct)
+        entries = self.trail.entries
         true = false = 0
         for lit in distinct:
             self.occurrences.setdefault(lit.atom, []).append((i, lit.positive))
-            value = self.assigned.get(lit.atom)
-            if value is not None:
-                if value == lit.positive:
+            pos = first.get(lit.atom)
+            if pos is not None:
+                if entries[pos].literal.positive == lit.positive:
                     true += 1
                 else:
                     false += 1
         self.true.append(true)
         self.false.append(false)
-        self._classify(i)
+        self._classify(i, first)
 
     def sync(self, trail: Trail):
         if trail is self.trail:
             return
-        old, new = self.trail.entries, trail.entries
-        shared = 0
-        for a, b in zip(old, new):
-            if a is not b:
-                break
-            shared += 1
-        for entry in reversed(old[shared:]):
-            del self.assigned[entry.literal.atom]
-            self._count(entry.literal, -1)
-        for entry in new[shared:]:
-            self.assigned[entry.literal.atom] = entry.literal.positive
-            self._count(entry.literal, 1)
+        shared = self.trail.shared_prefix(trail)
+        touched = set()
+        for step, entries in ((-1, self.trail.entries[shared:]),
+                              (1, trail.entries[shared:])):
+            for entry in entries:
+                lit = entry.literal
+                for i, positive in self.occurrences.get(lit.atom, ()):
+                    if positive == lit.positive:
+                        self.true[i] += step
+                    else:
+                        self.false[i] += step
+                    touched.add(i)
         self.trail = trail
+        first = trail.index.first
+        for i in touched:
+            self._classify(i, first)
 
-    def _count(self, lit: Literal, step: int):
-        """Adds ``step`` to the counts ``lit`` makes on its atom's
-        occurrences, then classifies them again."""
-        touched = self.occurrences.get(lit.atom, ())
-        for i, positive in touched:
-            if positive == lit.positive:
-                self.true[i] += step
-            else:
-                self.false[i] += step
-        for i, _ in touched:
-            self._classify(i)
-
-    def _classify(self, i: int):
+    def _classify(self, i: int, first: dict[Atom, int]):
         """Files instance ``i`` as a unit, as false, or neither, by its
-        counts."""
+        counts under ``self.trail``, whose ``index.first`` is ``first``."""
         false, n = self.false[i], len(self.distinct[i])
-        unit = self.true[i] == 0 and false == n - 1
-        if unit and i not in self.units:
-            lit = next(lit for lit in self.distinct[i]
-                       if lit.atom not in self.assigned)
-            self.units[i] = lit
-            self.awaiting[lit] += 1
-        elif not unit and i in self.units:
-            self.awaiting[self.units.pop(i)] -= 1
+        old = self.units.get(i)
+        if self.true[i] == 0 and false == n - 1:
+            if old is None or old.atom in first:  # a sync can move it
+                lit = next(lit for lit in self.distinct[i]
+                           if lit.atom not in first)
+                if old is not None:
+                    self.awaiting[old] -= 1
+                self.units[i] = lit
+                self.awaiting[lit] += 1
+        elif old is not None:
+            del self.units[i]
+            self.awaiting[old] -= 1
         if false == n:
             self.falsified.add(i)
         else:

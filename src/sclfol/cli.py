@@ -5,9 +5,11 @@ limit, 64 usage error, 65 parse error, 70 internal error (an invariant
 violation or a crash).
 
 Terms may be nested at most 100 deep (``a`` has depth 1, ``f(a)`` depth 2);
-a deeper term is a parse error.  A ``--grow`` stops at the same limit: a
-Grow to a bound that holds or admits a deeper term counts as a spent grow
-budget, and the run ends satisfiable within the last bound (exit 1).
+a deeper term is a parse error.  An initial bound (``--beta`` or
+``--beta-weight``) that holds or admits a deeper term is a configuration
+error (exit 64).  A ``--grow`` stops at the same limit: a Grow to such a
+bound counts as a spent grow budget, and the run ends satisfiable within
+the last bound (exit 1).
 """
 
 from __future__ import annotations

@@ -73,9 +73,9 @@ class Trail:
     inconsistent trail reads as its earliest entry; each position's level,
     that of the last decision at or before it (0 with none); the number of
     decisions; and the number of entries of each predicate.  It is built in
-    one pass on the first query, or by ``push`` from the index of the trail
-    pushed onto when that one is built.  ``complements`` holds the
-    complemented trail literals, in trail order.
+    one pass on the first query; every other index of the trail's
+    assignment reads this one.  ``complements`` holds the complemented
+    trail literals, in trail order.
     """
 
     entries: tuple[TrailEntry, ...] = ()
@@ -94,30 +94,23 @@ class Trail:
         return tuple(e.literal for e in self.entries)
 
     def push(self, entry: TrailEntry) -> "Trail":
-        """The trail with ``entry`` on top.  When this trail's index is
-        built, the new one's is derived from it by copies, not a walk."""
-        trail = Trail(self.entries + (entry,))
-        index = self.__dict__.get("index")
-        if index is not None:
-            first, levels, decisions, by_predicate = index
-            atom = entry.literal.atom
-            first = dict(first)
-            first.setdefault(atom, len(self.entries))
-            level = levels[-1] if levels else 0
-            if isinstance(entry.annotation, Decision):
-                level = entry.annotation.level
-                decisions += 1
-            by_predicate = by_predicate.copy()
-            by_predicate[atom.pred] += 1
-            trail.__dict__["index"] = TrailIndex(first, levels + [level],
-                                                 decisions, by_predicate)
-        return trail
+        return Trail(self.entries + (entry,))
 
     def pop(self) -> "Trail":
         return Trail(self.entries[:-1])
 
     def prefix(self, n: int) -> "Trail":
         return Trail(self.entries[:n])
+
+    def shared_prefix(self, other: "Trail") -> int:
+        """How many leading entries this trail and ``other`` share as the
+        same objects."""
+        n = 0
+        for a, b in zip(self.entries, other.entries):
+            if a is not b:
+                break
+            n += 1
+        return n
 
     @cached_property
     def index(self) -> TrailIndex:
@@ -252,11 +245,12 @@ def soundness_check(state: ProblemState,
     A ``cache`` carried over the states of one run gives the same result
     as none, for less work.  It keeps each entailment verdict (under 2 and
     4 per clause, under 5 per conflict instance; never a cap overflow) and,
-    after a result without violations, the trail entries, bound and pool
-    checked.  While the bound is the same object and the pool extends that
-    one, conditions 1, 2, 3 and 6 are skipped for the entries the trail
-    still shares with it: they read only the entries up to their own, and
-    a larger pool entails and instantiates at least as much.
+    after a result without violations, the trail, bound and pool checked.
+    While the bound is the same object and the pool extends that one,
+    conditions 1, 2, 3 and 6 are skipped for the entries the trail still
+    shares with it (``Trail.shared_prefix``): they read only the entries up
+    to their own, and a larger pool entails and instantiates at least as
+    much.
     """
     if cache is None:
         cache = {}
@@ -336,22 +330,17 @@ def soundness_check(state: ProblemState,
             out.append(Violation(6, f"{lit} instantiates no pool literal"))
 
     if not out:
-        cache["sound"] = (trail.entries, state.bound, pool)
+        cache["sound"] = (trail, state.bound, pool)
     return out
 
 
 def _verified_prefix(state: ProblemState, cache: dict) -> int:
     """How many leading trail entries the last sound result in ``cache``
     covers for conditions 1, 2, 3 and 6 (see ``soundness_check``)."""
-    entries, bound, pool = cache.get("sound", ((), None, ()))
+    trail, bound, pool = cache.get("sound", (Trail(), None, ()))
     if bound is not state.bound or state.pool[:len(pool)] != pool:
         return 0
-    n = 0
-    for old, new in zip(entries, state.trail.entries):
-        if old is not new:
-            break
-        n += 1
-    return n
+    return trail.shared_prefix(state.trail)
 
 
 def _instantiates_pool(lit: Literal, pool_literals) -> bool:

@@ -14,7 +14,8 @@ Scheduling policy:
   grounding.  If the grow policy still has budget, the bound is raised and
   the trail rebuilt; otherwise the run ends with a verified partial model.
   A Grow to a bound with a term nested deeper than the parser accepts
-  (``frontend.MAX_TERM_DEPTH``) counts as a spent budget.
+  (``frontend.MAX_TERM_DEPTH``) counts as a spent budget; an initial
+  bound like that is a configuration error.
 
 Under the default ``first`` heuristic every available Propagate runs before
 any Decide, as in exhaustive propagation, and decisions are reasonable all
@@ -39,8 +40,8 @@ from .calculus import (
     first_reasonable_decision, propagation_candidates, reasonable_decisions,
 )
 from .orderings import (
-    Bound, CountKBO, EnumerationCapExceeded, GroundLPO, Precedence,
-    TrailOrder, ground_atoms_of_weight, largest_atom_of_weight,
+    Bound, CountKBO, EnumerationCapExceeded, GroundLPO, OrderingConfigError,
+    Precedence, TrailOrder, ground_atoms_of_weight, largest_atom_of_weight,
     make_ordering,
 )
 from .proofs import ConflictStart, Derivation, FactorizeStep, Proof, \
@@ -205,7 +206,11 @@ def configure_bound(clauses: Sequence[Clause], cfg: RunConfig) -> Bound:
         fresh = beta.atom.pred
         precedence = Precedence(
             [sym for sym in precedence.rank if sym != fresh] + [fresh])
-    return Bound(beta, make_ordering(cfg.ordering, precedence), signature)
+    bound = Bound(beta, make_ordering(cfg.ordering, precedence), signature)
+    if _too_deep(bound):
+        raise OrderingConfigError(f"the bound admits a term nested more "
+                                  f"than {MAX_TERM_DEPTH} deep")
+    return bound
 
 
 def next_beta(bound: Bound) -> Literal:
@@ -312,9 +317,10 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
 
 def _too_deep(bound: Bound) -> bool:
     """Does ``bound`` hold or admit a term nested deeper than the parser
-    accepts?  ``run`` takes such a Grow as a spent grow budget: the
-    kernels and the printing recurse on terms, and the bound and model a
-    run writes must parse again.
+    accepts?  ``configure_bound`` rejects such an initial bound and
+    ``run`` takes such a Grow as a spent grow budget: the kernels and the
+    printing recurse on terms, and the bound and model a run writes must
+    parse again.
 
     Under count-KBO every atom below beta weighs at most what beta weighs,
     and a term in it is less deep than its atom weighs; an LPO bound has

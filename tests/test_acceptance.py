@@ -4,8 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
 import hashlib
+import importlib.util
+import json
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 from conftest import (
     NONUNIT_BLOWUP_PROPOSITIONAL, NONUNIT_BLOWUP_TEXT, LOOPING_TEXT,
@@ -14,7 +18,7 @@ from conftest import (
     assert_trail, cl, lpo_refutation_scenario, lpo_refutation_script, factoring_divergence_state,
     grow_script, lit, sub,
 )
-from sclfol.frontend import parse_native
+from sclfol.frontend import parse_literal_text, parse_native
 from sclfol.oracle import (
     check_model, check_proof, ground_sat, is_redundant_snapshot, subsumes,
 )
@@ -289,6 +293,35 @@ def test_random_heuristic_trace_fingerprint(bs_corpus):
     cfg = RunConfig(heuristic="random", check="invariants", max_steps=50_000)
     results = [run(clauses, cfg) for clauses in bs_corpus[:100]]
     assert _trace_fingerprint(results) == "996900846974692d"
+
+
+def _load_workloads():
+    # perfbench is a directory of scripts, not a package; read it by path
+    path = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", path / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    expected = json.loads((path / "expected.json").read_text())
+    return module, expected
+
+
+def test_grow_fn_trace_fingerprint():
+    # the benchmark's grow-fn stream: nested unary terms, Grow, Skip and
+    # Backtrack, with the run configuration perfbench/run.py gives it
+    workloads, expected = _load_workloads()
+    workload = workloads.WORKLOADS["grow-fn"]
+    results = []
+    for problem in workload.problems(workloads.DEFAULT_SEED, 100):
+        parsed = parse_native(problem.text)
+        cfg = RunConfig(beta=parse_literal_text(problem.bound),
+                        check=workload.check,
+                        max_growths=workload.max_growths,
+                        max_steps=workloads.MAX_STEPS)
+        results.append(run(parsed.clauses, cfg, parsed.names))
+    assert _trace_fingerprint(results) == expected["grow-fn"]["100"]
+    assert expected["grow-fn"]["100"] == "aa9a370685269636"
 
 
 def test_criterion_7_exponential_contrast():

@@ -275,6 +275,27 @@ class TestCli:
                      "native", "--model", str(model)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "MODEL OK"
 
+    def test_initial_bound_past_the_term_depth_limit(self, tmp_path, capsys):
+        # weight 100 admits P(f(..f(a)..)) just within the parse limit, so
+        # its model checks again; a heavier synthesized bound is refused
+        # before the run, as the parser refuses a deeper term
+        problem = tmp_path / "deep.native"
+        problem.write_text("P(a)\n~P(X) | P(f(X))\n")
+        model = tmp_path / "deep.model"
+        assert main(["--input", str(problem), "--format", "native",
+                     "--beta-weight", "100", "--model", str(model)]) == 1
+        assert main(["check-model", "--input", str(problem), "--format",
+                     "native", "--model", str(model)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "MODEL OK"
+        for weight in ("101", "300"):
+            assert main(["--input", str(problem), "--format", "native",
+                         "--beta-weight", weight]) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("configuration error: ")
+            assert "Traceback" not in captured.err
+            assert f"nested more than {MAX_TERM_DEPTH} deep" in captured.err
+
     def test_crash_never_exits_with_verdict_code(self, tmp_path, capsys):
         deep = tmp_path / "deep.native"
         deep.write_text("P(" + "f(" * 1200 + "a" + ")" * 1200 + ")\n")

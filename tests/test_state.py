@@ -124,7 +124,7 @@ class TestLevels:
         # levels, decision and predicate counts against walks of the trail,
         # on random trails with repeated atoms and uneven decision levels,
         # each built in one piece and by pushes onto trails whose index was
-        # mostly built first, so that the push derives the new index
+        # mostly built first, so that a push must leave that index alone
         sc = lpo_refutation_scenario()
         rng = random.Random(6)
         touch = random.Random(7)
