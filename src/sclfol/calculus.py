@@ -18,11 +18,11 @@ the bound, so the searches keep one ``GroundIndex`` on the ``Bound``
 (``Bound.ground_index``), built for a pool and synced to a trail:
 
 * the bounded ground instances of the pool clauses, numbered in pool order
-  and then grounding order, each with how many of its distinct literals
-  the trail makes true and how many false.  An instance with none true and
-  all but one false is a unit, and the Propagate candidates are the units
-  in order; one with all false is false, and Conflict takes the pool clause
-  of the lowest-numbered one;
+  and then grounding order, each filed by the truth values of its distinct
+  literals under the trail: with a true literal it is neither; with none
+  true and exactly one undefined it is a unit, and the Propagate
+  candidates are the units in order; with none undefined it is false, and
+  Conflict takes the pool clause of the lowest-numbered one;
 * the atoms that instantiate a pool literal, each with its first source,
   in enumeration order.  A Decide walks them and skips the defined atoms;
   ``first_reasonable_decision`` stops at the first candidate that enables
@@ -31,16 +31,13 @@ the bound, so the searches keep one ``GroundIndex`` on the ``Bound``
 
 When the pool extends the one the index was built for (a learned clause
 is appended), only the new clauses are grounded and matched; any other
-pool rebuilds it.  The index keeps no assignment of its own; it reads
-``Trail.index``.  A sync takes back the counts of the old entries the new
-trail does not share (``Trail.shared_prefix``), adds those of its new
-entries, then files each instance they touched once, against the new
-trail.  Each costs the occurrences of its atom: a step pays for what
-changed.
-Counters rather than watched literals, because states are immutable
-values: the driver returns to earlier trails through Skip and Backtrack,
-and a count is taken back the way it was added.  None of this changes
-which candidates come out, or in which order.
+pool rebuilds it.  The index keeps no assignment of its own: it reads
+``Trail.index``.  A sync collects the instances of the atoms of the
+entries the old and the new trail do not share (``Trail.shared_prefix``)
+and files each of them again under the new trail, so a step pays for what
+changed.  Nothing is counted, so returning to an earlier trail through
+Skip or Backtrack takes nothing back: it files the same instances again.
+None of this changes which candidates come out, or in which order.
 """
 
 from __future__ import annotations
@@ -259,9 +256,9 @@ def apply_backtrack(state: ProblemState) -> ProblemState:
                      f"not below {state.decisions}")
 
     shortest = None
-    complements = state.trail.complements
-    for p in range(1, len(state.trail) + 1):
-        if false_grounding(clause, complements[:p]) is not None:
+    literals = state.trail.literals
+    for p in range(1, len(literals) + 1):
+        if false_grounding(clause, literals[:p]) is not None:
             shortest = p
             break
     assert shortest is not None, "the conflict is false under the full trail"
@@ -289,21 +286,22 @@ def apply_grow(state: ProblemState, beta2: Literal) -> ProblemState:
 # ---------------------------------------------------------------------------
 
 def false_grounding(clause: Clause,
-                    targets: tuple[Literal, ...]) -> Optional[Subst]:
-    """A grounding taking every literal of ``clause`` to one of ``targets``.
+                    literals: tuple[Literal, ...]) -> Optional[Subst]:
+    """A grounding taking every literal of ``clause`` to the complement of
+    one of ``literals``.
 
-    With the complements of a trail's literals as ``targets``, that is a
-    grounding false under the trail.  Works by matching each literal
-    against the targets, backtracking over candidates left to right.
+    With a trail's literals, that is a grounding false under the trail.
+    Works by matching each literal against those of the other sign,
+    backtracking over candidates left to right.
     """
     def extend(i: int, sigma: Subst) -> Optional[Subst]:
         if i == len(clause):
             return sigma
         lit = clause[i]
-        for target in targets:
-            if target.positive != lit.positive:
+        for target in literals:
+            if target.positive == lit.positive:
                 continue
-            m = match(lit, target, sigma)
+            m = match(lit.atom, target.atom, sigma)
             if m is not None:
                 found = extend(i + 1, m)
                 if found is not None:
@@ -332,11 +330,11 @@ class DecideOption:
 
 class GroundIndex:
     """What the searches keep about one bound: the bounded ground instances
-    of a pool with their truth counts under a trail, and the decision
-    sources of the atoms below the bound (see the module docstring).
+    of a pool filed under a trail, and the decision sources of the atoms
+    below the bound (see the module docstring).
 
-    ``extend`` adds the clauses appended to the pool; ``sync`` moves the
-    counts to another trail, which must be consistent.
+    ``extend`` adds the clauses appended to the pool; ``sync`` files the
+    instances again under another trail, which must be consistent.
     """
 
     def __init__(self, bound):
@@ -345,14 +343,12 @@ class GroundIndex:
         # (pool clause, grounding, ground instance), by instance number
         self.instances: list[tuple[Clause, Subst, Clause]] = []
         self.distinct: list[tuple[Literal, ...]] = []
-        self.true: list[int] = []
-        self.false: list[int] = []
-        # (instance number, sign) of each distinct literal, by atom
-        self.occurrences: dict[Atom, list[tuple[int, bool]]] = {}
+        # the instances with a distinct literal of each atom
+        self.occurrences: dict[Atom, list[int]] = {}
         self.units: dict[int, Literal] = {}  # unit -> its undefined literal
         self.awaiting: Counter = Counter()  # units per undefined literal
         self.falsified: set[int] = set()
-        self.trail = Trail()  # the trail the counts are taken under
+        self.trail = Trail()  # the trail the instances are filed under
         # (position in the enumeration, atom) of the atoms with no source
         self.unsourced: dict[str, list[tuple[int, Atom]]] = {}
         for i, atom in enumerate(bound.atoms_below()):
@@ -364,11 +360,16 @@ class GroundIndex:
         added = [(clause, grounded_instances(clause, self.bound))
                  for clause in pool[len(self.pool):]]
         found = []
-        first = self.trail.index.first
         for clause, pairs in added:
             found += self._source(clause)
             for sigma, instance in pairs:
-                self._add_instance(clause, sigma, instance, first)
+                i = len(self.instances)
+                distinct = tuple(dict.fromkeys(instance.literals))
+                self.instances.append((clause, sigma, instance))
+                self.distinct.append(distinct)
+                for lit in distinct:
+                    self.occurrences.setdefault(lit.atom, []).append(i)
+                self._file(i)
         self.pool = pool
         if found:
             self.sources = sorted(self.sources + found,
@@ -396,63 +397,37 @@ class GroundIndex:
             self.unsourced[lit.atom.pred] = left
         return found
 
-    def _add_instance(self, clause: Clause, sigma: Subst, instance: Clause,
-                      first: dict[Atom, int]):
-        i = len(self.instances)
-        distinct = tuple(dict.fromkeys(instance.literals))
-        self.instances.append((clause, sigma, instance))
-        self.distinct.append(distinct)
-        entries = self.trail.entries
-        true = false = 0
-        for lit in distinct:
-            self.occurrences.setdefault(lit.atom, []).append((i, lit.positive))
-            pos = first.get(lit.atom)
-            if pos is not None:
-                if entries[pos].literal.positive == lit.positive:
-                    true += 1
-                else:
-                    false += 1
-        self.true.append(true)
-        self.false.append(false)
-        self._classify(i, first)
-
     def sync(self, trail: Trail):
         if trail is self.trail:
             return
         shared = self.trail.shared_prefix(trail)
         touched = set()
-        for step, entries in ((-1, self.trail.entries[shared:]),
-                              (1, trail.entries[shared:])):
+        for entries in (self.trail.entries[shared:], trail.entries[shared:]):
             for entry in entries:
-                lit = entry.literal
-                for i, positive in self.occurrences.get(lit.atom, ()):
-                    if positive == lit.positive:
-                        self.true[i] += step
-                    else:
-                        self.false[i] += step
-                    touched.add(i)
+                touched.update(self.occurrences.get(entry.literal.atom, ()))
         self.trail = trail
-        first = trail.index.first
         for i in touched:
-            self._classify(i, first)
+            self._file(i)
 
-    def _classify(self, i: int, first: dict[Atom, int]):
-        """Files instance ``i`` as a unit, as false, or neither, by its
-        counts under ``self.trail``, whose ``index.first`` is ``first``."""
-        false, n = self.false[i], len(self.distinct[i])
-        old = self.units.get(i)
-        if self.true[i] == 0 and false == n - 1:
-            if old is None or old.atom in first:  # a sync can move it
-                lit = next(lit for lit in self.distinct[i]
-                           if lit.atom not in first)
-                if old is not None:
-                    self.awaiting[old] -= 1
-                self.units[i] = lit
-                self.awaiting[lit] += 1
-        elif old is not None:
-            del self.units[i]
+    def _file(self, i: int):
+        """Files instance ``i`` as a unit, as false, or neither, by the
+        truth values of its distinct literals under ``self.trail``."""
+        first, entries = self.trail.index.first, self.trail.entries
+        undefined = []
+        for lit in self.distinct[i]:
+            pos = first.get(lit.atom)
+            if pos is None:
+                undefined.append(lit)
+            elif entries[pos].literal.positive == lit.positive:
+                undefined = None  # a true literal: neither
+                break
+        old = self.units.pop(i, None)
+        if old is not None:
             self.awaiting[old] -= 1
-        if false == n:
+        if undefined is not None and len(undefined) == 1:
+            self.units[i] = undefined[0]
+            self.awaiting[undefined[0]] += 1
+        if undefined == []:
             self.falsified.add(i)
         else:
             self.falsified.discard(i)
@@ -483,7 +458,7 @@ def find_false_instance(state: ProblemState) \
     if not index.falsified:
         return None
     clause = index.instances[min(index.falsified)][0]
-    sigma = false_grounding(clause, state.trail.complements)
+    sigma = false_grounding(clause, state.trail.literals)
     assert sigma is not None, "a false instance is a false grounding"
     return clause, sigma
 

@@ -47,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
+def _grow_limit(text: str) -> int:
+    return 0 if text == "off" else _count(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: a retired flag must not read as a prefix of another
     parser = _Parser(prog="sclfol", description=__doc__, allow_abbrev=False)
@@ -59,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--beta", help="bound literal, e.g. 'R(b)'")
     parser.add_argument("--beta-weight", type=int,
                         help="synthesize a bound above this symbol count")
-    parser.add_argument("--grow", default="off",
+    parser.add_argument("--grow", type=_grow_limit, default="off",
                         help="'off' or the maximum number of bound increases")
     parser.add_argument("--heuristic", default="first",
                         help="first | random | avoid:PRED,...")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--factoring", choices=["eager", "lazy"],
                         default="eager")
-    parser.add_argument("--max-steps", type=int, default=200_000)
+    parser.add_argument("--max-steps", type=_count, default=200_000)
     parser.add_argument("--check", choices=["off", "invariants", "full"],
                         default="off")
     parser.add_argument("--proof", help="write the refutation here")
@@ -128,13 +139,12 @@ def _cmd_solve(args) -> int:
             raise _UsageError(f"--beta literal {beta} is not ground")
         if args.beta_weight is not None:
             raise _UsageError("--beta and --beta-weight are exclusive")
-    grow = 0 if args.grow == "off" else int(args.grow)
     precedence = args.precedence.split("<") if args.precedence else None
     cfg = RunConfig(
         ordering=args.ordering, precedence=precedence, beta=beta,
         beta_weight=args.beta_weight, heuristic=heuristic, avoid=avoid,
         seed=args.seed, factoring=args.factoring,
-        max_growths=grow, max_steps=args.max_steps, check=args.check,
+        max_growths=args.grow, max_steps=args.max_steps, check=args.check,
     )
     result = run(problem.clauses, cfg, problem.names)
 

@@ -17,8 +17,8 @@ from .orderings import Bound, TrailOrder, bounded_groundings, bounded_instances,
     bounded_instances_of_set
 from .proofs import Derivation, FactorizeStep, Proof, ResolveStep
 from .terms import (
-    Atom, Clause, Closure, Literal, Subst, alpha_equal, apply, is_ground,
-    mgu, rename_apart, same_multiset, unify_all,
+    Atom, Clause, Closure, Fn, Literal, Subst, Var, alpha_equal, apply,
+    is_ground, mgu, rename_apart, same_multiset, unify_all,
 )
 
 DEFAULT_ATOM_CAP = 24
@@ -203,7 +203,6 @@ def _match_any(pattern: Atom, target: Atom, sigma: dict) -> Optional[dict]:
         if isinstance(p, Atom):
             return (p.pred == t.pred and len(p.args) == len(t.args)
                     and all(go(a, b) for a, b in zip(p.args, t.args)))
-        from .terms import Fn, Var
         if isinstance(p, Var):
             if p in sub:
                 return sub[p] == t

@@ -296,11 +296,8 @@ class Bound:
     A bound never changes once built (Grow builds a new one), so it also
     holds what is derived from it: each clause's bounded groundings with
     their ground instances (``grounded_instances``), and the
-    ``calculus.GroundIndex`` of the searches.  That index is built for one
-    pool and extended when a clause is appended to it, rebuilt for any
-    other pool, and synced to the trail each search asks about; it covers
-    the bounded instances, which is all a consistent trail below beta can
-    make false.
+    ``calculus.GroundIndex`` of the searches (see the ``calculus`` module
+    docstring).
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,

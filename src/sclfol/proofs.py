@@ -95,11 +95,11 @@ def proof_from_text(text: str) -> Proof:
     steps: list[Step] = []
 
     def close_section(lineno: int):
-        nonlocal name, start, steps
         if name is not None:
             raise ParseError(lineno, 1, f"section {name} has no clause line")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -116,14 +116,19 @@ def proof_from_text(text: str) -> Proof:
             if " on " not in body:
                 raise ParseError(lineno, 1, "resolve line missing 'on'")
             left, on = body.rsplit(" on ", 1)
-            ref, rest = left.split(None, 1)
-            idx_str, subst_str = rest.split(None, 1)
+            fields = left.split(None, 2)
+            if len(fields) != 3:
+                raise ParseError(lineno, 1, "resolve line needs a clause, an "
+                                            "index and a substitution")
+            ref, idx_str, subst_str = fields
             steps.append(ResolveStep(
-                ref, int(idx_str), parse_subst_text(subst_str, lineno),
-                int(on.strip())))
+                ref, _index(idx_str, lineno),
+                parse_subst_text(subst_str, lineno), _index(on, lineno)))
         elif line.startswith("factorize "):
-            i_str, j_str = line[len("factorize "):].split()
-            steps.append(FactorizeStep(int(i_str), int(j_str)))
+            fields = line[len("factorize "):].split()
+            if len(fields) != 2:
+                raise ParseError(lineno, 1, "factorize line needs two indices")
+            steps.append(FactorizeStep(*(_index(f, lineno) for f in fields)))
         elif line.startswith("clause "):
             if name is None or start is None:
                 raise ParseError(lineno, 1, "clause line outside a section")
@@ -138,9 +143,18 @@ def proof_from_text(text: str) -> Proof:
             refutation = body[len("clause "):-len("= $false")].strip()
         else:
             raise ParseError(lineno, 1, f"unrecognized proof line {line!r}")
+    close_section(len(lines))
     if refutation is None:
         raise ParseError(0, 1, "proof has no refutation line")
     return Proof(tuple(derivations), refutation)
+
+
+def _index(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(lineno, 1, f"index {text.strip()!r} is not an "
+                                    f"integer") from None
 
 
 def _ref_and_subst(body: str, lineno: int) -> tuple[str, Subst]:

@@ -73,9 +73,8 @@ class Trail:
     inconsistent trail reads as its earliest entry; each position's level,
     that of the last decision at or before it (0 with none); the number of
     decisions; and the number of entries of each predicate.  It is built in
-    one pass on the first query; every other index of the trail's
-    assignment reads this one.  ``complements`` holds the complemented
-    trail literals, in trail order.
+    one pass on the first query; it is the one record of the trail's
+    assignment, which everything else reads.
     """
 
     entries: tuple[TrailEntry, ...] = ()
@@ -130,10 +129,6 @@ class Trail:
 
     def decision_count(self) -> int:
         return self.index.decisions
-
-    @cached_property
-    def complements(self) -> tuple[Literal, ...]:
-        return tuple(e.literal.complement() for e in self.entries)
 
     def position_of_atom(self, atom: Atom) -> Optional[int]:
         return self.index.first.get(atom)

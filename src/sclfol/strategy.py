@@ -563,7 +563,7 @@ class _Recorder:
         self._after("backtrack",
                     f"learn {learned} to level {state.decisions}", state)
         if self.cfg.check != "off":
-            if calculus.false_grounding(learned, state.trail.complements) \
+            if calculus.false_grounding(learned, state.trail.literals) \
                     is not None:
                 raise InvariantViolation(
                     f"learned clause {learned} is still falsifiable after "

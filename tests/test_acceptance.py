@@ -295,16 +295,45 @@ def test_random_heuristic_trace_fingerprint(bs_corpus):
     assert _trace_fingerprint(results) == "996900846974692d"
 
 
-def _load_workloads():
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(name):
     # perfbench is a directory of scripts, not a package; read it by path
-    path = Path(__file__).resolve().parent.parent / "perfbench"
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", path / "workloads.py")
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look it up there
     spec.loader.exec_module(module)
-    expected = json.loads((path / "expected.json").read_text())
-    return module, expected
+    return module
+
+
+def _load_workloads():
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    return _load_perfbench("workloads"), expected
+
+
+def test_perfbench_tracer_installs():
+    # perfbench/tracer.py wraps prover functions and methods by name: a
+    # renamed or deleted one fails here, not only in a `--trace 1` run.
+    # The two problems grow, and decide and backtrack, under full checking.
+    import sclfol
+    runs = [(parse_native(GROW_TEXT),
+             RunConfig(beta=lit("P(a)"), max_growths=2, check="full")),
+            (parse_native(LPO_REFUTATION_TEXT), RunConfig(check="full"))]
+    plain = [run(p.clauses, cfg, p.names).trace for p, cfg in runs]
+    tracer = _load_perfbench("tracer").Tracer()
+    try:
+        tracer.install(sclfol)
+        traced = [run(p.clauses, cfg, p.names).trace for p, cfg in runs]
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    names = {span[3] for span in tracer.spans}
+    assert {"calculus.apply_grow", "calculus.apply_backtrack",
+            "state.soundness_check"} <= names
+    assert tracer.counts["calculus.false_grounding"] > 0
+    assert tracer.counts["calculus.enables_conflict"] > 0
 
 
 def test_grow_fn_trace_fingerprint():

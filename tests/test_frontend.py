@@ -235,6 +235,46 @@ class TestCli:
         assert check == 1
         assert "PROOF MISMATCH" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line,replacement,at,message", [
+        (3, ["resolve c2 x {X -> a} on 0"], 3, "index 'x' is not an integer"),
+        (3, ["resolve c2 0 {X -> a} on y"], 3, "index 'y' is not an integer"),
+        (3, ["resolve c2 0 on 1"], 3, "resolve line needs a clause"),
+        (4, ["factorize 0"], 4, "factorize line needs two indices"),
+        (4, ["factorize 0 j"], 4, "index 'j' is not an integer"),
+        (13, ["learned u3:", "conflict c9 {}"], 14,
+         "section u3 has no clause line"),
+    ])
+    def test_check_proof_rejects_malformed_lines(self, tmp_path, capsys, line,
+                                                 replacement, at, message):
+        # line 13 is past the end: a section left open at the end of the
+        # file, after a proof that checks
+        proof = tmp_path / "out.proof"
+        main(["--input", self.E1, "--beta", "R(b)", "--ordering", "lpo",
+              "--precedence", "a<b<P<Q<R", "--proof", str(proof)])
+        lines = proof.read_text().splitlines()
+        assert len(lines) == 12 and lines[2].startswith("resolve ") \
+            and lines[3].startswith("factorize ")
+        lines[line - 1:line] = replacement
+        proof.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check-proof", "--input", self.E1,
+                     "--proof", str(proof)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: line {at}, ")
+        assert message in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--grow", "-1"), ("--grow", "abc"), ("--grow", "1.5"),
+        ("--max-steps", "-5"), ("--max-steps", "x"),
+    ])
+    def test_out_of_range_limits_are_usage_errors(self, capsys, flag, value):
+        assert main(["--input", self.E1, "--beta", "R(b)", "--ordering",
+                     "lpo", "--precedence", "a<b<P<Q<R", flag, value]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: argument {flag}: {value!r} "
+                                f"is not a non-negative integer\n")
+
     def test_byte_identical_outputs(self, tmp_path, capsys):
         outs = []
         for i in (1, 2):

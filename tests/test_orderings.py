@@ -465,10 +465,14 @@ def _scanned_false_grounding(clause, targets, pin=None):
     return extend(0, start)
 
 
+def _complements(trail):
+    return tuple(lit.complement() for lit in trail.literals)
+
+
 def _scanned_false_instance(state):
     """The first pool clause with a grounding false under the trail."""
     for clause in state.pool:
-        sigma = _scanned_false_grounding(clause, state.trail.complements)
+        sigma = _scanned_false_grounding(clause, _complements(state.trail))
         if sigma is not None:
             return clause, sigma
     return None
@@ -494,7 +498,7 @@ def _scanned_enables_conflict(state, lit):
     """Some pool clause has a grounding false under the trail and ``lit``
     that takes one of its literals to the complement of ``lit``."""
     target = lit.complement()
-    targets = state.trail.complements + (target,)
+    targets = _complements(state.trail) + (target,)
     return any(_scanned_false_grounding(clause, targets, (q, target))
                is not None
                for clause in state.pool for q in range(len(clause)))
