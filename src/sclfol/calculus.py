@@ -27,7 +27,10 @@ the bound, so the searches keep one ``GroundIndex`` on the ``Bound``
   in enumeration order.  A Decide walks them and skips the defined atoms;
   ``first_reasonable_decision`` stops at the first candidate that enables
   no conflict, which is one whose complement is the undefined literal of
-  no unit.
+  no unit.  The walk starts at a cursor, a position before which every
+  sourced atom is defined, and moves it past the defined atoms it starts
+  with.  A sync lowers it to the position of each atom in the entries the
+  new trail drops, and new sources lower it to theirs.
 
 When the pool extends the one the index was built for (a learned clause
 is appended), only the new clauses are grounded and matched; any other
@@ -37,13 +40,23 @@ entries the old and the new trail do not share (``Trail.shared_prefix``)
 and files each of them again under the new trail, so a step pays for what
 changed.  Nothing is counted, so returning to an earlier trail through
 Skip or Backtrack takes nothing back: it files the same instances again.
-None of this changes which candidates come out, or in which order.
+
+The index holds no reference to its bound, and a Grow hands its decision
+sources on (``GroundIndex.grown``): every atom below the old bound is below
+the new one, and its first source depends on the pool alone.  When the
+grown bound's atoms begin with the old ones, as after every Grow of the
+driver, the grown index keeps the old sources and the atoms still without
+one, which only a clause learned later can source; it matches only the new
+atoms against the pool, and grounds the pool afresh.  The old index is not
+kept.  None of this changes which candidates come out, or in which order.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .orderings import grounded_instances
@@ -277,8 +290,12 @@ def apply_grow(state: ProblemState, beta2: Literal) -> ProblemState:
     cmp = state.bound.ordering.compare_atoms(state.bound.beta.atom, beta2.atom)
     _require(cmp < 0, "grow",
              lambda: f"{beta2} is not strictly above {state.bound.beta}")
-    return ProblemState(Trail(), state.initial, state.learned,
-                        state.bound.grow_to(beta2), 0, None)
+    bound = state.bound.grow_to(beta2)
+    if state.bound.ground_index is not None:
+        bound.ground_index = state.bound.ground_index.grown(state.bound,
+                                                            bound)
+    return ProblemState(Trail(), state.initial, state.learned, bound, 0,
+                        None)
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +311,25 @@ def false_grounding(clause: Clause,
     Works by matching each literal against those of the other sign,
     backtracking over candidates left to right.
     """
-    def extend(i: int, sigma: Subst) -> Optional[Subst]:
-        if i == len(clause):
-            return sigma
-        lit = clause[i]
-        for target in literals:
-            if target.positive == lit.positive:
-                continue
-            m = match(lit.atom, target.atom, sigma)
-            if m is not None:
-                found = extend(i + 1, m)
-                if found is not None:
-                    return found
-        return None
+    return _false_from(clause, literals, 0, Subst())
 
-    return extend(0, Subst())
+
+def _false_from(clause: Clause, literals: tuple[Literal, ...], i: int,
+                sigma: Subst) -> Optional[Subst]:
+    """``false_grounding`` for the literals of ``clause`` from position
+    ``i`` on, extending ``sigma``."""
+    if i == len(clause):
+        return sigma
+    lit = clause[i]
+    for target in literals:
+        if target.positive == lit.positive:
+            continue
+        m = match(lit.atom, target.atom, sigma)
+        if m is not None:
+            found = _false_from(clause, literals, i + 1, m)
+            if found is not None:
+                return found
+    return None
 
 
 @dataclass(frozen=True)
@@ -331,15 +352,18 @@ class DecideOption:
 class GroundIndex:
     """What the searches keep about one bound: the bounded ground instances
     of a pool filed under a trail, and the decision sources of the atoms
-    below the bound (see the module docstring).
+    below the bound (see the module docstring).  It holds no reference to
+    the bound; the methods that need it are passed it.
 
     ``extend`` adds the clauses appended to the pool; ``sync`` files the
-    instances again under another trail, which must be consistent.
+    instances again under another trail, which must be consistent;
+    ``grown`` hands the decision sources to the index of a grown bound.
     """
 
-    def __init__(self, bound):
-        self.bound = bound
-        self.pool: tuple[Clause, ...] = ()
+    def __init__(self, atoms: tuple[Atom, ...] = ()):
+        """The empty index of a bound with ``atoms`` below it."""
+        self.pool: tuple[Clause, ...] = ()  # the pool sources are taken from
+        self.grounded = 0  # the pool clauses whose instances are filed
         # (pool clause, grounding, ground instance), by instance number
         self.instances: list[tuple[Clause, Subst, Clause]] = []
         self.distinct: list[tuple[Literal, ...]] = []
@@ -350,19 +374,48 @@ class GroundIndex:
         self.falsified: set[int] = set()
         self.trail = Trail()  # the trail the instances are filed under
         # (position in the enumeration, atom) of the atoms with no source
-        self.unsourced: dict[str, list[tuple[int, Atom]]] = {}
-        for i, atom in enumerate(bound.atoms_below()):
-            self.unsourced.setdefault(atom.pred, []).append((i, atom))
+        self.unsourced = _pending(enumerate(atoms))
         # (position, atom, its positive and its negative option), by position
         self.sources: list[tuple[int, Atom, DecideOption, DecideOption]] = []
+        self.position: dict[Atom, int] = {}  # of each atom with a source
+        # no atom of a source before this position is undefined under
+        # ``self.trail``
+        self.cursor = 0
 
-    def extend(self, pool: tuple[Clause, ...]):
-        added = [(clause, grounded_instances(clause, self.bound))
-                 for clause in pool[len(self.pool):]]
+    def grown(self, parent, bound) -> Optional["GroundIndex"]:
+        """The empty index of ``bound``, grown from ``parent``, the bound of
+        this index, with this index's decision sources.  The atoms below
+        ``parent`` keep their sources, or stay unsourced for the clauses
+        appended later; only the new atoms are matched against the pool.
+        None when the atoms below ``bound`` do not begin with those below
+        ``parent``.  They do after a count-KBO Grow, and after a ground-LPO
+        Grow to the next atom (``strategy.next_beta``), which adds only
+        the old beta.
+        """
+        atoms, old = bound.atoms_below(), parent.atoms_below()
+        if atoms[:len(old)] != old:
+            return None
+        index = GroundIndex()
+        index.pool = self.pool
+        index.sources = self.sources
+        index.position = dict(self.position)
+        index.unsourced = dict(self.unsourced)
+        new = _pending(enumerate(atoms[len(old):], len(old)))
         found = []
-        for clause, pairs in added:
-            found += self._source(clause)
-            for sigma, instance in pairs:
+        for clause in self.pool:
+            found += _source(clause, new)
+        for pred, pending in new.items():
+            index.unsourced[pred] = index.unsourced.get(pred, []) + pending
+        index._add_sources(found)
+        return index
+
+    def extend(self, pool: tuple[Clause, ...], bound):
+        found = []
+        for clause in pool[len(self.pool):]:
+            found += _source(clause, self.unsourced)
+        self._add_sources(found)
+        for clause in pool[self.grounded:]:
+            for sigma, instance in grounded_instances(clause, bound):
                 i = len(self.instances)
                 distinct = tuple(dict.fromkeys(instance.literals))
                 self.instances.append((clause, sigma, instance))
@@ -371,40 +424,29 @@ class GroundIndex:
                     self.occurrences.setdefault(lit.atom, []).append(i)
                 self._file(i)
         self.pool = pool
-        if found:
-            self.sources = sorted(self.sources + found,
-                                  key=lambda source: source[0])
+        self.grounded = len(pool)
 
-    def _source(self, clause: Clause) -> list:
-        """Makes ``clause`` the first source of the unsourced atoms its
-        literals match; returns their entries."""
-        found = []
-        for q, lit in enumerate(clause.literals):
-            pending = self.unsourced.get(lit.atom.pred)
-            if not pending:
-                continue
-            left = []
-            for i, atom in pending:
-                m = match(lit.atom, atom)
-                if m is None:
-                    left.append((i, atom))
-                    continue
-                found.append((i, atom,
-                              DecideOption(clause, q, m, not lit.positive,
-                                           Literal(atom, True)),
-                              DecideOption(clause, q, m, lit.positive,
-                                           Literal(atom, False))))
-            self.unsourced[lit.atom.pred] = left
-        return found
+    def _add_sources(self, found: list):
+        if not found:
+            return
+        self.sources = sorted(self.sources + found, key=_position)
+        for i, atom, _, _ in found:
+            self.position[atom] = i
+            self.cursor = min(self.cursor, i)
 
     def sync(self, trail: Trail):
         if trail is self.trail:
             return
         shared = self.trail.shared_prefix(trail)
+        dropped = self.trail.entries[shared:]
         touched = set()
-        for entries in (self.trail.entries[shared:], trail.entries[shared:]):
+        for entries in (dropped, trail.entries[shared:]):
             for entry in entries:
                 touched.update(self.occurrences.get(entry.literal.atom, ()))
+        for entry in dropped:  # its atom may be undefined now
+            i = self.position.get(entry.literal.atom)
+            if i is not None and i < self.cursor:
+                self.cursor = i
         self.trail = trail
         for i in touched:
             self._file(i)
@@ -433,6 +475,41 @@ class GroundIndex:
             self.falsified.discard(i)
 
 
+_position = itemgetter(0)  # of a source entry
+
+
+def _pending(numbered) -> dict[str, list[tuple[int, Atom]]]:
+    """The (position, atom) pairs of ``numbered``, by predicate."""
+    out: dict[str, list[tuple[int, Atom]]] = {}
+    for i, atom in numbered:
+        out.setdefault(atom.pred, []).append((i, atom))
+    return out
+
+
+def _source(clause: Clause, pending: dict) -> list:
+    """Makes ``clause`` the first source of the ``pending`` atoms its
+    literals match, and takes them out of ``pending``; returns their
+    source entries."""
+    found = []
+    for q, lit in enumerate(clause.literals):
+        atoms = pending.get(lit.atom.pred)
+        if not atoms:
+            continue
+        left = []
+        for i, atom in atoms:
+            m = match(lit.atom, atom)
+            if m is None:
+                left.append((i, atom))
+                continue
+            found.append((i, atom,
+                          DecideOption(clause, q, m, not lit.positive,
+                                       Literal(atom, True)),
+                          DecideOption(clause, q, m, lit.positive,
+                                       Literal(atom, False))))
+        pending[lit.atom.pred] = left
+    return found
+
+
 def _ground_index(state: ProblemState) -> GroundIndex:
     """The bound's index, extended to the state's pool and synced to its
     trail; rebuilt when the pool does not extend the one it was built
@@ -440,9 +517,10 @@ def _ground_index(state: ProblemState) -> GroundIndex:
     pool = state.pool
     index = state.bound.ground_index
     if index is None or pool[:len(index.pool)] != index.pool:
-        index = state.bound.ground_index = GroundIndex(state.bound)
-    if len(pool) > len(index.pool):
-        index.extend(pool)
+        index = state.bound.ground_index = GroundIndex(
+            state.bound.atoms_below())
+    if len(pool) > index.grounded:
+        index.extend(pool, state.bound)
     index.sync(state.trail)
     return index
 
@@ -485,9 +563,24 @@ def propagation_candidates(state: ProblemState,
 
 def _decide_options(state: ProblemState,
                     avoid: tuple[str, ...]) -> Iterator[DecideOption]:
-    position = state.trail.position_of_atom
-    for _, atom, positive, negative in _ground_index(state).sources:
-        if atom.pred not in avoid and position(atom) is None:
+    """The options of the sources of undefined atoms, in order.  The walk
+    starts at the index's cursor, and moves it past the defined atoms it
+    starts with."""
+    index = _ground_index(state)
+    sources, defined = index.sources, state.trail.index.first
+    j = bisect.bisect_left(sources, index.cursor, key=_position)
+    while j < len(sources) and sources[j][1] in defined:
+        j += 1
+    if j:
+        index.cursor = sources[j - 1][0] + 1
+    return _undefined_options(sources, j, defined, avoid)
+
+
+def _undefined_options(sources: list, j: int, defined: dict,
+                       avoid: tuple[str, ...]) -> Iterator[DecideOption]:
+    for j in range(j, len(sources)):
+        _, atom, positive, negative = sources[j]
+        if atom.pred not in avoid and atom not in defined:
             yield positive
             yield negative
 

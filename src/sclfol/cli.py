@@ -54,6 +54,12 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _grow_limit(text: str) -> int:
     return 0 if text == "off" else _count(text)
 
@@ -68,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precedence",
                         help="total symbol precedence, e.g. a<b<P<Q")
     parser.add_argument("--beta", help="bound literal, e.g. 'R(b)'")
-    parser.add_argument("--beta-weight", type=int,
+    parser.add_argument("--beta-weight", type=_positive,
                         help="synthesize a bound above this symbol count")
     parser.add_argument("--grow", type=_grow_limit, default="off",
                         help="'off' or the maximum number of bound increases")

@@ -179,40 +179,47 @@ def subsumes(general: Clause, specific: Clause) -> bool:
     onto distinct literals of ``specific``."""
     if len(general) > len(specific):
         return False
+    return _subsumes_from(general, specific, 0, frozenset(), {})
 
-    def extend(i: int, used: frozenset[int], sigma: dict) -> bool:
-        if i == len(general):
+
+def _subsumes_from(general: Clause, specific: Clause, i: int,
+                   used: frozenset[int], sigma: dict) -> bool:
+    """Extends ``sigma`` to map the literals of ``general`` from position
+    ``i`` on onto literals of ``specific`` outside ``used``."""
+    if i == len(general):
+        return True
+    lit = general[i]
+    for j, target in enumerate(specific.literals):
+        if j in used or lit.positive != target.positive:
+            continue
+        m = _match_any(lit.atom, target.atom, sigma)
+        if m is not None and _subsumes_from(general, specific, i + 1,
+                                            used | {j}, m):
             return True
-        lit = general[i]
-        for j, target in enumerate(specific.literals):
-            if j in used or lit.positive != target.positive:
-                continue
-            m = _match_any(lit.atom, target.atom, sigma)
-            if m is not None and extend(i + 1, used | {j}, m):
-                return True
-        return False
-
-    return extend(0, frozenset(), {})
+    return False
 
 
 def _match_any(pattern: Atom, target: Atom, sigma: dict) -> Optional[dict]:
     """Matching where the target may contain variables (treated as fixed)."""
     sub = dict(sigma)
+    return sub if _match_into(pattern, target, sub) else None
 
-    def go(p, t) -> bool:
-        if isinstance(p, Atom):
-            return (p.pred == t.pred and len(p.args) == len(t.args)
-                    and all(go(a, b) for a, b in zip(p.args, t.args)))
-        if isinstance(p, Var):
-            if p in sub:
-                return sub[p] == t
-            sub[p] = t
-            return True
-        return (isinstance(t, Fn) and p.name == t.name
-                and len(p.args) == len(t.args)
-                and all(go(a, b) for a, b in zip(p.args, t.args)))
 
-    return sub if go(pattern, target) else None
+def _match_into(p, t, sub: dict) -> bool:
+    """Extends ``sub`` to map ``p`` onto ``t``; False on a clash."""
+    if isinstance(p, Atom):
+        return (p.pred == t.pred and len(p.args) == len(t.args)
+                and all(_match_into(a, b, sub)
+                        for a, b in zip(p.args, t.args)))
+    if isinstance(p, Var):
+        if p in sub:
+            return sub[p] == t
+        sub[p] = t
+        return True
+    return (isinstance(t, Fn) and p.name == t.name
+            and len(p.args) == len(t.args)
+            and all(_match_into(a, b, sub)
+                    for a, b in zip(p.args, t.args)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ and enumerates the finite set of atoms strictly below beta.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -248,34 +249,46 @@ def largest_atom_of_weight(signature: Signature, weight: int,
     arguments can fill.
     """
     functions = _by_precedence(signature.functions, ordering)[::-1]
-
-    @functools.lru_cache(maxsize=None)
-    def fills(total: int, arity: int) -> bool:
-        """Some ``arity`` ground terms have ``total`` symbols between them."""
-        if arity == 0:
-            return total == 0
-        return any(term_of(w) and fills(total - w, arity - 1)
-                   for w in range(1, total - arity + 2))
-
-    @functools.lru_cache(maxsize=None)
-    def term_of(w: int) -> bool:
-        return any(fills(w - 1, k) for _, k in functions)
-
-    def largest_args(total: int, arity: int) -> tuple:
-        args = []
-        for left in range(arity - 1, -1, -1):
-            w = max(w for w in range(1, total - left + 1)
-                    if term_of(w) and fills(total - w, left))
-            name, k = next((n, k) for n, k in functions if fills(w - 1, k))
-            args.append(Fn(name, largest_args(w - 1, k)))
-            total -= w
-        return tuple(args)
-
+    memo: dict = {}
     for name, arity in reversed(_by_precedence(signature.predicates,
                                                ordering)):
-        if fills(weight - 1, arity):
-            return Atom(name, largest_args(weight - 1, arity))
+        if _fills(weight - 1, arity, functions, memo):
+            return Atom(name, _largest_args(weight - 1, arity, functions,
+                                            memo))
     return None
+
+
+def _fills(total: int, arity: int, functions, memo: dict) -> bool:
+    """Do some ``arity`` ground terms over ``functions`` have ``total``
+    symbols between them?  ``memo`` keeps the answers."""
+    if arity == 0:
+        return total == 0
+    key = (total, arity)
+    if key not in memo:
+        memo[key] = any(_term_of(w, functions, memo)
+                        and _fills(total - w, arity - 1, functions, memo)
+                        for w in range(1, total - arity + 2))
+    return memo[key]
+
+
+def _term_of(w: int, functions, memo: dict) -> bool:
+    """Is there a ground term of ``w`` symbols over ``functions``?"""
+    return any(_fills(w - 1, k, functions, memo) for _, k in functions)
+
+
+def _largest_args(total: int, arity: int, functions, memo: dict) -> tuple:
+    """The lexicographically largest ``arity`` ground terms with ``total``
+    symbols between them; ``functions`` in descending precedence."""
+    args = []
+    for left in range(arity - 1, -1, -1):
+        w = max(w for w in range(1, total - left + 1)
+                if _term_of(w, functions, memo)
+                and _fills(total - w, left, functions, memo))
+        name, k = next((n, k) for n, k in functions
+                       if _fills(w - 1, k, functions, memo))
+        args.append(Fn(name, _largest_args(w - 1, k, functions, memo)))
+        total -= w
+    return tuple(args)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +306,19 @@ class Bound:
     predicate, keeping the order, and ``atom_set`` holds it for lookups.
     Construction validates that the atoms built for it stay within ``cap``.
 
-    A bound never changes once built (Grow builds a new one), so it also
-    holds what is derived from it: each clause's bounded groundings with
-    their ground instances (``grounded_instances``), and the
+    A bound's beta and atoms never change once built, so it also holds what
+    is derived from them: each clause's bounded groundings with their
+    ground instances (``grounded_instances``), and the
     ``calculus.GroundIndex`` of the searches (see the ``calculus`` module
-    docstring).
+    docstring).  A Grow builds a new bound with ``grow_to``.  Under
+    count-KBO that bound starts from the atoms of the one it grew from,
+    which are its first atoms, and enumerates only the ones above them; it
+    keeps no reference to its parent.
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
-                 cap: int = DEFAULT_ENUMERATION_CAP):
+                 cap: int = DEFAULT_ENUMERATION_CAP,
+                 parent: Optional["Bound"] = None):
         if not is_ground(beta):
             raise OrderingConfigError(f"bound literal {beta} is not ground")
         self.beta = beta
@@ -311,7 +328,7 @@ class Bound:
         self._groundings: dict[Clause,
                                tuple[tuple[Subst, Clause], ...]] = {}
         self.ground_index = None  # kept by ``calculus``
-        self._atoms_below = tuple(self._enumerate_below())
+        self._atoms_below = tuple(self._enumerate_below(parent))
 
     def atoms_below(self) -> tuple[Atom, ...]:
         return self._atoms_below
@@ -328,10 +345,25 @@ class Bound:
     def atom_set(self) -> frozenset[Atom]:
         return frozenset(self._atoms_below)
 
-    def _enumerate_below(self) -> list[Atom]:
+    def _enumerate_below(self, parent: Optional["Bound"]) -> list[Atom]:
+        """The atoms below beta, ascending.  Under count-KBO, a ``parent``
+        bound below this one gives the first of them: its atoms are all
+        the lighter atoms and the least ones of its beta's weight, so the
+        enumeration starts at that weight and drops as many atoms of it as
+        the parent holds.  The cap test fails where it would without a
+        parent: the counts at the lighter weights are the parent's, which
+        passed it."""
         beta_atom = self.beta.atom
+        found: list[Atom] = []
+        held = 0  # atoms of the first weight that ``found`` holds already
         if isinstance(self.ordering, CountKBO):
-            weights = range(1, symbol_count(beta_atom) + 1)
+            start = 1
+            if parent is not None:
+                found = list(parent._atoms_below)
+                start = symbol_count(parent.beta.atom)
+                held = len(found) - bisect.bisect_left(found, start,
+                                                       key=symbol_count)
+            weights = range(start, symbol_count(beta_atom) + 1)
         elif isinstance(self.ordering, GroundLPO):
             if self.signature.has_proper_functions:
                 raise OrderingConfigError(
@@ -344,11 +376,11 @@ class Bound:
             raise OrderingConfigError(
                 f"unsupported ordering {type(self.ordering).__name__}")
         memo: dict = {}
-        found: list[Atom] = []
         for w in weights:
             found += ground_atoms_of_weight(self.signature, w, memo,
                                             below=beta_atom,
-                                            ordering=self.ordering)
+                                            ordering=self.ordering)[held:]
+            held = 0
             if len(found) > self.cap:
                 raise EnumerationCapExceeded(self.cap,
                                              f"atoms below {self.beta}")
@@ -369,7 +401,9 @@ class Bound:
         return all(self.literal_below(lit) for lit in clause)
 
     def grow_to(self, beta2: Literal) -> "Bound":
-        return Bound(beta2, self.ordering, self.signature, self.cap)
+        """The bound of ``beta2``, which must be strictly above beta."""
+        return Bound(beta2, self.ordering, self.signature, self.cap,
+                     parent=self)
 
 
 # ---------------------------------------------------------------------------
@@ -397,37 +431,42 @@ def grounded_instances(clause: Clause,
     if cached is not None:
         return cached
     pairs: list[tuple[Subst, Clause]] = []
-    literals = clause.literals
     determined = []
     earlier: set = set()
-    for lit in literals:
+    for lit in clause.literals:
         variables = variables_of(lit)
         determined.append(variables <= earlier)
         earlier |= variables
-
-    def extend(i: int, sigma: Optional[Subst], atoms: tuple[Atom, ...]):
-        if len(pairs) > bound.cap:
-            raise EnumerationCapExceeded(bound.cap,
-                                         f"groundings of {clause}")
-        if i == len(literals):
-            instance = Clause(tuple(Literal(atom, lit.positive)
-                                    for atom, lit in zip(atoms, literals)))
-            pairs.append((sigma if sigma is not None else Subst(), instance))
-            return
-        pattern = literals[i].atom
-        if determined[i]:
-            atom = pattern if sigma is None else apply(sigma, pattern)
-            if atom in bound.atom_set:
-                extend(i + 1, sigma, atoms + (atom,))
-            return
-        for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
-            m = match(pattern, atom, sigma)
-            if m is not None:
-                extend(i + 1, m, atoms + (atom,))
-
-    extend(0, None, ())
+    _ground_from(0, None, (), clause, determined, bound, pairs)
     bound._groundings[clause] = tuple(pairs)
     return bound._groundings[clause]
+
+
+def _ground_from(i: int, sigma: Optional[Subst], atoms: tuple[Atom, ...],
+                 clause: Clause, determined: list[bool], bound: Bound,
+                 pairs: list):
+    """Appends to ``pairs`` the groundings of ``clause`` that extend
+    ``sigma``, which took its first ``i`` literals to ``atoms``."""
+    if len(pairs) > bound.cap:
+        raise EnumerationCapExceeded(bound.cap, f"groundings of {clause}")
+    literals = clause.literals
+    if i == len(literals):
+        instance = Clause(tuple(Literal(atom, lit.positive)
+                                for atom, lit in zip(atoms, literals)))
+        pairs.append((sigma if sigma is not None else Subst(), instance))
+        return
+    pattern = literals[i].atom
+    if determined[i]:
+        atom = pattern if sigma is None else apply(sigma, pattern)
+        if atom in bound.atom_set:
+            _ground_from(i + 1, sigma, atoms + (atom,), clause, determined,
+                         bound, pairs)
+        return
+    for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
+        m = match(pattern, atom, sigma)
+        if m is not None:
+            _ground_from(i + 1, m, atoms + (atom,), clause, determined,
+                         bound, pairs)
 
 
 def bounded_instances(clause: Clause, bound: Bound) -> list[Clause]:

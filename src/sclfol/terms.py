@@ -17,6 +17,7 @@ the pattern instead of rebuilding them.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
@@ -518,24 +519,23 @@ def same_multiset(c1: Clause, c2: Clause) -> bool:
 def canonical_variant(clause: Clause) -> Clause:
     """Rename variables to a fixed scheme in first-occurrence order."""
     names = ["X", "Y", "Z", "W", "V"]
-    order: list[Var] = []
-    seen: set[Var] = set()
-
-    def walk(t):
-        if isinstance(t, Var):
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        elif isinstance(t, (Fn, Atom)):
-            for a in t.args:
-                walk(a)
-
+    order: dict[Var, None] = {}  # the variables, in first-occurrence order
     for lit in clause:
-        walk(lit.atom)
+        _first_occurrences(lit.atom, order)
     ren = {}
     for i, v in enumerate(order):
         ren[v] = Var(names[i]) if i < len(names) else Var(f"X{i - len(names) + 1}")
     return apply(Subst(ren), clause)
+
+
+def _first_occurrences(t, order: dict):
+    """Adds the variables of ``t`` not yet in ``order`` to it, left to
+    right."""
+    if isinstance(t, Var):
+        order.setdefault(t)
+    elif isinstance(t, (Fn, Atom)):
+        for a in t.args:
+            _first_occurrences(a, order)
 
 
 def alpha_equal(c1: Clause, c2: Clause) -> bool:
@@ -563,25 +563,28 @@ def _alpha_permuted(lits1, lits2, fwd, bwd) -> bool:
 def _alpha_literal(l1: Literal, l2: Literal, fwd, bwd):
     if l1.positive != l2.positive:
         return None
-
-    def go(t1, t2) -> bool:
-        if isinstance(t1, Var) and isinstance(t2, Var):
-            if fwd.get(t1, t2) != t2 or bwd.get(t2, t1) != t1:
-                return False
-            fwd[t1] = t2
-            bwd[t2] = t1
-            return True
-        if isinstance(t1, Fn) and isinstance(t2, Fn):
-            return (t1.name == t2.name and len(t1.args) == len(t2.args)
-                    and all(go(a, b) for a, b in zip(t1.args, t2.args)))
-        return False
-
     a1, a2 = l1.atom, l2.atom
     if a1.pred != a2.pred or len(a1.args) != len(a2.args):
         return None
-    if all(go(x, y) for x, y in zip(a1.args, a2.args)):
+    if all(_alpha_terms(x, y, fwd, bwd) for x, y in zip(a1.args, a2.args)):
         return fwd, bwd
     return None
+
+
+def _alpha_terms(t1, t2, fwd: dict, bwd: dict) -> bool:
+    """Extends the variable bijection ``fwd``/``bwd`` so that it maps ``t1``
+    onto ``t2``; False when none does."""
+    if isinstance(t1, Var) and isinstance(t2, Var):
+        if fwd.get(t1, t2) != t2 or bwd.get(t2, t1) != t1:
+            return False
+        fwd[t1] = t2
+        bwd[t2] = t1
+        return True
+    if isinstance(t1, Fn) and isinstance(t2, Fn):
+        return (t1.name == t2.name and len(t1.args) == len(t2.args)
+                and all(_alpha_terms(a, b, fwd, bwd)
+                        for a, b in zip(t1.args, t2.args)))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -607,24 +610,12 @@ class Signature:
     def from_clauses(clauses, extra_literals=()) -> "Signature":
         preds: dict[str, int] = {}
         funcs: dict[str, int] = {}
-
-        def see_term(t):
-            if isinstance(t, Var):
-                return
-            _declare(funcs, preds, t.name, len(t.args), is_pred=False)
-            for a in t.args:
-                see_term(a)
-
-        def see_atom(a: Atom):
-            _declare(preds, funcs, a.pred, len(a.args), is_pred=True)
-            for t in a.args:
-                see_term(t)
-
-        for c in clauses:
-            for lit in c:
-                see_atom(lit.atom)
-        for lit in extra_literals:
-            see_atom(lit.atom)
+        for lit in itertools.chain(
+                (lit for c in clauses for lit in c), extra_literals):
+            atom = lit.atom
+            _declare(preds, funcs, atom.pred, len(atom.args), is_pred=True)
+            for t in atom.args:
+                _see_term(t, funcs, preds)
         return Signature(
             tuple(sorted(preds.items())), tuple(sorted(funcs.items())))
 
@@ -652,6 +643,15 @@ class Signature:
 
     def symbols(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.functions) + tuple(n for n, _ in self.predicates)
+
+
+def _see_term(t, funcs: dict, preds: dict):
+    """Declares the function symbols of ``t``, outermost first."""
+    if isinstance(t, Var):
+        return
+    _declare(funcs, preds, t.name, len(t.args), is_pred=False)
+    for a in t.args:
+        _see_term(a, funcs, preds)
 
 
 def _declare(own: dict, other: dict, name: str, arity: int, is_pred: bool):

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -287,6 +288,47 @@ def test_large_bound_trace_fingerprint():
     assert result.verdict == "sat-bounded"
     assert result.stats.steps == 317
     assert len(result.final_bound.atoms_below()) == 1459
+
+
+def test_large_bound_two_grows_fingerprint():
+    # two Grows, each handing its decision sources to the grown index:
+    # 17,084 atoms below the last bound
+    problem = parse_native(GROWCAP_TEXT)
+    result = run(problem.clauses, RunConfig(beta_weight=4, max_growths=2),
+                 problem.names)
+    assert _trace_fingerprint([result]) == "8dce5f82e86718b1"
+    assert result.verdict == "sat-bounded"
+    assert result.stats.steps == 601
+    assert len(result.final_bound.atoms_below()) == 17084
+
+
+def test_runs_leave_no_cyclic_garbage(bs_corpus):
+    # a run's bounds, ground indexes and trails die by reference count:
+    # nothing a run leaves behind waits for the cycle collector
+    workloads, _ = _load_workloads()
+    workload = workloads.WORKLOADS["grow-fn"]
+    grow_fn = [(parse_native(problem.text),
+                RunConfig(beta=parse_literal_text(problem.bound),
+                          check=workload.check,
+                          max_growths=workload.max_growths,
+                          max_steps=workloads.MAX_STEPS))
+               for problem in workload.problems(workloads.DEFAULT_SEED, 20)]
+    growcap = parse_native(GROWCAP_TEXT)
+    gc.collect()
+    gc.disable()
+    try:
+        for check in ("off", "full"):
+            for clauses in bs_corpus[:20]:
+                run(clauses, RunConfig(check=check, max_steps=50_000))
+        run(growcap.clauses, RunConfig(beta_weight=4, max_growths=2),
+            growcap.names)
+        for parsed, cfg in grow_fn:
+            run(parsed.clauses, cfg, parsed.names)
+        for clauses in bs_corpus[:20]:
+            run(clauses, RunConfig(heuristic="random", max_steps=50_000))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_random_heuristic_trace_fingerprint(bs_corpus):

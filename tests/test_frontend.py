@@ -275,6 +275,22 @@ class TestCli:
         assert captured.err == (f"usage error: argument {flag}: {value!r} "
                                 f"is not a non-negative integer\n")
 
+    @pytest.mark.parametrize("value", ["-3", "0", "x", "2.5"])
+    def test_beta_weight_below_one_is_a_usage_error(self, tmp_path, capsys,
+                                                    value):
+        # a bound weighs at least one symbol: a lighter one is refused
+        # before the run, like a negative --grow
+        problem = tmp_path / "p.native"
+        problem.write_text("p\n~p\n")
+        assert main(["--input", str(problem), "--format", "native",
+                     "--beta-weight", value]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: argument --beta-weight: "
+                                f"{value!r} is not a positive integer\n")
+        assert main(["--input", str(problem), "--format", "native",
+                     "--beta-weight", "1"]) == 0
+
     def test_byte_identical_outputs(self, tmp_path, capsys):
         outs = []
         for i in (1, 2):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import cl, factoring_divergence_state, grow_example, lit
 from sclfol.calculus import (
-    DecideOption, PropagationOption, decision_candidates,
+    DecideOption, PropagationOption, apply_grow, decision_candidates,
     find_false_instance, first_reasonable_decision, propagation_candidates,
     reasonable_decisions,
 )
@@ -419,6 +419,65 @@ class TestGroundIndex:
                         if not trail.is_defined(opt.literal)
                         and not _scanned_enables_conflict(state, opt.literal)
                     ], where
+
+
+class TestCarriedGrow:
+    def test_grown_index_agrees_with_scans(self):
+        # the driver grows a bound after searching it, so apply_grow hands
+        # the decision sources of its index to the grown one.  Two Grows,
+        # each after a walk of pushes, pops and jumps, on both orderings.
+        # Between them a unit is learned over every atom of each
+        # predicate: the atoms the first index left unsourced must find
+        # their source in one.  Every third bound of the cross-checks
+        # above, offset from those of TestGroundIndex; a Grow past 150
+        # atoms ends a case, which keeps this to a few seconds.
+        rng = random.Random(20261019)
+        for kind, ordering, sig, atoms, beta, context in itertools.islice(
+                _random_bounds(), 1, None, 3):
+            initial = tuple(_random_clause(rng, sig)
+                            for _ in range(rng.randint(1, 3)))
+            learned = tuple(
+                Clause((Literal(Atom(p, tuple(Var(f"X{i}")
+                                              for i in range(k))),
+                                rng.random() < 0.5),))
+                for p, k in sig.predicates)
+            avoid = (rng.choice(sig.predicates)[0],)
+            state = ProblemState.start(initial,
+                                       Bound(Literal(beta), ordering, sig))
+            for extras in (((),), ((), learned), (learned,)):
+                for extra in extras:
+                    for _ in range(3):
+                        trail = _random_step(rng, state.trail, state.bound)
+                        state = ProblemState(trail, initial, extra,
+                                             state.bound,
+                                             trail.decision_count(), None)
+                        _assert_searches_agree(state, avoid, context)
+                try:
+                    fresh = Bound(next_beta(state.bound), ordering, sig)
+                except SignatureExhausted:
+                    break
+                if len(fresh.atoms_below()) > 150:
+                    break
+                state = apply_grow(state, fresh.beta)
+                assert state.bound.atoms_below() == fresh.atoms_below(), \
+                    context
+
+
+def _assert_searches_agree(state, avoid, context):
+    """The decision searches and the propagation candidates of ``state``
+    equal their scans."""
+    where = (f"{context}: {'; '.join(map(str, state.pool))} "
+             f"on {state.trail}")
+    for skip in ((), avoid):
+        assert decision_candidates(state, skip) == \
+            _scanned_decisions(state, skip), where
+    reasonable = [opt for opt in _scanned_decisions(state, ())
+                  if not _scanned_enables_conflict(state, opt.literal)]
+    assert first_reasonable_decision(state) == \
+        (reasonable[0] if reasonable else None), where
+    assert reasonable_decisions(state) == reasonable, where
+    assert list(propagation_candidates(state)) == \
+        _scanned_propagations(state), where
 
 
 def _random_step(rng, trail, bound):
