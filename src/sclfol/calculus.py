@@ -15,40 +15,49 @@ under it is a bounded instance.
 
 Between two Grows every rule works on the same finite set of atoms below
 the bound, so the searches keep one ``GroundIndex`` on the ``Bound``
-(``Bound.ground_index``), built for a pool and synced to a trail:
+(``Bound.ground_index``), built for a pool and synced to a trail.  It
+works in integers: the id of an atom is its position below the bound
+(``Bound.atom_id``), and the code of a literal is ``2 * id`` plus a sign
+bit, 1 when negative, so a complement is ``code ^ 1``.  It holds:
 
 * the bounded ground instances of the pool clauses, numbered in pool order
-  and then grounding order, each filed by the truth values of its distinct
-  literals under the trail: with a true literal it is neither; with none
-  true and exactly one undefined it is a unit, and the Propagate
+  and then grounding order, each kept as its pool clause and the codes of
+  its literals in clause order.  Each is filed by the truth values of its
+  distinct literals under the trail: with a true literal it is neither;
+  with none true and exactly one undefined it is a unit, and the Propagate
   candidates are the units in order; with none undefined it is false, and
-  Conflict takes the pool clause of the lowest-numbered one;
+  Conflict takes the pool clause of the lowest-numbered one.  No
+  ``Clause``, ``Literal`` or grounding is built for an instance; a
+  candidate is decoded when a search yields it, its grounding rebuilt by
+  matching;
 * the atoms that instantiate a pool literal, each with its first source,
-  in enumeration order.  A Decide walks them and skips the defined atoms;
+  by id.  A Decide walks them and skips the defined atoms;
   ``first_reasonable_decision`` stops at the first candidate that enables
   no conflict, which is one whose complement is the undefined literal of
-  no unit.  The walk starts at a cursor, a position before which every
-  sourced atom is defined, and moves it past the defined atoms it starts
-  with.  A sync lowers it to the position of each atom in the entries the
-  new trail drops, and new sources lower it to theirs.
+  no unit.  The walk starts at a cursor, an id below which every sourced
+  atom is defined, and moves it past the defined atoms it starts with.  A
+  sync lowers it to the id of each atom in the entries the new trail
+  drops, and new sources lower it to theirs.
 
 When the pool extends the one the index was built for (a learned clause
 is appended), only the new clauses are grounded and matched; any other
 pool rebuilds it.  The index keeps no assignment of its own: it reads
-``Trail.index``.  A sync collects the instances of the atoms of the
-entries the old and the new trail do not share (``Trail.shared_prefix``)
-and files each of them again under the new trail, so a step pays for what
-changed.  Nothing is counted, so returning to an earlier trail through
-Skip or Backtrack takes nothing back: it files the same instances again.
+``Trail.index``, through the atom of each code.  A sync collects the
+instances of the atoms of the entries the old and the new trail do not
+share (``Trail.shared_prefix``) and files each of them again under the new
+trail, so a step pays for what changed.  Nothing is counted, so returning
+to an earlier trail through Skip or Backtrack takes nothing back: it files
+the same instances again.
 
 The index holds no reference to its bound, and a Grow hands its decision
 sources on (``GroundIndex.grown``): every atom below the old bound is below
 the new one, and its first source depends on the pool alone.  When the
 grown bound's atoms begin with the old ones, as after every Grow of the
-driver, the grown index keeps the old sources and the atoms still without
-one, which only a clause learned later can source; it matches only the new
-atoms against the pool, and grounds the pool afresh.  The old index is not
-kept.  None of this changes which candidates come out, or in which order.
+driver, every atom keeps its id, and the grown index keeps the old sources
+and the atoms still without one, which only a clause learned later can
+source; it matches only the new atoms against the pool, and grounds the
+pool afresh.  The old index is not kept.  None of this changes which
+candidates come out, or in which order.
 """
 
 from __future__ import annotations
@@ -59,12 +68,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from .orderings import grounded_instances
+from .orderings import EnumerationCapExceeded
 from .state import Decision, NotOnTrail, ProblemState, Propagation, Trail, \
     TrailEntry, clause_level
 from .terms import (
     Atom, Clause, Closure, Literal, Subst, apply, canonical_variant,
-    is_ground, match, mgu, rename_apart, unify_all,
+    is_ground, match, mgu, rename_apart, unify_all, variables_of,
 )
 
 
@@ -351,55 +360,59 @@ class DecideOption:
 
 class GroundIndex:
     """What the searches keep about one bound: the bounded ground instances
-    of a pool filed under a trail, and the decision sources of the atoms
-    below the bound (see the module docstring).  It holds no reference to
-    the bound; the methods that need it are passed it.
+    of a pool as literal codes, filed under a trail, and the decision
+    sources of the atoms below the bound (see the module docstring).  It
+    holds no reference to the bound; the methods that need it are passed
+    it.
 
     ``extend`` adds the clauses appended to the pool; ``sync`` files the
     instances again under another trail, which must be consistent;
     ``grown`` hands the decision sources to the index of a grown bound.
     """
 
-    def __init__(self, atoms: tuple[Atom, ...] = ()):
-        """The empty index of a bound with ``atoms`` below it."""
+    def __init__(self, bound, unsourced: Optional[dict] = None):
+        """The empty index of ``bound``, whose atoms without a decision
+        source are ``unsourced``, by default all of them."""
+        self.atoms: tuple[Atom, ...] = bound.atoms_below()  # by id
+        self.atom_id: dict[Atom, int] = bound.atom_id
         self.pool: tuple[Clause, ...] = ()  # the pool sources are taken from
         self.grounded = 0  # the pool clauses whose instances are filed
-        # (pool clause, grounding, ground instance), by instance number
-        self.instances: list[tuple[Clause, Subst, Clause]] = []
-        self.distinct: list[tuple[Literal, ...]] = []
-        # the instances with a distinct literal of each atom
-        self.occurrences: dict[Atom, list[int]] = {}
-        self.units: dict[int, Literal] = {}  # unit -> its undefined literal
-        self.awaiting: Counter = Counter()  # units per undefined literal
+        # (pool clause, literal codes in clause order), by instance number
+        self.instances: list[tuple[Clause, tuple[int, ...]]] = []
+        self.distinct: list[tuple[int, ...]] = []  # codes, by instance
+        # the instances with a distinct literal of each atom, by atom id
+        self.occurrences: dict[int, list[int]] = {}
+        self.units: dict[int, int] = {}  # unit -> its undefined code
+        self.awaiting: Counter = Counter()  # units per undefined code
         self.falsified: set[int] = set()
         self.trail = Trail()  # the trail the instances are filed under
-        # (position in the enumeration, atom) of the atoms with no source
-        self.unsourced = _pending(enumerate(atoms))
-        # (position, atom, its positive and its negative option), by position
+        # the initial and learned clauses of the state last synced to
+        self.parts: tuple = (None, None)
+        # (id, atom) of the atoms with no source, by predicate
+        self.unsourced = unsourced if unsourced is not None \
+            else _pending(enumerate(self.atoms))
+        # (id, atom, its positive and its negative option), by id
         self.sources: list[tuple[int, Atom, DecideOption, DecideOption]] = []
-        self.position: dict[Atom, int] = {}  # of each atom with a source
-        # no atom of a source before this position is undefined under
+        # no atom of a source with a lower id is undefined under
         # ``self.trail``
         self.cursor = 0
 
     def grown(self, parent, bound) -> Optional["GroundIndex"]:
         """The empty index of ``bound``, grown from ``parent``, the bound of
         this index, with this index's decision sources.  The atoms below
-        ``parent`` keep their sources, or stay unsourced for the clauses
-        appended later; only the new atoms are matched against the pool.
-        None when the atoms below ``bound`` do not begin with those below
-        ``parent``.  They do after a count-KBO Grow, and after a ground-LPO
-        Grow to the next atom (``strategy.next_beta``), which adds only
-        the old beta.
+        ``parent`` keep their ids and their sources, or stay unsourced for
+        the clauses appended later; only the new atoms are matched against
+        the pool.  None when the atoms below ``bound`` do not begin with
+        those below ``parent``.  They do after a count-KBO Grow, and after
+        a ground-LPO Grow to the next atom (``strategy.next_beta``), which
+        adds only the old beta.
         """
         atoms, old = bound.atoms_below(), parent.atoms_below()
         if atoms[:len(old)] != old:
             return None
-        index = GroundIndex()
+        index = GroundIndex(bound, dict(self.unsourced))
         index.pool = self.pool
         index.sources = self.sources
-        index.position = dict(self.position)
-        index.unsourced = dict(self.unsourced)
         new = _pending(enumerate(atoms[len(old):], len(old)))
         found = []
         for clause in self.pool:
@@ -414,37 +427,45 @@ class GroundIndex:
         for clause in pool[len(self.pool):]:
             found += _source(clause, self.unsourced)
         self._add_sources(found)
+        on_empty = not self.trail.entries
+        occurrences = self.occurrences
         for clause in pool[self.grounded:]:
-            for sigma, instance in grounded_instances(clause, bound):
+            for codes in _ground_codes(clause, bound):
                 i = len(self.instances)
-                distinct = tuple(dict.fromkeys(instance.literals))
-                self.instances.append((clause, sigma, instance))
+                distinct = tuple(dict.fromkeys(codes))
+                self.instances.append((clause, codes))
                 self.distinct.append(distinct)
-                for lit in distinct:
-                    self.occurrences.setdefault(lit.atom, []).append(i)
-                self._file(i)
+                for code in distinct:
+                    occurrences.setdefault(code >> 1, []).append(i)
+                if not on_empty:
+                    self._file(i)
+                elif len(distinct) == 1:  # every literal is undefined
+                    self.units[i] = distinct[0]
+                    self.awaiting[distinct[0]] += 1
+                elif not distinct:
+                    self.falsified.add(i)
         self.pool = pool
         self.grounded = len(pool)
 
     def _add_sources(self, found: list):
         if not found:
             return
-        self.sources = sorted(self.sources + found, key=_position)
-        for i, atom, _, _ in found:
-            self.position[atom] = i
-            self.cursor = min(self.cursor, i)
+        self.sources = sorted(self.sources + found, key=_atom_id)
+        self.cursor = min(self.cursor, min(map(_atom_id, found)))
 
     def sync(self, trail: Trail):
         if trail is self.trail:
             return
         shared = self.trail.shared_prefix(trail)
         dropped = self.trail.entries[shared:]
+        atom_id, occurrences = self.atom_id, self.occurrences
         touched = set()
         for entries in (dropped, trail.entries[shared:]):
             for entry in entries:
-                touched.update(self.occurrences.get(entry.literal.atom, ()))
+                touched.update(occurrences.get(
+                    atom_id.get(entry.literal.atom), ()))
         for entry in dropped:  # its atom may be undefined now
-            i = self.position.get(entry.literal.atom)
+            i = atom_id.get(entry.literal.atom)
             if i is not None and i < self.cursor:
                 self.cursor = i
         self.trail = trail
@@ -455,12 +476,13 @@ class GroundIndex:
         """Files instance ``i`` as a unit, as false, or neither, by the
         truth values of its distinct literals under ``self.trail``."""
         first, entries = self.trail.index.first, self.trail.entries
+        atoms = self.atoms
         undefined = []
-        for lit in self.distinct[i]:
-            pos = first.get(lit.atom)
+        for code in self.distinct[i]:
+            pos = first.get(atoms[code >> 1])
             if pos is None:
-                undefined.append(lit)
-            elif entries[pos].literal.positive == lit.positive:
+                undefined.append(code)
+            elif entries[pos].literal.positive == (not code & 1):
                 undefined = None  # a true literal: neither
                 break
         old = self.units.pop(i, None)
@@ -475,11 +497,11 @@ class GroundIndex:
             self.falsified.discard(i)
 
 
-_position = itemgetter(0)  # of a source entry
+_atom_id = itemgetter(0)  # of a source entry
 
 
 def _pending(numbered) -> dict[str, list[tuple[int, Atom]]]:
-    """The (position, atom) pairs of ``numbered``, by predicate."""
+    """The (id, atom) pairs of ``numbered``, by predicate."""
     out: dict[str, list[tuple[int, Atom]]] = {}
     for i, atom in numbered:
         out.setdefault(atom.pred, []).append((i, atom))
@@ -510,18 +532,96 @@ def _source(clause: Clause, pending: dict) -> list:
     return found
 
 
+def _ground_codes(clause: Clause, bound) -> list[tuple[int, ...]]:
+    """The literal codes of the bounded ground instances of ``clause``, in
+    the order of ``orderings.grounded_instances``, with no instance built.
+    A literal whose variables all occur in earlier literals has at most one
+    candidate atom, which is looked up by the images of its variables."""
+    steps = []
+    earlier: set = set()
+    for lit in clause.literals:
+        variables = variables_of(lit)
+        key = tuple(sorted(variables, key=str)) if variables <= earlier \
+            else None  # None: matched against the predicate's atoms
+        earlier |= variables
+        steps.append((lit.atom, 0 if lit.positive else 1, key))
+    out: list[tuple[int, ...]] = []
+    _codes_from(0, None, (), steps, {}, clause, bound, out)
+    return out
+
+
+def _codes_from(q: int, sigma: Optional[Subst], codes: tuple[int, ...],
+                steps: list, tables: dict, clause: Clause, bound,
+                out: list):
+    """Appends to ``out`` the codes of the groundings of ``clause`` that
+    extend ``sigma``, which took its first ``q`` literals to ``codes``.
+    ``steps`` holds each literal's pattern, sign bit and lookup key, and
+    ``tables`` the lookup tables built so far, by literal position."""
+    if len(out) > bound.cap:
+        raise EnumerationCapExceeded(bound.cap, f"groundings of {clause}")
+    if q == len(steps):
+        out.append(codes)
+        return
+    pattern, sign, key = steps[q]
+    if key is not None:
+        table = tables.get(q)
+        if table is None:
+            table = tables[q] = _by_images(pattern, key, bound)
+        i = table.get(tuple([sigma.mapping[v] for v in key]))
+        if i is not None:
+            _codes_from(q + 1, sigma, codes + (2 * i + sign,), steps, tables,
+                        clause, bound, out)
+        return
+    atom_id = bound.atom_id
+    for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
+        m = match(pattern, atom, sigma)
+        if m is not None:
+            _codes_from(q + 1, m, codes + (2 * atom_id[atom] + sign,), steps,
+                        tables, clause, bound, out)
+
+
+def _by_images(pattern: Atom, variables: tuple, bound) -> dict:
+    """The ids of the atoms below the bound that ``pattern`` matches, keyed
+    by the images of ``variables``, all of its variables."""
+    atom_id = bound.atom_id
+    if not variables:
+        return {(): atom_id[pattern]} if pattern in atom_id else {}
+    table = {}
+    for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
+        m = match(pattern, atom)
+        if m is not None:
+            table[tuple([m.mapping[v] for v in variables])] = atom_id[atom]
+    return table
+
+
+def _grounding(clause: Clause, codes: tuple[int, ...],
+               atoms: tuple[Atom, ...]) -> Subst:
+    """The grounding of ``clause`` whose instance has ``codes``: its
+    non-ground literals matched left to right, as the enumeration did."""
+    sigma = Subst()
+    for lit, code in zip(clause.literals, codes):
+        if not is_ground(lit.atom):
+            sigma = match(lit.atom, atoms[code >> 1], sigma)
+    return sigma
+
+
 def _ground_index(state: ProblemState) -> GroundIndex:
     """The bound's index, extended to the state's pool and synced to its
     trail; rebuilt when the pool does not extend the one it was built
-    for."""
-    pool = state.pool
+    for.  Taken as it is when it was last synced to the same trail,
+    initial and learned clauses."""
     index = state.bound.ground_index
+    if index is not None and index.trail is state.trail \
+            and index.parts[0] is state.initial \
+            and index.parts[1] is state.learned:
+        return index
+    pool = state.pool
     if index is None or pool[:len(index.pool)] != index.pool:
-        index = state.bound.ground_index = GroundIndex(
-            state.bound.atoms_below())
+        index = state.bound.ground_index = GroundIndex(state.bound)
     if len(pool) > index.grounded:
         index.extend(pool, state.bound)
     index.sync(state.trail)
+    index.parts = (state.initial, state.learned)
     return index
 
 
@@ -549,16 +649,19 @@ def propagation_candidates(state: ProblemState,
     A bounded ground instance of a pool clause propagates when none of its
     literals is true and exactly one of its distinct literals is undefined
     under the trail, which must be consistent and below the bound.  The
-    literal index is the first position of that literal.
+    literal index is the first position of that literal.  Each option is
+    decoded from the unit's codes when it is reached.
     """
     index = _ground_index(state)
-    instances = index.instances
-    for i, literal in sorted(index.units.items()):
-        if literal.atom.pred in avoid:
+    instances, atoms = index.instances, index.atoms
+    for i, code in sorted(index.units.items()):
+        atom = atoms[code >> 1]
+        if atom.pred in avoid:
             continue
-        clause, sigma, instance = instances[i]
-        yield PropagationOption(clause, instance.literals.index(literal),
-                                sigma, literal)
+        clause, codes = instances[i]
+        yield PropagationOption(clause, codes.index(code),
+                                _grounding(clause, codes, atoms),
+                                Literal(atom, not code & 1))
 
 
 def _decide_options(state: ProblemState,
@@ -568,7 +671,7 @@ def _decide_options(state: ProblemState,
     starts with."""
     index = _ground_index(state)
     sources, defined = index.sources, state.trail.index.first
-    j = bisect.bisect_left(sources, index.cursor, key=_position)
+    j = bisect.bisect_left(sources, index.cursor, key=_atom_id)
     while j < len(sources) and sources[j][1] in defined:
         j += 1
     if j:
@@ -599,9 +702,13 @@ def enables_conflict(state: ProblemState, lit: Literal) -> bool:
     Exactly when the complement of ``lit`` is the undefined literal of a
     unit: an instance that becomes false has that complement, the one
     literal the Decide makes false, and all its other literals were false
-    before.
+    before.  The complement's code is that of ``lit`` with the sign bit
+    flipped.
     """
-    return _ground_index(state).awaiting[lit.complement()] > 0
+    index = _ground_index(state)
+    i = index.atom_id.get(lit.atom)
+    return i is not None and \
+        index.awaiting[(2 * i + (not lit.positive)) ^ 1] > 0
 
 
 def reasonable_decisions(state: ProblemState,

@@ -13,12 +13,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .orderings import Bound, TrailOrder, bounded_groundings, bounded_instances, \
-    bounded_instances_of_set
+from .orderings import Bound, EnumerationCapExceeded, TrailOrder, \
+    bounded_groundings, bounded_instances, bounded_instances_of_set
 from .proofs import Derivation, FactorizeStep, Proof, ResolveStep
 from .terms import (
     Atom, Clause, Closure, Fn, Literal, Subst, Var, alpha_equal, apply,
-    is_ground, mgu, rename_apart, same_multiset, unify_all,
+    is_ground, match, mgu, rename_apart, same_multiset, unify_all,
+    variables_of,
 )
 
 DEFAULT_ATOM_CAP = 24
@@ -232,13 +233,57 @@ def check_model(trail_literals: Iterable[Literal], clauses: Sequence[Clause],
 
     A ground clause is true when it shares a literal with the model.
     Returns None if all instances hold, otherwise the first falsified
-    instance.
+    instance in the order of ``bounded_instances``.  Each clause's
+    groundings are searched in that order, and a partial grounding is
+    dropped as soon as the model makes one of its literals true.  The
+    partial groundings searched for one clause count against
+    ``bound.cap``, past which ``EnumerationCapExceeded`` is raised: the cap
+    limits the work done, not the instances the clause has.
     """
     model = set(trail_literals)
+    # the atoms of the model's negative and of its positive literals
+    holds = ({lit.atom for lit in model if not lit.positive},
+             {lit.atom for lit in model if lit.positive})
     for clause in clauses:
-        for inst in bounded_instances(clause, bound):
-            if not any(lit in model for lit in inst):
-                return inst
+        determined, earlier = [], set()
+        for lit in clause.literals:
+            variables = variables_of(lit)
+            determined.append(variables <= earlier)
+            earlier |= variables
+        found = _falsified_from(0, None, (), clause, determined, holds,
+                                bound, [0])
+        if found is not None:
+            return found
+    return None
+
+
+def _falsified_from(i: int, sigma: Optional[Subst], atoms: tuple[Atom, ...],
+                    clause: Clause, determined: list[bool], holds: tuple,
+                    bound: Bound, searched: list[int]) -> Optional[Clause]:
+    """The first instance of ``clause`` with no true literal whose grounding
+    extends ``sigma``, which took its first ``i`` literals to ``atoms``;
+    ``searched`` counts the partial groundings searched."""
+    searched[0] += 1
+    if searched[0] > bound.cap:
+        raise EnumerationCapExceeded(bound.cap, f"groundings of {clause}")
+    literals = clause.literals
+    if i == len(literals):
+        return Clause(tuple(Literal(atom, lit.positive)
+                            for atom, lit in zip(atoms, literals)))
+    pattern, true = literals[i].atom, holds[literals[i].positive]
+    if determined[i]:
+        atom = pattern if sigma is None else apply(sigma, pattern)
+        if atom in true or atom not in bound.atom_id:
+            return None
+        return _falsified_from(i + 1, sigma, atoms + (atom,), clause,
+                               determined, holds, bound, searched)
+    for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
+        m = None if atom in true else match(pattern, atom, sigma)
+        if m is not None:
+            found = _falsified_from(i + 1, m, atoms + (atom,), clause,
+                                    determined, holds, bound, searched)
+            if found is not None:
+                return found
     return None
 
 

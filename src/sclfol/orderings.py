@@ -303,8 +303,10 @@ class Bound:
 
     ``atoms_below()`` is the complete finite set of ground atoms strictly
     below beta, in ascending order; ``atoms_by_predicate`` splits it by
-    predicate, keeping the order, and ``atom_set`` holds it for lookups.
-    Construction validates that the atoms built for it stay within ``cap``.
+    predicate, keeping the order.  The id of an atom is its position in
+    ``atoms_below()``, and ``atom_id`` maps each atom below beta to it, so
+    it also serves membership tests.  Construction validates that the
+    atoms built for it stay within ``cap``.
 
     A bound's beta and atoms never change once built, so it also holds what
     is derived from them: each clause's bounded groundings with their
@@ -312,8 +314,9 @@ class Bound:
     ``calculus.GroundIndex`` of the searches (see the ``calculus`` module
     docstring).  A Grow builds a new bound with ``grow_to``.  Under
     count-KBO that bound starts from the atoms of the one it grew from,
-    which are its first atoms, and enumerates only the ones above them; it
-    keeps no reference to its parent.
+    which are its first atoms, so every atom keeps its id across the Grow;
+    it enumerates only the atoms above them, and keeps no reference to its
+    parent.
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
@@ -342,8 +345,10 @@ class Bound:
         return {pred: tuple(atoms) for pred, atoms in by_pred.items()}
 
     @cached_property
-    def atom_set(self) -> frozenset[Atom]:
-        return frozenset(self._atoms_below)
+    def atom_id(self) -> dict[Atom, int]:
+        """Each atom below beta mapped to its position in
+        ``atoms_below()``."""
+        return {atom: i for i, atom in enumerate(self._atoms_below)}
 
     def _enumerate_below(self, parent: Optional["Bound"]) -> list[Atom]:
         """The atoms below beta, ascending.  Under count-KBO, a ``parent``
@@ -458,7 +463,7 @@ def _ground_from(i: int, sigma: Optional[Subst], atoms: tuple[Atom, ...],
     pattern = literals[i].atom
     if determined[i]:
         atom = pattern if sigma is None else apply(sigma, pattern)
-        if atom in bound.atom_set:
+        if atom in bound.atom_id:
             _ground_from(i + 1, sigma, atoms + (atom,), clause, determined,
                          bound, pairs)
         return
@@ -476,11 +481,15 @@ def bounded_instances(clause: Clause, bound: Bound) -> list[Clause]:
 
 def bounded_instances_of_set(clauses: Iterable[Clause],
                              bound: Bound) -> list[Clause]:
+    """The bounded instances of ``clauses``, each multiset of literals
+    once, in the order of its first occurrence."""
+    atom_id = bound.atom_id
     seen = set()
     out: list[Clause] = []
     for c in clauses:
         for inst in bounded_instances(c, bound):
-            key = tuple(sorted((str(lit) for lit in inst)))
+            key = tuple(sorted([(atom_id[lit.atom], lit.positive)
+                                for lit in inst]))
             if key not in seen:
                 seen.add(key)
                 out.append(inst)

@@ -5,12 +5,14 @@ import re
 import pytest
 
 from conftest import LOOPING_TEXT, cap_bounds, cl, random_bs_problem
+from sclfol import cli
 from sclfol.cli import build_parser, main
 from sclfol.frontend import (
     MAX_TERM_DEPTH, ParseError, ProblemFile, UnsupportedFeature, parse_literal_text,
     parse_native, parse_problem, parse_subst_text, parse_tptp_cnf,
     problem_to_native, problem_to_tptp,
 )
+from sclfol.orderings import Bound
 from sclfol.terms import Var, variables_of
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -222,6 +224,23 @@ class TestCli:
                       "--model", str(model)])
         assert check == 1
         assert "MODEL FALSIFIES" in capsys.readouterr().out
+
+    def test_check_model_answers_past_the_instance_cap(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # P(X) | Q(Y) has 9 bounded instances below R(a) and a cap of 6
+        # refuses enumerating them (exit 64), but the cap counts the
+        # groundings the check searches: the model makes each P atom true,
+        # so every grounding is dropped at its first literal
+        monkeypatch.setattr(cli, "Bound", lambda *args: Bound(*args, cap=6))
+        problem = tmp_path / "pq.native"
+        problem.write_text("P(X) | Q(Y)\n")
+        model = tmp_path / "pq.model"
+        model.write_text("# beta: R(a)\n# ordering: kbo\n"
+                         "# precedence: a<b<c<P<Q<R\nP(a)\nP(b)\nP(c)\n")
+        check = main(["check-model", "--input", str(problem), "--format",
+                      "native", "--model", str(model)])
+        assert check == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "MODEL OK"
 
     def test_check_proof_detects_tampering(self, tmp_path, capsys):
         proof = tmp_path / "out.proof"

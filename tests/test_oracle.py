@@ -12,12 +12,16 @@ from sclfol.oracle import (
     check_proof, ground_entails, ground_sat, ground_sat_bruteforce,
     is_redundant_snapshot, subsumes,
 )
-from sclfol.orderings import bounded_instances_of_set
+from sclfol.orderings import (
+    Bound, EnumerationCapExceeded, Precedence, bounded_instances,
+    bounded_instances_of_set, make_ordering,
+)
 from sclfol.proofs import (
     Derivation, Proof, ResolveStep, proof_from_text, proof_to_text,
 )
 from sclfol.strategy import RunConfig, configure_bound, run
-from sclfol.terms import Clause
+from sclfol.terms import Clause, Literal, Signature
+from test_orderings import _random_bounds, _random_clause
 
 
 def props(*texts):
@@ -178,6 +182,55 @@ class TestCheckModel:
             assert check_model(result.model, clauses, result.final_bound) \
                 is None
         assert seen_sat > 5
+
+    def test_pruned_search_is_the_first_unsatisfied_instance(self):
+        # random bounds and clauses of the groundings cross-check, against
+        # random literal sets: half of them consistent trails, half with
+        # literals of both signs on some atoms.  The answer is the first
+        # bounded instance, clause by clause, sharing no literal with the
+        # set, or None
+        rng = random.Random(20261022)
+        for kind, ordering, sig, atoms, beta, context in _random_bounds():
+            bound = Bound(Literal(beta), ordering, sig)
+            below = bound.atoms_below()
+            clauses = tuple(_random_clause(rng, sig)
+                            for _ in range(rng.randint(1, 3)))
+            for consistent in (True, False):
+                model = [Literal(atom, rng.random() < 0.5) for atom in
+                         rng.sample(below, rng.randint(0, len(below)))]
+                if not consistent:
+                    model += [lit.complement() for lit in model
+                              if rng.random() < 0.3]
+                    rng.shuffle(model)
+                expected = next(
+                    (instance for clause in clauses
+                     for instance in bounded_instances(clause, bound)
+                     if not set(instance.literals) & set(model)), None)
+                assert check_model(model, clauses, bound) == expected, \
+                    f"{context}: {'; '.join(map(str, clauses))} " \
+                    f"under {', '.join(map(str, model))}"
+
+    def test_cap_counts_the_groundings_searched(self):
+        # six atoms below R(a): P and Q of a, b and c.  The clause has 27
+        # bounded instances, more than a cap of 6 admits, and enumerating
+        # them is refused.  A model making every P atom true drops each
+        # grounding at its first literal; one making every Q atom true
+        # reaches 13 partial groundings, and the search is refused
+        sig = Signature((("P", 1), ("Q", 1), ("R", 1)),
+                        (("a", 0), ("b", 0), ("c", 0)))
+        bound = Bound(lit("R(a)"), make_ordering(
+            "kbo", Precedence.default_for(sig)), sig, cap=6)
+        assert len(bound.atoms_below()) == 6
+        clauses = (cl("P(X) | P(Y) | Q(Z)"),)
+        with pytest.raises(EnumerationCapExceeded):
+            bounded_instances(clauses[0], bound)
+        assert check_model([lit("P(a)"), lit("P(b)"), lit("P(c)")],
+                           clauses, bound) is None
+        assert check_model([lit("P(a)"), lit("~P(b)")], clauses, bound) \
+            == cl("P(b) | P(b) | Q(a)")
+        with pytest.raises(EnumerationCapExceeded):
+            check_model([lit("Q(a)"), lit("Q(b)"), lit("Q(c)")], clauses,
+                        bound)
 
 
 class TestCheckProof:

@@ -6,14 +6,15 @@ import pytest
 
 from conftest import cl, factoring_divergence_state, grow_example, lit
 from sclfol.calculus import (
-    DecideOption, PropagationOption, apply_grow, decision_candidates,
-    find_false_instance, first_reasonable_decision, propagation_candidates,
-    reasonable_decisions,
+    DecideOption, GroundIndex, PropagationOption, _grounding, apply_grow,
+    decision_candidates, find_false_instance, first_reasonable_decision,
+    propagation_candidates, reasonable_decisions,
 )
 from sclfol.orderings import (
     Bound, EnumerationCapExceeded, OrderingConfigError, Precedence,
     TrailOrder, bounded_groundings, bounded_instances,
-    ground_atoms_of_weight, ground_terms_of_weight, make_ordering,
+    ground_atoms_of_weight, ground_terms_of_weight, grounded_instances,
+    make_ordering,
 )
 from sclfol.state import Decision, ProblemState, Trail, TrailEntry
 from sclfol.strategy import SignatureExhausted, next_beta
@@ -419,6 +420,33 @@ class TestGroundIndex:
                         if not trail.is_defined(opt.literal)
                         and not _scanned_enables_conflict(state, opt.literal)
                     ], where
+
+
+    def test_codes_decode_to_grounded_instances(self):
+        # the index files each instance as literal codes 2 * id + sign bit,
+        # the id being the atom's position below the bound; decoded, with
+        # the grounding rebuilt by matching, the instances are those of
+        # grounded_instances, in order, on the random signatures and
+        # clauses of the groundings cross-check
+        rng = random.Random(20261021)
+        for kind, ordering, sig, atoms, beta, context in _random_bounds():
+            bound = Bound(Literal(beta), ordering, sig)
+            below = bound.atoms_below()
+            pool = tuple(_random_clause(rng, sig) for _ in range(3))
+            index = GroundIndex(bound)
+            index.extend(pool, bound)
+            decoded = []
+            for (clause, codes), distinct in zip(index.instances,
+                                                 index.distinct):
+                instance = Clause(tuple(Literal(below[c >> 1], not c & 1)
+                                        for c in codes))
+                assert distinct == tuple(dict.fromkeys(codes)), context
+                decoded.append((clause, _grounding(clause, codes, below),
+                                instance))
+            assert decoded == [
+                (clause, sigma, instance) for clause in pool
+                for sigma, instance in grounded_instances(clause, bound)
+            ], f"{context}: {'; '.join(map(str, pool))}"
 
 
 class TestCarriedGrow:
