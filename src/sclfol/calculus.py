@@ -18,18 +18,21 @@ the bound, so the searches keep one ``GroundIndex`` on the ``Bound``
 (``Bound.ground_index``), built for a pool and synced to a trail.  It
 works in integers: the id of an atom is its position below the bound
 (``Bound.atom_id``), and the code of a literal is ``2 * id`` plus a sign
-bit, 1 when negative, so a complement is ``code ^ 1``.  It holds:
+bit, 1 when negative, so a complement is ``code ^ 1``.  This module keeps
+no grounding code of its own: ``orderings`` grounds each clause once per
+bound and caches the codes on the bound, where the soundness checks and
+the oracle read them too.  The index holds:
 
 * the bounded ground instances of the pool clauses, numbered in pool order
   and then grounding order, each kept as its pool clause and the codes of
-  its literals in clause order.  Each is filed by the truth values of its
-  distinct literals under the trail: with a true literal it is neither;
-  with none true and exactly one undefined it is a unit, and the Propagate
-  candidates are the units in order; with none undefined it is false, and
-  Conflict takes the pool clause of the lowest-numbered one.  No
-  ``Clause``, ``Literal`` or grounding is built for an instance; a
-  candidate is decoded when a search yields it, its grounding rebuilt by
-  matching;
+  its literals in clause order, as ``orderings.bounded_codes`` gives them.
+  Each is filed by the truth values of its distinct literals under the
+  trail: with a true literal it is neither; with none true and exactly one
+  undefined it is a unit, and the Propagate candidates are the units in
+  order; with none undefined it is false, and Conflict takes the pool
+  clause of the lowest-numbered one.  No ``Clause``, ``Literal`` or
+  grounding is built for an instance; a candidate is decoded when a search
+  yields it, its grounding rebuilt by ``orderings.grounding_of``;
 * the atoms that instantiate a pool literal, each with its first source,
   by id.  A Decide walks them and skips the defined atoms;
   ``first_reasonable_decision`` stops at the first candidate that enables
@@ -68,12 +71,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from .orderings import EnumerationCapExceeded
+from .orderings import bounded_codes, grounding_of
 from .state import Decision, NotOnTrail, ProblemState, Propagation, Trail, \
     TrailEntry, clause_level
 from .terms import (
     Atom, Clause, Closure, Literal, Subst, apply, canonical_variant,
-    is_ground, match, mgu, rename_apart, unify_all, variables_of,
+    is_ground, match, mgu, rename_apart, unify_all,
 )
 
 
@@ -430,7 +433,7 @@ class GroundIndex:
         on_empty = not self.trail.entries
         occurrences = self.occurrences
         for clause in pool[self.grounded:]:
-            for codes in _ground_codes(clause, bound):
+            for codes in bounded_codes(clause, bound):
                 i = len(self.instances)
                 distinct = tuple(dict.fromkeys(codes))
                 self.instances.append((clause, codes))
@@ -532,79 +535,6 @@ def _source(clause: Clause, pending: dict) -> list:
     return found
 
 
-def _ground_codes(clause: Clause, bound) -> list[tuple[int, ...]]:
-    """The literal codes of the bounded ground instances of ``clause``, in
-    the order of ``orderings.grounded_instances``, with no instance built.
-    A literal whose variables all occur in earlier literals has at most one
-    candidate atom, which is looked up by the images of its variables."""
-    steps = []
-    earlier: set = set()
-    for lit in clause.literals:
-        variables = variables_of(lit)
-        key = tuple(sorted(variables, key=str)) if variables <= earlier \
-            else None  # None: matched against the predicate's atoms
-        earlier |= variables
-        steps.append((lit.atom, 0 if lit.positive else 1, key))
-    out: list[tuple[int, ...]] = []
-    _codes_from(0, None, (), steps, {}, clause, bound, out)
-    return out
-
-
-def _codes_from(q: int, sigma: Optional[Subst], codes: tuple[int, ...],
-                steps: list, tables: dict, clause: Clause, bound,
-                out: list):
-    """Appends to ``out`` the codes of the groundings of ``clause`` that
-    extend ``sigma``, which took its first ``q`` literals to ``codes``.
-    ``steps`` holds each literal's pattern, sign bit and lookup key, and
-    ``tables`` the lookup tables built so far, by literal position."""
-    if len(out) > bound.cap:
-        raise EnumerationCapExceeded(bound.cap, f"groundings of {clause}")
-    if q == len(steps):
-        out.append(codes)
-        return
-    pattern, sign, key = steps[q]
-    if key is not None:
-        table = tables.get(q)
-        if table is None:
-            table = tables[q] = _by_images(pattern, key, bound)
-        i = table.get(tuple([sigma.mapping[v] for v in key]))
-        if i is not None:
-            _codes_from(q + 1, sigma, codes + (2 * i + sign,), steps, tables,
-                        clause, bound, out)
-        return
-    atom_id = bound.atom_id
-    for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
-        m = match(pattern, atom, sigma)
-        if m is not None:
-            _codes_from(q + 1, m, codes + (2 * atom_id[atom] + sign,), steps,
-                        tables, clause, bound, out)
-
-
-def _by_images(pattern: Atom, variables: tuple, bound) -> dict:
-    """The ids of the atoms below the bound that ``pattern`` matches, keyed
-    by the images of ``variables``, all of its variables."""
-    atom_id = bound.atom_id
-    if not variables:
-        return {(): atom_id[pattern]} if pattern in atom_id else {}
-    table = {}
-    for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
-        m = match(pattern, atom)
-        if m is not None:
-            table[tuple([m.mapping[v] for v in variables])] = atom_id[atom]
-    return table
-
-
-def _grounding(clause: Clause, codes: tuple[int, ...],
-               atoms: tuple[Atom, ...]) -> Subst:
-    """The grounding of ``clause`` whose instance has ``codes``: its
-    non-ground literals matched left to right, as the enumeration did."""
-    sigma = Subst()
-    for lit, code in zip(clause.literals, codes):
-        if not is_ground(lit.atom):
-            sigma = match(lit.atom, atoms[code >> 1], sigma)
-    return sigma
-
-
 def _ground_index(state: ProblemState) -> GroundIndex:
     """The bound's index, extended to the state's pool and synced to its
     trail; rebuilt when the pool does not extend the one it was built
@@ -660,7 +590,7 @@ def propagation_candidates(state: ProblemState,
             continue
         clause, codes = instances[i]
         yield PropagationOption(clause, codes.index(code),
-                                _grounding(clause, codes, atoms),
+                                grounding_of(clause, codes, atoms),
                                 Literal(atom, not code & 1))
 
 

@@ -211,6 +211,11 @@ def _cmd_check_model(args) -> int:
     for key in ("beta", "ordering", "precedence"):
         if key not in header:
             raise _UsageError(f"model file is missing the '{key}' header")
+    model = set(literals)
+    for lit in literals:
+        if lit.complement() in model:
+            print(f"MODEL INCONSISTENT: {lit} and {lit.complement()}")
+            return 1
     beta = parse_literal_text(header["beta"])
     signature = Signature.from_clauses(problem.clauses,
                                        extra_literals=[beta] + literals)

@@ -4,7 +4,8 @@ Everything here is deliberately slow and direct: exhaustive DPLL over ground
 clauses, definition-unfolding entailment, redundancy by enumerating smaller
 ground instances, and proof replay built only on the term kernel.  By
 convention this module must not call into the calculus or strategy modules,
-so its answers are an independent check on them.
+so its answers are an independent check on them.  It shares with the
+search only ``orderings.bounded_codes``, which is checked by brute force.
 """
 
 from __future__ import annotations
@@ -234,11 +235,14 @@ def check_model(trail_literals: Iterable[Literal], clauses: Sequence[Clause],
     A ground clause is true when it shares a literal with the model.
     Returns None if all instances hold, otherwise the first falsified
     instance in the order of ``bounded_instances``.  Each clause's
-    groundings are searched in that order, and a partial grounding is
-    dropped as soon as the model makes one of its literals true.  The
-    partial groundings searched for one clause count against
+    groundings are searched in that order by a walk of this function's
+    own, not read from the cache of ``orderings.bounded_codes``: a partial
+    grounding is dropped as soon as the model makes one of its literals
+    true.  The partial groundings searched for one clause count against
     ``bound.cap``, past which ``EnumerationCapExceeded`` is raised: the cap
-    limits the work done, not the instances the clause has.
+    limits the work done, not the instances the clause has.  The literal
+    set is taken as given; ``check-model`` rejects an inconsistent one
+    before calling this.
     """
     model = set(trail_literals)
     # the atoms of the model's negative and of its positive literals

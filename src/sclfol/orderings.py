@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .terms import (
-    Atom, Clause, Fn, Literal, Signature, Subst, apply, is_ground, match,
+    Atom, Clause, Fn, Literal, Signature, Subst, is_ground, match,
     symbol_count, variables_of,
 )
 
@@ -309,14 +309,15 @@ class Bound:
     atoms built for it stay within ``cap``.
 
     A bound's beta and atoms never change once built, so it also holds what
-    is derived from them: each clause's bounded groundings with their
-    ground instances (``grounded_instances``), and the
-    ``calculus.GroundIndex`` of the searches (see the ``calculus`` module
-    docstring).  A Grow builds a new bound with ``grow_to``.  Under
-    count-KBO that bound starts from the atoms of the one it grew from,
-    which are its first atoms, so every atom keeps its id across the Grow;
-    it enumerates only the atoms above them, and keeps no reference to its
-    parent.
+    is derived from them: each clause's bounded ground instances as literal
+    codes (``bounded_codes``, the one cache of groundings, which the
+    searches, the soundness checks and the oracle's entailment and
+    redundancy checks all read), and the ``calculus.GroundIndex`` of the
+    searches (see the ``calculus`` module docstring).  A Grow builds a new
+    bound with ``grow_to``.  Under count-KBO that bound starts from the
+    atoms of the one it grew from, which are its first atoms, so every
+    atom keeps its id across the Grow; it enumerates only the atoms above
+    them, and keeps no reference to its parent.
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
@@ -328,8 +329,7 @@ class Bound:
         self.ordering = ordering
         self.signature = signature
         self.cap = cap
-        self._groundings: dict[Clause,
-                               tuple[tuple[Subst, Clause], ...]] = {}
+        self._groundings: dict[Clause, tuple[tuple[int, ...], ...]] = {}
         self.ground_index = None  # kept by ``calculus``
         self._atoms_below = tuple(self._enumerate_below(parent))
 
@@ -415,84 +415,122 @@ class Bound:
 # Bounded grounding enumeration
 # ---------------------------------------------------------------------------
 
-def bounded_groundings(clause: Clause, bound: Bound) -> tuple[Subst, ...]:
-    """All grounding substitutions producing only literals below the bound.
+# A literal below the bound is coded as ``2 * id`` plus a sign bit, 1 when
+# negative, the id of its atom being its position below the bound, so a
+# complement is ``code ^ 1``.  The functions after ``bounded_codes`` decode
+# its codes.
+
+def bounded_codes(clause: Clause, bound: Bound) -> tuple[tuple[int, ...], ...]:
+    """The bounded ground instances of ``clause``, each as the codes of its
+    literals in clause order.
 
     Deterministic order: atoms below beta ascending, literals left to right.
-    """
-    return tuple(sigma for sigma, _ in grounded_instances(clause, bound))
-
-
-def grounded_instances(clause: Clause,
-                       bound: Bound) -> tuple[tuple[Subst, Clause], ...]:
-    """``bounded_groundings`` paired with the ground instances they give.
-
-    Cached on the bound, which never changes once built.  An instance is
-    built from the atoms below beta that its literals matched, with no
-    substitution applied.  A literal whose variables all occur in earlier
-    literals has at most one candidate atom, which is looked up.
+    Cached on the bound, which never changes once built.  No instance or
+    substitution is built: a literal whose variables all occur in earlier
+    literals has at most one candidate atom, which is looked up by the
+    images of its variables.  The complete groundings found count against
+    ``bound.cap``, tested at every step of the walk.
     """
     cached = bound._groundings.get(clause)
     if cached is not None:
         return cached
-    pairs: list[tuple[Subst, Clause]] = []
-    determined = []
+    steps = []
     earlier: set = set()
     for lit in clause.literals:
         variables = variables_of(lit)
-        determined.append(variables <= earlier)
+        key = tuple(sorted(variables, key=str)) if variables <= earlier \
+            else None  # None: matched against the predicate's atoms
         earlier |= variables
-    _ground_from(0, None, (), clause, determined, bound, pairs)
-    bound._groundings[clause] = tuple(pairs)
+        steps.append((lit.atom, 0 if lit.positive else 1, key))
+    out: list[tuple[int, ...]] = []
+    _walk_codes(0, None, (), steps, {}, clause, bound, out)
+    bound._groundings[clause] = tuple(out)
     return bound._groundings[clause]
 
 
-def _ground_from(i: int, sigma: Optional[Subst], atoms: tuple[Atom, ...],
-                 clause: Clause, determined: list[bool], bound: Bound,
-                 pairs: list):
-    """Appends to ``pairs`` the groundings of ``clause`` that extend
-    ``sigma``, which took its first ``i`` literals to ``atoms``."""
-    if len(pairs) > bound.cap:
+def _walk_codes(q: int, sigma: Optional[Subst], codes: tuple[int, ...],
+                steps: list, tables: dict, clause: Clause, bound: Bound,
+                out: list):
+    """Appends to ``out`` the codes of the groundings of ``clause`` that
+    extend ``sigma``, which took its first ``q`` literals to ``codes``.
+    ``steps`` holds each literal's pattern, sign bit and lookup key, and
+    ``tables`` the lookup tables built so far, by literal position."""
+    if len(out) > bound.cap:
         raise EnumerationCapExceeded(bound.cap, f"groundings of {clause}")
-    literals = clause.literals
-    if i == len(literals):
-        instance = Clause(tuple(Literal(atom, lit.positive)
-                                for atom, lit in zip(atoms, literals)))
-        pairs.append((sigma if sigma is not None else Subst(), instance))
+    if q == len(steps):
+        out.append(codes)
         return
-    pattern = literals[i].atom
-    if determined[i]:
-        atom = pattern if sigma is None else apply(sigma, pattern)
-        if atom in bound.atom_id:
-            _ground_from(i + 1, sigma, atoms + (atom,), clause, determined,
-                         bound, pairs)
+    pattern, sign, key = steps[q]
+    atom_id = bound.atom_id
+    if key is not None:
+        table = tables.get(q)
+        if table is None:  # the ids of the atoms ``pattern`` matches
+            if key:
+                table = {}
+                for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
+                    m = match(pattern, atom)
+                    if m is not None:
+                        table[tuple([m.mapping[v] for v in key])] = \
+                            atom_id[atom]
+            else:
+                table = {(): atom_id[pattern]} if pattern in atom_id else {}
+            tables[q] = table
+        i = table.get(tuple([sigma.mapping[v] for v in key]))
+        if i is not None:
+            _walk_codes(q + 1, sigma, codes + (2 * i + sign,), steps, tables,
+                        clause, bound, out)
         return
     for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
         m = match(pattern, atom, sigma)
         if m is not None:
-            _ground_from(i + 1, m, atoms + (atom,), clause, determined,
-                         bound, pairs)
+            _walk_codes(q + 1, m, codes + (2 * atom_id[atom] + sign,), steps,
+                        tables, clause, bound, out)
+
+
+def grounding_of(clause: Clause, codes: tuple[int, ...],
+                 atoms: tuple[Atom, ...]) -> Subst:
+    """The grounding of ``clause`` whose instance has ``codes``, ``atoms``
+    being the atoms below the bound: its non-ground literals matched left
+    to right, as ``bounded_codes`` did."""
+    sigma = Subst()
+    for lit, code in zip(clause.literals, codes):
+        if not is_ground(lit.atom):
+            sigma = match(lit.atom, atoms[code >> 1], sigma)
+    return sigma
+
+
+def _instance(codes: tuple[int, ...], atoms: tuple[Atom, ...]) -> Clause:
+    return Clause(tuple(Literal(atoms[c >> 1], not c & 1) for c in codes))
+
+
+def bounded_groundings(clause: Clause, bound: Bound) -> tuple[Subst, ...]:
+    """All grounding substitutions producing only literals below the bound,
+    in the order of ``bounded_codes``."""
+    atoms = bound.atoms_below()
+    return tuple(grounding_of(clause, codes, atoms)
+                 for codes in bounded_codes(clause, bound))
 
 
 def bounded_instances(clause: Clause, bound: Bound) -> list[Clause]:
-    """The set Gnd restricted below the bound, as ground clauses."""
-    return [instance for _, instance in grounded_instances(clause, bound)]
+    """The set Gnd restricted below the bound, as ground clauses, in the
+    order of ``bounded_codes``."""
+    atoms = bound.atoms_below()
+    return [_instance(codes, atoms) for codes in bounded_codes(clause, bound)]
 
 
 def bounded_instances_of_set(clauses: Iterable[Clause],
                              bound: Bound) -> list[Clause]:
     """The bounded instances of ``clauses``, each multiset of literals
     once, in the order of its first occurrence."""
-    atom_id = bound.atom_id
+    atoms = bound.atoms_below()
     seen = set()
     out: list[Clause] = []
     for c in clauses:
-        for inst in bounded_instances(c, bound):
-            key = tuple(sorted([(atom_id[lit.atom], lit.positive)
-                                for lit in inst]))
+        for codes in bounded_codes(c, bound):
+            key = tuple(sorted(codes))
             if key not in seen:
                 seen.add(key)
-                out.append(inst)
+                out.append(_instance(codes, atoms))
     return out
 
 

@@ -225,6 +225,21 @@ class TestCli:
         assert check == 1
         assert "MODEL FALSIFIES" in capsys.readouterr().out
 
+    def test_check_model_rejects_an_inconsistent_model(self, tmp_path,
+                                                       capsys):
+        # P(a) and ~P(a) together make every clause over P(a) true, so the
+        # instance check alone would accept them for an unsatisfiable input
+        problem = tmp_path / "pa.native"
+        problem.write_text("P(a)\n~P(a)\n")
+        model = tmp_path / "pa.model"
+        model.write_text("# beta: betaTop(a,a,a)\n# ordering: kbo\n"
+                         "# precedence: a<P<betaTop\nP(a)\n~P(a)\n")
+        check = main(["check-model", "--input", str(problem), "--format",
+                      "native", "--model", str(model)])
+        assert check == 1
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "MODEL INCONSISTENT: P(a) and ~P(a)"
+
     def test_check_model_answers_past_the_instance_cap(self, tmp_path,
                                                       capsys, monkeypatch):
         # P(X) | Q(Y) has 9 bounded instances below R(a) and a cap of 6

@@ -1,6 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
+
+import sclfol
 
 from conftest import (
     FACTORING_EAGER_CLAUSE, FACTORING_LAZY_CLAUSE, cl, lpo_refutation_scenario, lpo_refutation_script,
@@ -289,3 +293,41 @@ class TestCheckProof:
         sc, proof = self.lpo_refutation_proof()
         text = proof_to_text(proof)
         assert proof_from_text(text) == proof
+
+
+def _package_imports(module: str) -> set[str]:
+    """The ``sclfol`` modules that ``module`` imports, at any depth of its
+    source, read with ``ast``."""
+    tree = ast.parse((Path(sclfol.__file__).parent / f"{module}.py")
+                     .read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base.split(".")[0] != "sclfol":
+                    continue
+                base = base[len("sclfol"):].lstrip(".")
+            if base:
+                out.add(base.split(".")[0])
+            else:  # from . import x
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("sclfol."))
+    return out
+
+
+def test_oracle_and_orderings_do_not_depend_on_the_search():
+    # the oracle checks the search, and shares with it only the bounded
+    # grounding of orderings; so neither module, nor any sclfol module they
+    # reach through their imports, may import calculus or strategy
+    assert "calculus" in _package_imports("strategy")  # the scan sees them
+    for start in ("oracle", "orderings"):
+        reached, todo = set(), [start]
+        while todo:
+            module = todo.pop()
+            if module not in reached:
+                reached.add(module)
+                todo += _package_imports(module)
+        assert not reached & {"calculus", "strategy"}, (start, reached)

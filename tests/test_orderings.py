@@ -1,23 +1,25 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import cl, factoring_divergence_state, grow_example, lit
+from sclfol import orderings
 from sclfol.calculus import (
-    DecideOption, GroundIndex, PropagationOption, _grounding, apply_grow,
+    DecideOption, GroundIndex, PropagationOption, apply_grow,
     decision_candidates, find_false_instance, first_reasonable_decision,
     propagation_candidates, reasonable_decisions,
 )
 from sclfol.orderings import (
     Bound, EnumerationCapExceeded, OrderingConfigError, Precedence,
-    TrailOrder, bounded_groundings, bounded_instances,
-    ground_atoms_of_weight, ground_terms_of_weight, grounded_instances,
+    TrailOrder, bounded_codes, bounded_groundings, bounded_instances,
+    ground_atoms_of_weight, ground_terms_of_weight, grounding_of,
     make_ordering,
 )
 from sclfol.state import Decision, ProblemState, Trail, TrailEntry
-from sclfol.strategy import SignatureExhausted, next_beta
+from sclfol.strategy import RunConfig, SignatureExhausted, next_beta, run
 from sclfol.terms import (
     Atom, Clause, Fn, Literal, Signature, Subst, Var, apply, match,
     symbol_count, variables_of,
@@ -303,13 +305,48 @@ class TestBoundedGroundings:
                     instance = [apply(sigma, q.atom) for q in clause]
                     if all(cmp(a, beta) < 0 for a in instance):
                         found.append(([rank[a] for a in instance], sigma))
-                expected = tuple(sigma for _, sigma in sorted(
-                    found, key=lambda pair: pair[0]))
+                found.sort(key=lambda pair: pair[0])
+                expected = tuple(sigma for _, sigma in found)
                 got = bounded_groundings(clause, bound)
                 assert set(got) == set(expected), f"{context}: {clause}"
                 assert got == expected, f"{context}: {clause}"
                 assert bounded_instances(clause, bound) == \
                     [apply(sigma, clause) for sigma in expected]
+                # the shared enumerator itself: each code decodes to the
+                # rank and sign of the brute-force instance's literal
+                assert [[(c >> 1, not c & 1) for c in codes]
+                        for codes in bounded_codes(clause, bound)] == [
+                    [(i, q.positive) for i, q in zip(ranks, clause)]
+                    for ranks, _ in found], f"{context}: {clause}"
+
+    def test_each_clause_is_grounded_once_per_bound(self, bs_corpus,
+                                                    monkeypatch):
+        # the search, the soundness checks and the oracle's entailment and
+        # redundancy checks read one cache of groundings on the bound: over
+        # a --check full slice of the corpus no clause is walked twice
+        # below one bound, and the checks do read the cache
+        walks, reads = Counter(), Counter()
+        walk, codes_of = orderings._walk_codes, orderings.bounded_codes
+
+        def counted_walk(q, sigma, codes, steps, tables, clause, bound, out):
+            if q == 0:
+                walks[bound, clause] += 1
+            walk(q, sigma, codes, steps, tables, clause, bound, out)
+
+        # the decoders the checks call read it through this name; calculus
+        # binds its own, so the search's reads are not counted
+        def counted_read(clause, bound):
+            reads[bound, clause] += 1
+            return codes_of(clause, bound)
+
+        monkeypatch.setattr(orderings, "_walk_codes", counted_walk)
+        monkeypatch.setattr(orderings, "bounded_codes", counted_read)
+        for clauses in bs_corpus[:50]:
+            run(clauses, RunConfig(check="full", max_steps=50_000))
+        assert walks and reads
+        assert max(walks.values()) == 1, [
+            f"{clause} below {bound.beta}: {n} walks"
+            for (bound, clause), n in walks.items() if n > 1]
 
 
 class TestDecisionIndex:
@@ -424,10 +461,12 @@ class TestGroundIndex:
 
     def test_codes_decode_to_grounded_instances(self):
         # the index files each instance as literal codes 2 * id + sign bit,
-        # the id being the atom's position below the bound; decoded, with
-        # the grounding rebuilt by matching, the instances are those of
-        # grounded_instances, in order, on the random signatures and
-        # clauses of the groundings cross-check
+        # the id being the atom's position below the bound, exactly as
+        # bounded_codes gives them, pool clause by pool clause; decoded,
+        # with the grounding rebuilt by matching, they are the groundings
+        # and instances of bounded_groundings and bounded_instances, in
+        # order, on the random signatures and clauses of the groundings
+        # cross-check
         rng = random.Random(20261021)
         for kind, ordering, sig, atoms, beta, context in _random_bounds():
             bound = Bound(Literal(beta), ordering, sig)
@@ -435,18 +474,24 @@ class TestGroundIndex:
             pool = tuple(_random_clause(rng, sig) for _ in range(3))
             index = GroundIndex(bound)
             index.extend(pool, bound)
-            decoded = []
-            for (clause, codes), distinct in zip(index.instances,
-                                                 index.distinct):
-                instance = Clause(tuple(Literal(below[c >> 1], not c & 1)
-                                        for c in codes))
-                assert distinct == tuple(dict.fromkeys(codes)), context
-                decoded.append((clause, _grounding(clause, codes, below),
-                                instance))
+            where = f"{context}: {'; '.join(map(str, pool))}"
+            assert index.instances == [
+                (clause, codes) for clause in pool
+                for codes in bounded_codes(clause, bound)], where
+            assert index.distinct == [
+                tuple(dict.fromkeys(codes)) for _, codes in index.instances
+            ], where
+            decoded = [(clause, grounding_of(clause, codes, below),
+                        Clause(tuple(Literal(below[c >> 1], not c & 1)
+                                     for c in codes)))
+                       for clause, codes in index.instances]
             assert decoded == [
                 (clause, sigma, instance) for clause in pool
-                for sigma, instance in grounded_instances(clause, bound)
-            ], f"{context}: {'; '.join(map(str, pool))}"
+                for sigma, instance in zip(bounded_groundings(clause, bound),
+                                           bounded_instances(clause, bound))
+            ], where
+            assert all(instance == apply(sigma, clause)
+                       for clause, sigma, instance in decoded), where
 
 
 class TestCarriedGrow:
