@@ -45,7 +45,7 @@ the oracle read them too.  The index holds:
 When the pool extends the one the index was built for (a learned clause
 is appended), only the new clauses are grounded and matched; any other
 pool rebuilds it.  The index keeps no assignment of its own: it reads
-``Trail.index``, through the atom of each code.  A sync collects the
+``Trail.first``, through the atom of each code.  A sync collects the
 instances of the atoms of the entries the old and the new trail do not
 share (``Trail.shared_prefix``) and files each of them again under the new
 trail, so a step pays for what changed.  Nothing is counted, so returning
@@ -478,7 +478,7 @@ class GroundIndex:
     def _file(self, i: int):
         """Files instance ``i`` as a unit, as false, or neither, by the
         truth values of its distinct literals under ``self.trail``."""
-        first, entries = self.trail.index.first, self.trail.entries
+        first, entries = self.trail.first, self.trail.entries
         atoms = self.atoms
         undefined = []
         for code in self.distinct[i]:
@@ -600,7 +600,7 @@ def _decide_options(state: ProblemState,
     starts at the index's cursor, and moves it past the defined atoms it
     starts with."""
     index = _ground_index(state)
-    sources, defined = index.sources, state.trail.index.first
+    sources, defined = index.sources, state.trail.first
     j = bisect.bisect_left(sources, index.cursor, key=_atom_id)
     while j < len(sources) and sources[j][1] in defined:
         j += 1

@@ -1,8 +1,8 @@
 """Command-line prover plus the check-proof / check-model subcommands.
 
 Exit codes: 0 unsatisfiable, 1 satisfiable within the bound, 2 resource
-limit, 64 usage error, 65 parse error, 70 internal error (an invariant
-violation or a crash).
+limit, 64 usage error or unopenable file, 65 parse error or non-UTF-8
+file, 70 internal error (an invariant violation or a crash).
 
 Terms may be nested at most 100 deep (``a`` has depth 1, ``f(a)`` depth 2);
 a deeper term is a parse error.  An initial bound (``--beta`` or
@@ -40,6 +40,14 @@ EXIT_INTERNAL = 70
 
 class _UsageError(Exception):
     pass
+
+
+class _CannotOpen(Exception):
+    """A file named on the command line cannot be opened."""
+
+
+class _Undecodable(Exception):
+    """A file named on the command line is not UTF-8 text."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,24 +112,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _atomic_write(path: str, content: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sclfol-")
+def _read(path: str) -> str:
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _CannotOpen(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _Undecodable(f"{path}: {exc}") from None
+
+
+def _atomic_write(path: str, content: str):
+    """Writes through a temporary file beside ``path``; a failure names
+    ``path``, not the temporary file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sclfol-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _CannotOpen(f"{path}: {exc.strerror or exc}") from None
 
 
 def _load_problem(args):
     if not args.input:
         raise _UsageError("--input is required")
-    with open(args.input) as handle:
-        text = handle.read()
-    return parse_problem(text, args.format)
+    return parse_problem(_read(args.input), args.format)
 
 
 def _parse_heuristic(spec: str) -> tuple[str, tuple[str, ...]]:
@@ -183,8 +204,7 @@ def _model_text(result) -> str:
 
 def _cmd_check_proof(args) -> int:
     problem = _load_problem(args)
-    with open(args.proof) as handle:
-        proof = proof_from_text(handle.read())
+    proof = proof_from_text(_read(args.proof))
     mismatch = check_proof(problem.by_name(), proof)
     if mismatch is None:
         print("PROOF OK")
@@ -195,11 +215,9 @@ def _cmd_check_proof(args) -> int:
 
 def _cmd_check_model(args) -> int:
     problem = _load_problem(args)
-    with open(args.model) as handle:
-        lines = handle.read().splitlines()
     header = {}
     literals = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read(args.model).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -242,10 +260,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"cannot open {exc.filename}", file=sys.stderr)
+    except _CannotOpen as exc:
+        print(f"cannot open {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
+    except (ParseError, _Undecodable) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (OrderingConfigError, EnumerationCapExceeded, ValueError) as exc:

@@ -11,10 +11,9 @@ found).  The empty-clause closure is distinct from "no conflict".
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from . import oracle
 from .orderings import Bound, TrailOrder, bounded_instances_of_set
@@ -58,23 +57,15 @@ class TrailEntry:
         return f"{self.literal}^{self.annotation}"
 
 
-class TrailIndex(NamedTuple):
-    first: dict[Atom, int]  # each atom's first position
-    levels: list[int]  # each position's decision level
-    decisions: int
-    by_predicate: Counter  # entries per predicate
-
-
 @dataclass(frozen=True)
 class Trail:
     """A sequence of trail entries, never changed once built.
 
-    Lookups go through ``index``: each atom's first position, so an
-    inconsistent trail reads as its earliest entry; each position's level,
-    that of the last decision at or before it (0 with none); the number of
-    decisions; and the number of entries of each predicate.  It is built in
-    one pass on the first query; it is the one record of the trail's
-    assignment, which everything else reads.
+    Lookups go through ``first``, each atom's first position, so an
+    inconsistent trail reads as its earliest entry.  It is built in one pass
+    on the first query, and it is the one record of the trail's assignment,
+    which everything else reads.  A level is read off the entries left of a
+    position (``literal_level``), and the decisions are counted where asked.
     """
 
     entries: tuple[TrailEntry, ...] = ()
@@ -112,26 +103,17 @@ class Trail:
         return n
 
     @cached_property
-    def index(self) -> TrailIndex:
+    def first(self) -> dict[Atom, int]:
         first: dict[Atom, int] = {}
-        levels: list[int] = []
-        level = decisions = 0
-        by_predicate: Counter = Counter()
         for i, e in enumerate(self.entries):
-            atom = e.literal.atom
-            first.setdefault(atom, i)
-            if isinstance(e.annotation, Decision):
-                level = e.annotation.level
-                decisions += 1
-            levels.append(level)
-            by_predicate[atom.pred] += 1
-        return TrailIndex(first, levels, decisions, by_predicate)
+            first.setdefault(e.literal.atom, i)
+        return first
 
     def decision_count(self) -> int:
-        return self.index.decisions
+        return sum(isinstance(e.annotation, Decision) for e in self.entries)
 
     def position_of_atom(self, atom: Atom) -> Optional[int]:
-        return self.index.first.get(atom)
+        return self.first.get(atom)
 
     def truth_value(self, lit: Literal) -> Optional[bool]:
         """True if the literal is on the trail, False if its complement is,
@@ -192,7 +174,9 @@ def literal_level(lit: Literal, state: ProblemState) -> int:
     pos = state.trail.position_of_atom(lit.atom)
     if pos is None:
         raise NotOnTrail(str(lit))
-    return state.trail.index.levels[pos]
+    entries = state.trail.entries
+    return next((entries[i].annotation.level for i in range(pos, -1, -1)
+                 if isinstance(entries[i].annotation, Decision)), 0)
 
 
 def clause_level(clause: Clause, state: ProblemState) -> int:

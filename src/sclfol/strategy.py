@@ -252,7 +252,7 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
         names = [f"c{i + 1}" for i in range(len(clauses))]
     bound = configure_bound(clauses, cfg)
     state = ProblemState.start(clauses, bound)
-    rec = _Recorder(cfg, list(names), clauses)
+    rec = _Recorder(cfg, list(names), state)
     rng = random.Random(cfg.seed)
     growths = 0
 
@@ -312,7 +312,7 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
             return rec.finish_sat(state)
     except EnumerationCapExceeded:
         pass
-    return rec.finish_resource_out(state)
+    return rec.finish("resource-out", state)
 
 
 def _too_deep(bound: Bound) -> bool:
@@ -338,7 +338,7 @@ def resolve_conflict_loop(state: ProblemState,
     """Runs one whole conflict-resolution episode: Skip/Factorize/Resolve
     until Backtrack applies (or the conflict collapses to the empty
     clause)."""
-    rec = _Recorder(cfg, [], state.initial)
+    rec = _Recorder(cfg, [], state)
     rec.on_conflict(state, state, state.conflict.clause, state.conflict.subst)
     while state.conflict is not None and not state.is_bot:
         state = _conflict_resolution_step(state, cfg, rec)
@@ -418,13 +418,13 @@ def _choose_extension(state: ProblemState, cfg: RunConfig,
 
 class _Recorder:
     def __init__(self, cfg: RunConfig, names: list[str],
-                 clauses: Sequence[Clause]):
+                 state: ProblemState):
         self.cfg = cfg
         self.stats = Statistics()
         self.trace: list[str] = []
         self.clause_by_name: dict[str, Clause] = {}
         self.name_by_clause: dict[Clause, str] = {}
-        for clause, name in zip(clauses, names):
+        for clause, name in zip(state.initial, names):
             self._add_name(clause, name)
         self.learned_name_set: set[str] = set()
         self._learned_counter = 0
@@ -438,6 +438,8 @@ class _Recorder:
         self.propagation_sources: dict = {}
         self.last_rule: Optional[str] = None
         self.sound_cache: dict = {}
+        # the entries per predicate of the trail recorded last
+        self.by_predicate = Counter(e.literal.atom.pred for e in state.trail)
 
     # -- naming ------------------------------------------------------------
 
@@ -489,9 +491,9 @@ class _Recorder:
     def _count_pushed(self, state: ProblemState):
         """Only a push can raise a predicate's count on the trail."""
         pred = state.trail[-1].literal.atom.pred
+        self.by_predicate[pred] += 1
         by_pred = self.stats.max_trail_by_predicate
-        by_pred[pred] = max(by_pred[pred],
-                            state.trail.index.by_predicate[pred])
+        by_pred[pred] = max(by_pred[pred], self.by_predicate[pred])
 
     def on_propagate(self, state: ProblemState, option: PropagationOption):
         self._count_pushed(state)
@@ -527,6 +529,7 @@ class _Recorder:
                     f"{self.name_of(clause)} . {sigma}", state)
 
     def on_skip(self, state: ProblemState, top):
+        self.by_predicate[top.literal.atom.pred] -= 1
         self._after("skip", str(top.literal), state)
 
     def on_factorize(self, state: ProblemState, i: int, j: int):
@@ -560,6 +563,7 @@ class _Recorder:
                 learned, self.episode_pool, self.episode_snapshot,
                 prev.bound))
         self._close_episode_stats()
+        self.by_predicate = Counter(e.literal.atom.pred for e in state.trail)
         self._after("backtrack",
                     f"learn {learned} to level {state.decisions}", state)
         if self.cfg.check != "off":
@@ -593,13 +597,13 @@ class _Recorder:
 
     def on_grow(self, prev: ProblemState, state: ProblemState):
         self.stats.growths += 1
+        self.by_predicate = Counter()
         self._after("grow",
                     f"beta {prev.bound.beta} -> {state.bound.beta}", state)
 
     # -- results -------------------------------------------------------
 
     def finish_unsat(self, state: ProblemState) -> RunResult:
-        self.stats.learned = len(state.learned)
         proof = None
         if self.derivations:
             proof = Proof(tuple(self.derivations), self.derivations[-1].name)
@@ -610,29 +614,22 @@ class _Recorder:
                 if mismatch is not None:
                     raise InvariantViolation(f"proof replay failed: "
                                              f"{mismatch}")
-        return RunResult("unsat", self.stats, proof=proof,
-                         final_bound=state.bound, trace=self.trace,
-                         learned_records=self.learned_records,
-                         learned_names={n: c for n, c in
-                                        self.clause_by_name.items()
-                                        if n in self.learned_name_set},
-                         final_state=state)
+        return self.finish("unsat", state, proof=proof, learned_names={
+            n: c for n, c in self.clause_by_name.items()
+            if n in self.learned_name_set})
 
     def finish_sat(self, state: ProblemState) -> RunResult:
-        self.stats.learned = len(state.learned)
         model = state.trail.literals
         falsified = oracle.check_model(model, state.initial, state.bound)
         if falsified is not None:
             raise InvariantViolation(
                 f"model check failed: {falsified} is false under the trail")
-        return RunResult("sat-bounded", self.stats, model=model,
-                         final_bound=state.bound, trace=self.trace,
-                         learned_records=self.learned_records,
-                         final_state=state)
+        return self.finish("sat-bounded", state, model=model)
 
-    def finish_resource_out(self, state: ProblemState) -> RunResult:
+    def finish(self, verdict: str, state: ProblemState, **parts) -> RunResult:
+        """The result of a run that ended in ``state``; ``parts`` are the
+        proof and the learned names, or the model."""
         self.stats.learned = len(state.learned)
-        return RunResult("resource-out", self.stats,
-                         final_bound=state.bound, trace=self.trace,
-                         learned_records=self.learned_records,
-                         final_state=state)
+        return RunResult(verdict, self.stats, final_bound=state.bound,
+                         trace=self.trace, final_state=state,
+                         learned_records=self.learned_records, **parts)

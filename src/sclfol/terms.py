@@ -8,11 +8,12 @@ Since terms never change, ``Fn`` and ``Atom`` keep three facts about
 themselves once asked for them, in fixed slots outside equality: their
 hash (the value ``hash((name, args))`` the generated dataclass hash
 gives), whether they are ground (``is_ground``) and their symbol count
-(``symbol_count``); ``Literal`` keeps its hash.  So a dict or set lookup of
-a deep term hashes its subterms only the first time, and the bound checks
-count a term's symbols once.  ``apply`` returns a ground term, atom or
-literal as it is, so applying a grounding shares the ground subterms of
-the pattern instead of rebuilding them.
+(``symbol_count``); ``Literal`` and ``Clause`` keep their hash, the value
+the generated hash gives.  So a dict or set lookup of a deep term or a
+clause hashes its parts only the first time, and the bound checks count a
+term's symbols once.  ``apply`` returns a ground term, atom or literal as
+it is, so applying a grounding shares the ground subterms of the pattern
+instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,17 @@ def _keep(obj, slot: str, value):
     return value
 
 
+def _hashed(key):
+    """A ``__hash__`` that keeps ``hash(key(self))`` in the ``_hash`` slot
+    once computed."""
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return _keep(self, "_hash", hash(key(self)))
+    return __hash__
+
+
 def _reduce(self):
     """Copies and pickles by the constructor arguments, as the cache slots
     may be unset."""
@@ -60,12 +72,7 @@ class Fn:
     _ground: bool = _cache()
     _weight: int = _cache()
     __reduce__ = _reduce
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _keep(self, "_hash", hash((self.name, self.args)))
+    __hash__ = _hashed(lambda self: (self.name, self.args))
 
     def __str__(self):
         if not self.args:
@@ -84,12 +91,7 @@ class Atom:
     _ground: bool = _cache()
     _weight: int = _cache()
     __reduce__ = _reduce
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _keep(self, "_hash", hash((self.pred, self.args)))
+    __hash__ = _hashed(lambda self: (self.pred, self.args))
 
     def __str__(self):
         if not self.args:
@@ -103,12 +105,7 @@ class Literal:
     positive: bool = True
     _hash: int = _cache()
     __reduce__ = _reduce
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _keep(self, "_hash", hash((self.atom, self.positive)))
+    __hash__ = _hashed(lambda self: (self.atom, self.positive))
 
     def complement(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -117,11 +114,14 @@ class Literal:
         return str(self.atom) if self.positive else f"~{self.atom}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """A multiset of literals, stored as a sequence."""
 
     literals: tuple[Literal, ...] = ()
+    _hash: int = _cache()
+    __reduce__ = _reduce
+    __hash__ = _hashed(lambda self: (self.literals,))
 
     @staticmethod
     def of(*literals: Literal) -> "Clause":

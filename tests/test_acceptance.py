@@ -27,6 +27,7 @@ from sclfol.orderings import bounded_instances_of_set
 from sclfol.state import (
     Decision, ProblemState, Propagation, Trail, TrailEntry, soundness_check,
 )
+from sclfol import strategy
 from sclfol.strategy import RunConfig, resolve_conflict_loop, run
 from sclfol.terms import Closure, alpha_equal
 
@@ -302,6 +303,19 @@ def test_large_bound_two_grows_fingerprint():
     assert len(result.final_bound.atoms_below()) == 17084
 
 
+def test_large_bound_three_grows_fingerprint():
+    # the long trails: up to 3,408 entries, each a new trail whose map of
+    # first positions is built on its first query
+    problem = parse_native(GROWCAP_TEXT)
+    result = run(problem.clauses, RunConfig(beta_weight=4, max_growths=3),
+                 problem.names)
+    assert _trace_fingerprint([result]) == "12b760f03d0c061a"
+    assert result.verdict == "sat-bounded"
+    assert result.stats.steps == 4010
+    assert len(result.final_bound.atoms_below()) == 23334
+    assert result.stats.max_trail == 3408
+
+
 def test_runs_leave_no_cyclic_garbage(bs_corpus):
     # a run's bounds, ground indexes and trails die by reference count:
     # nothing a run leaves behind waits for the cycle collector
@@ -393,6 +407,60 @@ def test_grow_fn_trace_fingerprint():
         results.append(run(parsed.clauses, cfg, parsed.names))
     assert _trace_fingerprint(results) == expected["grow-fn"]["100"]
     assert expected["grow-fn"]["100"] == "aa9a370685269636"
+
+
+def test_recorder_counts_the_trail_by_predicate(bs_corpus, monkeypatch):
+    # the recorder keeps the entries per predicate of the trail it records
+    # through pushes, Skips, Backtracks and Grows: at every recorded state
+    # they are the trail's, also for a recorder started on a non-empty
+    # trail, and a run's maxima are the maxima over its states
+    def on_trail(state):
+        return Counter(e.literal.atom.pred for e in state.trail)
+
+    recorded = []
+    after = strategy._Recorder._after
+
+    def recording(rec, rule, detail, state):
+        assert +rec.by_predicate == on_trail(state), rule
+        recorded.append(state)
+        after(rec, rule, detail, state)
+
+    monkeypatch.setattr(strategy._Recorder, "_after", recording)
+    rules = Counter()
+
+    def check(clauses, cfg, names=None):
+        recorded.clear()
+        result = run(clauses, cfg, names)
+        most = Counter()
+        for state in recorded:
+            most |= on_trail(state)
+        assert result.stats.max_trail_by_predicate == most
+        rules.update(result.stats.rule_counts)
+
+    for heuristic in ("first", "random"):
+        for clauses in bs_corpus[:50]:
+            check(clauses, RunConfig(heuristic=heuristic, max_steps=50_000))
+    workloads, _ = _load_workloads()
+    workload = workloads.WORKLOADS["grow-fn"]
+    for problem in workload.problems(workloads.DEFAULT_SEED, 20):
+        parsed = parse_native(problem.text)
+        check(parsed.clauses,
+              RunConfig(beta=parse_literal_text(problem.bound),
+                        check=workload.check,
+                        max_growths=workload.max_growths,
+                        max_steps=workloads.MAX_STEPS), parsed.names)
+    blowup = parse_native((Path(__file__).parent / "data" /
+                           "unit_blowup.native").read_text())
+    for avoid in ((), ("R",)):
+        check(blowup.clauses, RunConfig(avoid=avoid), blowup.names)
+    assert min(rules[rule] for rule in ("skip", "backtrack", "grow")) > 0
+
+    conflict_state, _ = factoring_divergence_state()
+    assert len(conflict_state.trail) > 0
+    for factoring in ("eager", "lazy"):
+        recorded.clear()
+        resolve_conflict_loop(conflict_state, RunConfig(factoring=factoring))
+        assert len(recorded) > 1
 
 
 def test_criterion_7_exponential_contrast():

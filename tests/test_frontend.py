@@ -386,6 +386,59 @@ class TestCli:
             assert "Traceback" not in captured.err
             assert f"nested more than {MAX_TERM_DEPTH} deep" in captured.err
 
+    @pytest.mark.parametrize("command,flag", [
+        ([], "--input"), (["check-proof"], "--proof"),
+        (["check-model"], "--model")])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys,
+                                              command, flag, kind):
+        path = tmp_path / "absent" if kind == "missing" else tmp_path
+        argv = command + [flag, str(path)]
+        if command:
+            argv += ["--input", self.GROW]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        reason = "No such file or directory" if kind == "missing" \
+            else "Is a directory"
+        assert captured.err == f"cannot open {path}: {reason}\n"
+
+    @pytest.mark.parametrize("command,flag", [
+        ([], "--input"), (["check-proof"], "--proof"),
+        (["check-model"], "--model")])
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, capsys,
+                                               command, flag):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"P(a)\n\xff\xfe\x00\x80\n")
+        argv = command + [flag, str(binary)]
+        if command:
+            argv += ["--input", self.GROW]
+        assert main(argv) == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {binary}: ")
+        assert "can't decode" in err
+
+    @pytest.mark.parametrize("flag", ["--proof", "--model", "--trace"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unwritable_output_names_its_path(self, tmp_path, capsys, flag,
+                                              kind):
+        # a directory that does not exist, or an output path that is one
+        target = tmp_path / "absent" / "out" if kind == "missing" \
+            else tmp_path / "taken"
+        if kind == "directory":
+            target.mkdir()
+        beta = "R(b)" if flag == "--proof" else "P(g(g(a)))"
+        problem = self.E1 if flag == "--proof" else self.GROW
+        argv = ["--input", problem, "--beta", beta, flag, str(target)]
+        if flag == "--proof":
+            argv += ["--ordering", "lpo", "--precedence", "a<b<P<Q<R"]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot open {target}: ")
+        assert ".sclfol-" not in err
+        # no temporary file is left behind
+        assert [p.name for p in tmp_path.rglob("*")] == (
+            [] if kind == "missing" else ["taken"])
+
     def test_crash_never_exits_with_verdict_code(self, tmp_path, capsys):
         deep = tmp_path / "deep.native"
         deep.write_text("P(" + "f(" * 1200 + "a" + ")" * 1200 + ")\n")

@@ -120,11 +120,12 @@ class TestLevels:
         levels = [literal_level(e.literal, s) for e in s.trail]
         assert levels == sorted(levels)
 
-    def test_index_agrees_with_trail_scans(self):
-        # levels, decision and predicate counts against walks of the trail,
-        # on random trails with repeated atoms and uneven decision levels,
-        # each built in one piece and by pushes onto trails whose index was
-        # mostly built first, so that a push must leave that index alone
+    def test_first_agrees_with_trail_scans(self):
+        # first positions, levels and decision counts against walks of the
+        # trail, on random trails with repeated atoms and uneven decision
+        # levels, each built in one piece and by pushes onto trails whose
+        # map was mostly built first, so that a push must leave that map
+        # alone
         sc = lpo_refutation_scenario()
         rng = random.Random(6)
         touch = random.Random(7)
@@ -140,26 +141,25 @@ class TestLevels:
             pushed, parents = Trail(), []
             for e in entries:
                 if touch.random() < 0.8:
-                    parents.append((pushed, pushed.index))
+                    parents.append((pushed, pushed.first))
                 pushed = pushed.push(e)
             assert pushed.entries == tuple(entries)
             for trail in (Trail(tuple(entries)), pushed):
-                self.check_index(sc, trail, atoms)
-            # a push leaves the index it extends as it was
-            for parent, index in parents:
-                assert parent.index is index
-                assert index == Trail(parent.entries).index
+                self.check_first(sc, trail, atoms)
+            # a push leaves the map of the trail it extends as it was
+            for parent, first in parents:
+                assert parent.first is first
+                assert first == Trail(parent.entries).first
 
-    def check_index(self, sc, trail, atoms):
+    def check_first(self, sc, trail, atoms):
         assert trail.decision_count() == sum(1 for e in trail if e.is_decision)
         s = ProblemState(trail, sc.clauses, (), sc.bound,
                          trail.decision_count(), None)
         for text in atoms:
             query = lit(text)
-            assert trail.index.by_predicate[query.atom.pred] == sum(
-                1 for e in trail if e.literal.atom.pred == query.atom.pred)
             first = next((i for i, e in enumerate(trail)
                           if e.literal.atom == query.atom), None)
+            assert trail.position_of_atom(query.atom) == first
             if first is None:
                 with pytest.raises(NotOnTrail):
                     literal_level(query, s)

@@ -354,13 +354,19 @@ class TestKernelsAgainstReferences:
                     assert hash(obj) == hash((obj.pred, obj.args))
                 elif isinstance(obj, Literal):
                     assert hash(obj) == hash((obj.atom, obj.positive))
+                elif isinstance(obj, Clause):
+                    assert hash(obj) == hash((obj.literals,))
                 assert hash(obj) == hash(obj)
         # the caches are no part of equality, printing, copies or pickles
-        fresh, used = lit("~P(f(X),g(a,b))"), lit("~P(f(X),g(a,b))")
-        hash(used), is_ground(used.atom), symbol_count(used)
-        assert fresh == used and repr(fresh) == repr(used)
-        for copy in (pickle.loads(pickle.dumps(used)), deepcopy(used)):
-            assert copy == used and hash(copy) == hash(used)
+        for text in ("~P(f(X),g(a,b))", "~P(f(X),g(a,b)) | Q(a)"):
+            fresh, used = cl(text), cl(text)
+            hash(used), hash(used[0]), is_ground(used[0].atom), \
+                symbol_count(used)
+            for fresh, used in ((fresh, used), (fresh[0], used[0])):
+                assert fresh == used and repr(fresh) == repr(used)
+                for copy in (pickle.loads(pickle.dumps(used)),
+                             deepcopy(used)):
+                    assert copy == used and hash(copy) == hash(used)
 
     def test_apply(self):
         rng = random.Random(12)
