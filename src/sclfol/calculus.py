@@ -19,9 +19,11 @@ the bound, so the searches keep one ``GroundIndex`` on the ``Bound``
 works in integers: the id of an atom is its position below the bound
 (``Bound.atom_id``), and the code of a literal is ``2 * id`` plus a sign
 bit, 1 when negative, so a complement is ``code ^ 1``.  This module keeps
-no grounding code of its own: ``orderings`` grounds each clause once per
-bound and caches the codes on the bound, where the soundness checks and
-the oracle read them too.  The index holds:
+no grounding or matching code of its own: ``orderings`` matches each
+literal pattern against the atoms below the bound (``atom_matches``) and
+grounds each clause once per bound from those tables, caching the codes
+on the bound, where the soundness checks and the oracle read them too.
+The index holds:
 
 * the bounded ground instances of the pool clauses, numbered in pool order
   and then grounding order, each kept as its pool clause and the codes of
@@ -34,13 +36,13 @@ the oracle read them too.  The index holds:
   grounding is built for an instance; a candidate is decoded when a search
   yields it, its grounding rebuilt by ``orderings.grounding_of``;
 * the atoms that instantiate a pool literal, each with its first source,
-  by id.  A Decide walks them and skips the defined atoms;
-  ``first_reasonable_decision`` stops at the first candidate that enables
-  no conflict, which is one whose complement is the undefined literal of
-  no unit.  The walk starts at a cursor, an id below which every sourced
-  atom is defined, and moves it past the defined atoms it starts with.  A
-  sync lowers it to the id of each atom in the entries the new trail
-  drops, and new sources lower it to theirs.
+  by id, read off the literals' match tables.  A Decide walks them and
+  skips the defined atoms; ``first_reasonable_decision`` stops at the
+  first candidate that enables no conflict, which is one whose complement
+  is the undefined literal of no unit.  The walk starts at a cursor, an id
+  below which every sourced atom is defined, and moves it past the defined
+  atoms it starts with.  A sync lowers it to the id of each atom in the
+  entries the new trail drops, and new sources lower it to theirs.
 
 When the pool extends the one the index was built for (a learned clause
 is appended), only the new clauses are grounded and matched; any other
@@ -58,9 +60,11 @@ the new one, and its first source depends on the pool alone.  When the
 grown bound's atoms begin with the old ones, as after every Grow of the
 driver, every atom keeps its id, and the grown index keeps the old sources
 and the atoms still without one, which only a clause learned later can
-source; it matches only the new atoms against the pool, and grounds the
-pool afresh.  The old index is not kept.  None of this changes which
-candidates come out, or in which order.
+source; it sources only the new atoms from the pool.  Under count-KBO the
+grown bound also takes over the match tables (``Bound.grow_to``), so a run
+matches each pool literal against each atom once and walks the pool's
+groundings afresh on each bound.  The old index is not kept.  None of this
+changes which candidates come out, or in which order.
 """
 
 from __future__ import annotations
@@ -68,15 +72,16 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from .orderings import bounded_codes, grounding_of
+from .orderings import atom_matches, bounded_codes, grounding_of
 from .state import Decision, NotOnTrail, ProblemState, Propagation, Trail, \
     TrailEntry, clause_level
 from .terms import (
     Atom, Clause, Closure, Literal, Subst, apply, canonical_variant,
-    is_ground, match, mgu, rename_apart, unify_all,
+    is_ground, match, mgu, rename_apart, unify_all, variables_in_order,
 )
 
 
@@ -129,11 +134,13 @@ def apply_propagate(state: ProblemState, clause: Clause, lit_index: int,
     _require(clause in state.pool, "propagate", "clause not in the pool")
     _require(0 <= lit_index < len(clause), "propagate", "bad literal index")
     instance = apply(sigma, clause)
-    _require(is_ground(instance), "propagate",
-             "substitution does not ground the clause")
-    _require(state.bound.clause_below(instance), "propagate",
-             lambda: f"instance {instance} is not below the bound "
-                     f"{state.bound.beta}")
+    atom_id = state.bound.atom_id  # atoms ground and strictly below beta
+    if not all(q.atom in atom_id for q in instance.literals):
+        _require(is_ground(instance), "propagate",
+                 "substitution does not ground the clause")
+        _require(state.bound.clause_below(instance), "propagate",
+                 lambda: f"instance {instance} is not below the bound "
+                         f"{state.bound.beta}")
     lit_val = instance[lit_index]
     annotated, ann_idx, rest = propagation_split(clause, lit_index,
                                                  instance)
@@ -163,10 +170,13 @@ def apply_decide(state: ProblemState, clause: Clause, lit_index: int,
     lit = apply(sigma, clause[lit_index])
     if negate:
         lit = lit.complement()
-    _require(is_ground(lit), "decide", lambda: f"{lit} is not ground")
+    # an atom below the bound is ground and strictly below beta
+    below = lit.atom in state.bound.atom_id
+    _require(below or is_ground(lit), "decide",
+             lambda: f"{lit} is not ground")
     _require(not state.trail.is_defined(lit), "decide",
              lambda: f"{lit} is already defined")
-    _require(state.bound.literal_below(lit), "decide",
+    _require(below or state.bound.literal_below(lit), "decide",
              lambda: f"{lit} is not strictly below the bound "
                      f"{state.bound.beta}")
     entry = TrailEntry(lit, Decision(state.decisions + 1))
@@ -373,7 +383,7 @@ class GroundIndex:
     ``grown`` hands the decision sources to the index of a grown bound.
     """
 
-    def __init__(self, bound, unsourced: Optional[dict] = None):
+    def __init__(self, bound, unsourced: Optional[bytearray] = None):
         """The empty index of ``bound``, whose atoms without a decision
         source are ``unsourced``, by default all of them."""
         self.atoms: tuple[Atom, ...] = bound.atoms_below()  # by id
@@ -391,9 +401,9 @@ class GroundIndex:
         self.trail = Trail()  # the trail the instances are filed under
         # the initial and learned clauses of the state last synced to
         self.parts: tuple = (None, None)
-        # (id, atom) of the atoms with no source, by predicate
+        # 1 at the id of each atom with no source
         self.unsourced = unsourced if unsourced is not None \
-            else _pending(enumerate(self.atoms))
+            else bytearray(b"\1") * len(self.atoms)
         # (id, atom, its positive and its negative option), by id
         self.sources: list[tuple[int, Atom, DecideOption, DecideOption]] = []
         # no atom of a source with a lower id is undefined under
@@ -404,31 +414,29 @@ class GroundIndex:
         """The empty index of ``bound``, grown from ``parent``, the bound of
         this index, with this index's decision sources.  The atoms below
         ``parent`` keep their ids and their sources, or stay unsourced for
-        the clauses appended later; only the new atoms are matched against
-        the pool.  None when the atoms below ``bound`` do not begin with
-        those below ``parent``.  They do after a count-KBO Grow, and after
-        a ground-LPO Grow to the next atom (``strategy.next_beta``), which
-        adds only the old beta.
+        the clauses appended later; only the new atoms are sourced, from
+        the rows of the pool literals' match tables.  None when the atoms
+        below ``bound`` do not begin with those below ``parent``.  They do
+        after a count-KBO Grow, and after a ground-LPO Grow to the next
+        atom (``strategy.next_beta``), which adds only the old beta.
         """
         atoms, old = bound.atoms_below(), parent.atoms_below()
         if atoms[:len(old)] != old:
             return None
-        index = GroundIndex(bound, dict(self.unsourced))
+        index = GroundIndex(bound, self.unsourced
+                            + bytearray(b"\1") * (len(atoms) - len(old)))
         index.pool = self.pool
         index.sources = self.sources
-        new = _pending(enumerate(atoms[len(old):], len(old)))
         found = []
         for clause in self.pool:
-            found += _source(clause, new)
-        for pred, pending in new.items():
-            index.unsourced[pred] = index.unsourced.get(pred, []) + pending
+            found += _source(clause, index.unsourced, bound, len(old))
         index._add_sources(found)
         return index
 
     def extend(self, pool: tuple[Clause, ...], bound):
         found = []
         for clause in pool[len(self.pool):]:
-            found += _source(clause, self.unsourced)
+            found += _source(clause, self.unsourced, bound)
         self._add_sources(found)
         on_empty = not self.trail.entries
         occurrences = self.occurrences
@@ -500,38 +508,32 @@ class GroundIndex:
             self.falsified.discard(i)
 
 
-_atom_id = itemgetter(0)  # of a source entry
+_atom_id = itemgetter(0)  # of a source entry or a match table row
 
 
-def _pending(numbered) -> dict[str, list[tuple[int, Atom]]]:
-    """The (id, atom) pairs of ``numbered``, by predicate."""
-    out: dict[str, list[tuple[int, Atom]]] = {}
-    for i, atom in numbered:
-        out.setdefault(atom.pred, []).append((i, atom))
-    return out
-
-
-def _source(clause: Clause, pending: dict) -> list:
-    """Makes ``clause`` the first source of the ``pending`` atoms its
-    literals match, and takes them out of ``pending``; returns their
-    source entries."""
+def _source(clause: Clause, unsourced: bytearray, bound,
+            first: int = 0) -> list:
+    """Makes ``clause`` the first source of the ``unsourced`` atoms from id
+    ``first`` on that its literals match, by their ``atom_matches``, and
+    marks them sourced; returns their source entries."""
     found = []
+    atoms = bound.atoms_below()
     for q, lit in enumerate(clause.literals):
-        atoms = pending.get(lit.atom.pred)
-        if not atoms:
-            continue
-        left = []
-        for i, atom in atoms:
-            m = match(lit.atom, atom)
-            if m is None:
-                left.append((i, atom))
+        table = atom_matches(lit.atom, bound)
+        variables = None
+        for i, images in islice(table, bisect.bisect_left(
+                table, first, key=_atom_id), None):
+            if not unsourced[i]:
                 continue
-            found.append((i, atom,
+            unsourced[i] = 0
+            if variables is None:
+                variables = variables_in_order(lit.atom)
+            m = Subst(dict(zip(variables, images)))
+            found.append((i, atoms[i],
                           DecideOption(clause, q, m, not lit.positive,
-                                       Literal(atom, True)),
+                                       Literal(atoms[i], True)),
                           DecideOption(clause, q, m, lit.positive,
-                                       Literal(atom, False))))
-        pending[lit.atom.pred] = left
+                                       Literal(atoms[i], False))))
     return found
 
 

@@ -23,8 +23,8 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .terms import (
-    Atom, Clause, Fn, Literal, Signature, Subst, is_ground, match,
-    symbol_count, variables_of,
+    Atom, Clause, Fn, Literal, Signature, Subst, Var, is_ground, match,
+    symbol_count, variables_in_order,
 )
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -309,7 +309,8 @@ class Bound:
     atoms built for it stay within ``cap``.
 
     A bound's beta and atoms never change once built, so it also holds what
-    is derived from them: each clause's bounded ground instances as literal
+    is derived from them: each literal pattern's match table
+    (``atom_matches``), each clause's bounded ground instances as literal
     codes (``bounded_codes``, the one cache of groundings, which the
     searches, the soundness checks and the oracle's entailment and
     redundancy checks all read), and the ``calculus.GroundIndex`` of the
@@ -317,7 +318,12 @@ class Bound:
     bound with ``grow_to``.  Under count-KBO that bound starts from the
     atoms of the one it grew from, which are its first atoms, so every
     atom keeps its id across the Grow; it enumerates only the atoms above
-    them, and keeps no reference to its parent.
+    them, and takes over the match tables, which match only those atoms
+    when next read.  So a run matches each pattern against each atom once.
+    The grown bound also shares the clauses' walk plans, which depend on
+    the clauses alone, and keeps no reference to its parent.  Under
+    ground LPO a grown bound enumerates its atoms afresh, and takes over
+    no table.
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
@@ -330,8 +336,15 @@ class Bound:
         self.signature = signature
         self.cap = cap
         self._groundings: dict[Clause, tuple[tuple[int, ...], ...]] = {}
+        # pattern -> (the number of atoms matched against it, its table)
+        self._matches: dict[Atom, tuple[int, tuple]] = {}
+        self._plans: dict[Clause, tuple] = {}  # see ``_plan``
         self.ground_index = None  # kept by ``calculus``
         self._atoms_below = tuple(self._enumerate_below(parent))
+        if parent is not None:
+            self._plans = parent._plans
+            if isinstance(ordering, CountKBO):  # the parent's atoms come first
+                self._matches = dict(parent._matches)
 
     def atoms_below(self) -> tuple[Atom, ...]:
         return self._atoms_below
@@ -420,71 +433,107 @@ class Bound:
 # complement is ``code ^ 1``.  The functions after ``bounded_codes`` decode
 # its codes.
 
+def atom_matches(pattern: Atom,
+                 bound: Bound) -> tuple[tuple[int, tuple], ...]:
+    """The atoms below the bound that ``pattern`` matches, ascending, each
+    as its id and the images of the pattern's variables in the order of
+    ``variables_in_order``.
+
+    Kept on the bound, by pattern, with the number of atoms it was matched
+    against: a table carried from the bound's parent matches only the
+    atoms after those, which under count-KBO are the new ones.  A ground
+    pattern is looked up instead.
+    """
+    matched, table = bound._matches.get(pattern, (0, ()))
+    atoms = bound._atoms_below
+    if matched < len(atoms):
+        if is_ground(pattern):
+            i = bound.atom_id.get(pattern)
+            table = () if i is None else ((i, ()),)
+        else:
+            pred, new = pattern.pred, []
+            for i in range(matched, len(atoms)):
+                if atoms[i].pred == pred:
+                    m = match(pattern, atoms[i])
+                    if m is not None:
+                        new.append((i, tuple(m.mapping.values())))
+            table += tuple(new)
+        bound._matches[pattern] = (len(atoms), table)
+    return table
+
+
 def bounded_codes(clause: Clause, bound: Bound) -> tuple[tuple[int, ...], ...]:
     """The bounded ground instances of ``clause``, each as the codes of its
     literals in clause order.
 
-    Deterministic order: atoms below beta ascending, literals left to right.
-    Cached on the bound, which never changes once built.  No instance or
-    substitution is built: a literal whose variables all occur in earlier
-    literals has at most one candidate atom, which is looked up by the
-    images of its variables.  The complete groundings found count against
+    Deterministic order: atoms below beta ascending, literals left to right,
+    so the instances ascend lexicographically in their codes.  Cached on
+    the bound, which never changes once built.  Nothing is matched here and
+    no instance or substitution is built: each literal's rows come from its
+    pattern's ``atom_matches``, keyed by the images of the variables that
+    occur in earlier literals.  The complete groundings found count against
     ``bound.cap``, tested at every step of the walk.
     """
     cached = bound._groundings.get(clause)
     if cached is not None:
         return cached
-    steps = []
-    earlier: set = set()
-    for lit in clause.literals:
-        variables = variables_of(lit)
-        key = tuple(sorted(variables, key=str)) if variables <= earlier \
-            else None  # None: matched against the predicate's atoms
-        earlier |= variables
-        steps.append((lit.atom, 0 if lit.positive else 1, key))
+    steps = [(sign, slots, _rows(pattern, shared, bound))
+             for pattern, sign, shared, slots in _plan(clause, bound)]
     out: list[tuple[int, ...]] = []
-    _walk_codes(0, None, (), steps, {}, clause, bound, out)
+    _walk_codes(0, (), (), steps, clause, bound, out)
     bound._groundings[clause] = tuple(out)
     return bound._groundings[clause]
 
 
-def _walk_codes(q: int, sigma: Optional[Subst], codes: tuple[int, ...],
-                steps: list, tables: dict, clause: Clause, bound: Bound,
-                out: list):
+def _plan(clause: Clause, bound: Bound) -> tuple:
+    """Each literal's pattern, sign bit, the positions in its variables
+    (``variables_in_order``) of those that occur in earlier literals, and
+    their positions among the clause's variables in first-occurrence
+    order.  Kept on the bound and shared with the bounds grown from it."""
+    plan = bound._plans.get(clause)
+    if plan is None:
+        slots: dict[Var, int] = {}
+        plan = []
+        for lit in clause.literals:
+            variables = variables_in_order(lit.atom)
+            shared = tuple([j for j, v in enumerate(variables) if v in slots])
+            plan.append((lit.atom, 0 if lit.positive else 1, shared,
+                         tuple([slots[variables[j]] for j in shared])))
+            for v in variables:
+                slots.setdefault(v, len(slots))
+        plan = bound._plans[clause] = tuple(plan)
+    return plan
+
+
+def _rows(pattern: Atom, shared: tuple[int, ...], bound: Bound) -> dict:
+    """The rows of ``atom_matches(pattern, bound)`` by their images at the
+    positions ``shared``, each row as its id and its other images."""
+    table = atom_matches(pattern, bound)
+    if not shared:
+        return {(): table}
+    rows: dict[tuple, list] = {}
+    for i, images in table:
+        rows.setdefault(tuple([images[j] for j in shared]), []).append(
+            (i, tuple([x for j, x in enumerate(images) if j not in shared])))
+    return rows
+
+
+def _walk_codes(q: int, images: tuple, codes: tuple[int, ...], steps: list,
+                clause: Clause, bound: Bound, out: list):
     """Appends to ``out`` the codes of the groundings of ``clause`` that
-    extend ``sigma``, which took its first ``q`` literals to ``codes``.
-    ``steps`` holds each literal's pattern, sign bit and lookup key, and
-    ``tables`` the lookup tables built so far, by literal position."""
+    extend the one taking its first ``q`` literals to ``codes`` and the
+    variables they hold, in first-occurrence order, to ``images``.
+    ``steps`` holds each literal's sign bit, the positions in ``images`` of
+    its earlier variables, and its rows by their images there."""
     if len(out) > bound.cap:
         raise EnumerationCapExceeded(bound.cap, f"groundings of {clause}")
     if q == len(steps):
         out.append(codes)
         return
-    pattern, sign, key = steps[q]
-    atom_id = bound.atom_id
-    if key is not None:
-        table = tables.get(q)
-        if table is None:  # the ids of the atoms ``pattern`` matches
-            if key:
-                table = {}
-                for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
-                    m = match(pattern, atom)
-                    if m is not None:
-                        table[tuple([m.mapping[v] for v in key])] = \
-                            atom_id[atom]
-            else:
-                table = {(): atom_id[pattern]} if pattern in atom_id else {}
-            tables[q] = table
-        i = table.get(tuple([sigma.mapping[v] for v in key]))
-        if i is not None:
-            _walk_codes(q + 1, sigma, codes + (2 * i + sign,), steps, tables,
-                        clause, bound, out)
-        return
-    for atom in bound.atoms_by_predicate.get(pattern.pred, ()):
-        m = match(pattern, atom, sigma)
-        if m is not None:
-            _walk_codes(q + 1, m, codes + (2 * atom_id[atom] + sign,), steps,
-                        tables, clause, bound, out)
+    sign, slots, rows = steps[q]
+    for i, new in rows.get(tuple([images[s] for s in slots]), ()):
+        _walk_codes(q + 1, images + new, codes + (2 * i + sign,), steps,
+                    clause, bound, out)
 
 
 def grounding_of(clause: Clause, codes: tuple[int, ...],

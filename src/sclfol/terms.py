@@ -528,6 +528,14 @@ def canonical_variant(clause: Clause) -> Clause:
     return apply(Subst(ren), clause)
 
 
+def variables_in_order(t) -> tuple[Var, ...]:
+    """The variables of a term or atom, each once, in the order a
+    left-to-right walk meets them: the order ``match`` binds them in."""
+    order: dict[Var, None] = {}
+    _first_occurrences(t, order)
+    return tuple(order)
+
+
 def _first_occurrences(t, order: dict):
     """Adds the variables of ``t`` not yet in ``order`` to it, left to
     right."""

@@ -27,7 +27,7 @@ from sclfol.orderings import bounded_instances_of_set
 from sclfol.state import (
     Decision, ProblemState, Propagation, Trail, TrailEntry, soundness_check,
 )
-from sclfol import strategy
+from sclfol import orderings, strategy
 from sclfol.strategy import RunConfig, resolve_conflict_loop, run
 from sclfol.terms import Closure, alpha_equal
 
@@ -319,14 +319,7 @@ def test_large_bound_three_grows_fingerprint():
 def test_runs_leave_no_cyclic_garbage(bs_corpus):
     # a run's bounds, ground indexes and trails die by reference count:
     # nothing a run leaves behind waits for the cycle collector
-    workloads, _ = _load_workloads()
-    workload = workloads.WORKLOADS["grow-fn"]
-    grow_fn = [(parse_native(problem.text),
-                RunConfig(beta=parse_literal_text(problem.bound),
-                          check=workload.check,
-                          max_growths=workload.max_growths,
-                          max_steps=workloads.MAX_STEPS))
-               for problem in workload.problems(workloads.DEFAULT_SEED, 20)]
+    grow_fn = _grow_fn_runs(20)
     growcap = parse_native(GROWCAP_TEXT)
     gc.collect()
     gc.disable()
@@ -343,6 +336,31 @@ def test_runs_leave_no_cyclic_garbage(bs_corpus):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_each_pattern_meets_each_atom_once_per_run(monkeypatch):
+    # a Grow hands the bound's match tables on, so a run matches each
+    # literal pattern against each atom once, over all the bounds it grows
+    # through.  The table builder matches with no partial substitution;
+    # grounding_of, which decodes the candidates taken, extends one
+    matched = Counter()
+    match = orderings.match
+
+    def counted(pattern, target, partial=None):
+        if partial is None:
+            matched[pattern, target] += 1
+        return match(pattern, target, partial)
+
+    monkeypatch.setattr(orderings, "match", counted)
+    growcap = parse_native(GROWCAP_TEXT)
+    for parsed, cfg in [(growcap, RunConfig(beta_weight=4, max_growths=2))] \
+            + _grow_fn_runs(20):
+        matched.clear()
+        result = run(parsed.clauses, cfg, parsed.names)
+        assert result.stats.growths > 0 and matched
+        assert max(matched.values()) == 1, [
+            f"{pattern} against {atom}: {n} times"
+            for (pattern, atom), n in matched.items() if n > 1]
 
 
 def test_random_heuristic_trace_fingerprint(bs_corpus):
@@ -367,6 +385,19 @@ def _load_perfbench(name):
 def _load_workloads():
     expected = json.loads((PERFBENCH / "expected.json").read_text())
     return _load_perfbench("workloads"), expected
+
+
+def _grow_fn_runs(n):
+    """The first ``n`` problems of the benchmark's grow-fn stream, parsed,
+    each with the run configuration perfbench/run.py gives it."""
+    workloads, _ = _load_workloads()
+    workload = workloads.WORKLOADS["grow-fn"]
+    return [(parse_native(problem.text),
+             RunConfig(beta=parse_literal_text(problem.bound),
+                       check=workload.check,
+                       max_growths=workload.max_growths,
+                       max_steps=workloads.MAX_STEPS))
+            for problem in workload.problems(workloads.DEFAULT_SEED, n)]
 
 
 def test_perfbench_tracer_installs():
@@ -395,16 +426,9 @@ def test_perfbench_tracer_installs():
 def test_grow_fn_trace_fingerprint():
     # the benchmark's grow-fn stream: nested unary terms, Grow, Skip and
     # Backtrack, with the run configuration perfbench/run.py gives it
-    workloads, expected = _load_workloads()
-    workload = workloads.WORKLOADS["grow-fn"]
-    results = []
-    for problem in workload.problems(workloads.DEFAULT_SEED, 100):
-        parsed = parse_native(problem.text)
-        cfg = RunConfig(beta=parse_literal_text(problem.bound),
-                        check=workload.check,
-                        max_growths=workload.max_growths,
-                        max_steps=workloads.MAX_STEPS)
-        results.append(run(parsed.clauses, cfg, parsed.names))
+    _, expected = _load_workloads()
+    results = [run(parsed.clauses, cfg, parsed.names)
+               for parsed, cfg in _grow_fn_runs(100)]
     assert _trace_fingerprint(results) == expected["grow-fn"]["100"]
     assert expected["grow-fn"]["100"] == "aa9a370685269636"
 
@@ -440,15 +464,8 @@ def test_recorder_counts_the_trail_by_predicate(bs_corpus, monkeypatch):
     for heuristic in ("first", "random"):
         for clauses in bs_corpus[:50]:
             check(clauses, RunConfig(heuristic=heuristic, max_steps=50_000))
-    workloads, _ = _load_workloads()
-    workload = workloads.WORKLOADS["grow-fn"]
-    for problem in workload.problems(workloads.DEFAULT_SEED, 20):
-        parsed = parse_native(problem.text)
-        check(parsed.clauses,
-              RunConfig(beta=parse_literal_text(problem.bound),
-                        check=workload.check,
-                        max_growths=workload.max_growths,
-                        max_steps=workloads.MAX_STEPS), parsed.names)
+    for parsed, cfg in _grow_fn_runs(20):
+        check(parsed.clauses, cfg, parsed.names)
     blowup = parse_native((Path(__file__).parent / "data" /
                            "unit_blowup.native").read_text())
     for avoid in ((), ("R",)):

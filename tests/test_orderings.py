@@ -231,6 +231,51 @@ def _random_clause(rng, sig):
     return Clause(tuple(literals))
 
 
+def _bruteforce_groundings(clause, beta, ordering, sig, atoms):
+    """(ranks, sigma) for every map ``sigma`` of the variables of
+    ``clause`` onto brute-force terms that puts every atom of the instance
+    below ``beta``, ranks being the positions of those atoms below beta;
+    sorted by ranks.  ``atoms`` must hold every atom below beta."""
+    cmp = ordering.compare_atoms
+    rank = {a: i for i, a in enumerate(sorted(
+        (a for a in atoms if cmp(a, beta) < 0),
+        key=functools.cmp_to_key(cmp)))}
+    # an atom below beta has at most beta's symbol count under count-KBO;
+    # an LPO bound has constants only
+    terms = list(_bruteforce_terms(sig, symbol_count(beta) - 1))
+    variables = sorted(variables_of(clause), key=str)
+    # each literal is checked as soon as its variables are mapped: by k,
+    # those whose last variable is the k-th
+    checked = [[] for _ in range(len(variables) + 1)]
+    for q in clause:
+        checked[max((variables.index(v) + 1 for v in variables_of(q)),
+                    default=0)].append(q)
+    found = []
+
+    def extend(mapping):
+        sigma = Subst(mapping)
+        if any(cmp(apply(sigma, q.atom), beta) >= 0
+               for q in checked[len(mapping)]):
+            return
+        if len(mapping) < len(variables):
+            for t in terms:
+                extend({**mapping, variables[len(mapping)]: t})
+        else:
+            found.append(([rank[apply(sigma, q.atom)] for q in clause],
+                          sigma))
+
+    extend({})
+    found.sort(key=lambda pair: pair[0])
+    return found
+
+
+def _codes_of(clause, found):
+    """The literal codes of the brute-force groundings ``found``: twice the
+    rank of each literal's atom, plus one when it is negative."""
+    return tuple(tuple(2 * i + (not q.positive) for i, q in zip(ranks, clause))
+                 for ranks, _ in found)
+
+
 def _bruteforce_next_beta(atoms, beta, cmp, kind):
     """The least atom above beta under LPO; under count-KBO the greatest
     atom of the least weight above beta's.  ``atoms`` must hold every atom
@@ -287,25 +332,11 @@ class TestBoundedGroundings:
         # literals' atoms below beta, left to right
         rng = random.Random(20260419)
         for kind, ordering, sig, atoms, beta, context in _random_bounds():
-            cmp = ordering.compare_atoms
             bound = Bound(Literal(beta), ordering, sig)
-            rank = {a: i for i, a in enumerate(sorted(
-                (a for a in atoms if cmp(a, beta) < 0),
-                key=functools.cmp_to_key(cmp)))}
-            # an atom below beta has at most beta's symbol count under
-            # count-KBO; an LPO bound has constants only
-            terms = list(_bruteforce_terms(sig, symbol_count(beta) - 1))
             for _ in range(2):
                 clause = _random_clause(rng, sig)
-                found = []
-                variables = sorted(variables_of(clause), key=str)
-                for image in itertools.product(terms,
-                                               repeat=len(variables)):
-                    sigma = Subst(dict(zip(variables, image)))
-                    instance = [apply(sigma, q.atom) for q in clause]
-                    if all(cmp(a, beta) < 0 for a in instance):
-                        found.append(([rank[a] for a in instance], sigma))
-                found.sort(key=lambda pair: pair[0])
+                found = _bruteforce_groundings(clause, beta, ordering, sig,
+                                               atoms)
                 expected = tuple(sigma for _, sigma in found)
                 got = bounded_groundings(clause, bound)
                 assert set(got) == set(expected), f"{context}: {clause}"
@@ -314,10 +345,39 @@ class TestBoundedGroundings:
                     [apply(sigma, clause) for sigma in expected]
                 # the shared enumerator itself: each code decodes to the
                 # rank and sign of the brute-force instance's literal
-                assert [[(c >> 1, not c & 1) for c in codes]
-                        for codes in bounded_codes(clause, bound)] == [
-                    [(i, q.positive) for i, q in zip(ranks, clause)]
-                    for ranks, _ in found], f"{context}: {clause}"
+                assert bounded_codes(clause, bound) == \
+                    _codes_of(clause, found), f"{context}: {clause}"
+
+    def test_carried_match_tables_agree_with_fresh_bounds(self):
+        # each bound grown twice with grow_to, to random larger betas, after
+        # grounding some of the clauses on it: a grown count-KBO bound reads
+        # the match tables it took over, some matched against its parent's
+        # atoms and some only against its grandparent's, and grounds as a
+        # fresh bound of its beta does and as brute force does.  The carry
+        # rests on the grown bound's atoms beginning with its parent's, so
+        # that no id moves; checked under both orderings.  Betas of at most
+        # four symbols keep the brute force to a few seconds.
+        rng = random.Random(20261115)
+        for kind, ordering, sig, atoms, beta, context in _random_bounds():
+            cmp = ordering.compare_atoms
+            clauses = [_random_clause(rng, sig) for _ in range(4)]
+            bound = Bound(Literal(beta), ordering, sig)
+            for grows in range(3):
+                for clause in clauses[:2 + grows]:
+                    found = _bruteforce_groundings(clause, bound.beta.atom,
+                                                   ordering, sig, atoms)
+                    fresh = Bound(bound.beta, ordering, sig)
+                    assert bounded_codes(clause, bound) == \
+                        bounded_codes(clause, fresh) == \
+                        _codes_of(clause, found), \
+                        f"{context}: {clause} below {bound.beta}"
+                above = [a for a in atoms if symbol_count(a) <= 4
+                         and cmp(a, bound.beta.atom) > 0]
+                if grows == 2 or not above:
+                    break
+                old = bound.atoms_below()
+                bound = bound.grow_to(Literal(rng.choice(above)))
+                assert bound.atoms_below()[:len(old)] == old, context
 
     def test_each_clause_is_grounded_once_per_bound(self, bs_corpus,
                                                     monkeypatch):
@@ -328,10 +388,13 @@ class TestBoundedGroundings:
         walks, reads = Counter(), Counter()
         walk, codes_of = orderings._walk_codes, orderings.bounded_codes
 
-        def counted_walk(q, sigma, codes, steps, tables, clause, bound, out):
+        def counted_walk(q, *args):
+            # the walk's last three parameters are the clause, the bound
+            # and the output list
+            clause, bound = args[-3:-1]
             if q == 0:
                 walks[bound, clause] += 1
-            walk(q, sigma, codes, steps, tables, clause, bound, out)
+            walk(q, *args)
 
         # the decoders the checks call read it through this name; calculus
         # binds its own, so the search's reads are not counted
