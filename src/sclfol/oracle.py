@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .orderings import Bound, EnumerationCapExceeded, TrailOrder, \
     bounded_groundings, bounded_instances, bounded_instances_of_set
-from .proofs import Derivation, FactorizeStep, Proof, ResolveStep
+from .proofs import Derivation, FactorizeStep, Proof, ResolveStep, Step
 from .terms import (
     Atom, Clause, Closure, Fn, Literal, Subst, Var, alpha_equal, apply,
     is_ground, match, mgu, rename_apart, same_multiset, unify_all,
@@ -340,10 +340,13 @@ def _replay_derivation(known: dict[str, Clause],
                             "conflict substitution is not grounding")
     current = Closure(clause, subst)
     for n, step in enumerate(deriv.steps):
+        parent = None
         if isinstance(step, ResolveStep):
-            result = _replay_resolve(known, current, step)
-        else:
-            result = _replay_factorize(current, step)
+            parent = known.get(step.clause_ref)
+            if parent is None:
+                return StepMismatch(deriv.name, n, f"unknown resolve parent "
+                                                   f"{step.clause_ref}")
+        result = replay_step(current, step, parent)
         if isinstance(result, str):
             return StepMismatch(deriv.name, n, result)
         current = result
@@ -352,6 +355,18 @@ def _replay_derivation(known: dict[str, Clause],
             deriv.name, len(deriv.steps),
             f"replayed {current.clause}, recorded {deriv.clause}")
     return None
+
+
+def replay_step(current: Closure, step: Step,
+                parent: Optional[Clause] = None) -> Union[Closure, str]:
+    """One Resolve or Factorize of a derivation, replayed from the conflict
+    closure ``current`` with the term kernel: the closure it yields, or
+    what is wrong with the step.  ``parent`` is the clause a ``ResolveStep``
+    names.  Whatever clauses entail ``current.clause`` and ``parent``
+    entail the clause yielded."""
+    if isinstance(step, ResolveStep):
+        return _replay_resolve(parent, current, step)
+    return _replay_factorize(current, step)
 
 
 def propagation_annotation(clause: Clause, lit_index: int,
@@ -374,11 +389,7 @@ def propagation_annotation(clause: Clause, lit_index: int,
     return annotated, keep.index(lit_index)
 
 
-def _replay_resolve(known: dict[str, Clause], current: Closure,
-                    step: ResolveStep):
-    if step.clause_ref not in known:
-        return f"unknown resolve parent {step.clause_ref}"
-    parent = known[step.clause_ref]
+def _replay_resolve(parent: Clause, current: Closure, step: ResolveStep):
     if not 0 <= step.lit_index < len(parent):
         return f"literal index {step.lit_index} out of range"
     if not is_ground(apply(step.subst, parent)):

@@ -212,14 +212,21 @@ def soundness_check(state: ProblemState,
     3. each decision literal is undefined under the preceding prefix;
     4. the initial clauses entail every learned clause;
     5. an active conflict closure is false under the trail and its ground
-       instance follows from the bounded groundings of the initial clauses;
+       instance follows from the initial clauses;
     6. every trail literal is below the bound and instantiates a pool
        literal (of either polarity, matching how decisions are drawn).
 
-    The entailment checks in 2, 4 and 5 are decided exactly over the
-    beta-bounded groundings; one that exceeds ``SOUNDNESS_ATOM_CAP`` is
-    reported as a failed check.  A clause of the pool needs no check under
-    2: the pool entails its own members.
+    The entailments of 2, 4 and 5 need no check for a clause in
+    ``cache["derived"]``: a set of clauses the initial clauses are known to
+    entail.  A run's recorder fills it under ``--check full``: it holds the
+    initial clauses, and each clause the recorder certified by replaying
+    the step that made it (a factored propagation clause, a conflict
+    clause, a learned clause) from certified clauses.  These are
+    first-order facts, so the set outlives a Grow.  A clause of the pool
+    needs no check under 2 either: the pool entails its own members.  Any
+    other entailment is decided exactly over the beta-bounded groundings,
+    which is sufficient but, with function symbols, not necessary; a check
+    that exceeds ``SOUNDNESS_ATOM_CAP`` atoms is reported as failed.
 
     A ``cache`` carried over the states of one run gives the same result
     as none, for less work.  It keeps each entailment verdict (under 2 and
@@ -236,6 +243,7 @@ def soundness_check(state: ProblemState,
     out: list[Violation] = []
     trail = state.trail
     pool = state.pool
+    derived = cache.get("derived", ())
     unchecked = range(_verified_prefix(state, cache), len(trail))
 
     for i in unchecked:
@@ -264,7 +272,7 @@ def soundness_check(state: ProblemState,
             if defined_before:
                 out.append(Violation(2, f"{entry.literal} already defined "
                                         f"before its propagation"))
-            if closure.clause not in pool:  # a factored clause
+            if closure.clause not in derived and closure.clause not in pool:
                 violation = _entailment_violation(
                     2, "pool does not entail", pool, closure.clause,
                     state.bound, cache, tag="pool")
@@ -276,6 +284,8 @@ def soundness_check(state: ProblemState,
                                         f"defined before its position"))
 
     for learned in state.learned:
+        if learned in derived:
+            continue
         violation = _entailment_violation(
             4, "initial clauses do not entail", state.initial, learned,
             state.bound, cache, tag="initial")
@@ -287,20 +297,21 @@ def soundness_check(state: ProblemState,
         if not trail.all_false(inst):
             out.append(Violation(5, f"conflict {state.conflict} is not false "
                                     f"under the trail"))
-        key = ("conflict", state.bound.beta, inst)
-        try:
-            if key not in cache:
-                n_ground = _ground_pool(state.initial, state.bound, cache,
-                                        "initial")
-                cache[key] = oracle.ground_entails(n_ground, inst,
-                                                   SOUNDNESS_ATOM_CAP)
-            if not cache[key]:
-                out.append(Violation(5, f"bounded groundings do not entail "
-                                        f"{inst}"))
-        except oracle.CapExceeded as exc:
-            out.append(Violation(5, f"entailment check failed: {exc}"))
+        if state.conflict.clause not in derived:
+            key = ("conflict", state.bound.beta, inst)
+            try:
+                if key not in cache:
+                    n_ground = _ground_pool(state.initial, state.bound,
+                                            cache, "initial")
+                    cache[key] = oracle.ground_entails(n_ground, inst,
+                                                       SOUNDNESS_ATOM_CAP)
+                if not cache[key]:
+                    out.append(Violation(5, f"bounded groundings do not "
+                                            f"entail {inst}"))
+            except oracle.CapExceeded as exc:
+                out.append(Violation(5, f"entailment check failed: {exc}"))
 
-    pool_literals = [lit for c in pool for lit in c]
+    pool_literals = [lit for c in pool for lit in c] if unchecked else ()
     for i in unchecked:
         lit = trail[i].literal
         if not state.bound.literal_below(lit):

@@ -50,8 +50,8 @@ from .state import (
     SOUNDNESS_ATOM_CAP, ProblemState, Propagation, soundness_check, trace_line,
 )
 from .terms import (
-    Atom, Clause, Fn, Literal, Signature, Subst, symbol_count, term_depth,
-    variables_of,
+    Atom, Clause, Closure, Fn, Literal, Signature, Subst, alpha_equal,
+    symbol_count, term_depth, variables_of,
 )
 
 
@@ -438,6 +438,13 @@ class _Recorder:
         self.propagation_sources: dict = {}
         self.last_rule: Optional[str] = None
         self.sound_cache: dict = {}
+        # under --check full, the clauses the initial ones entail, each
+        # certified by replaying the step that made it (``soundness_check``
+        # reads them), and the conflict closure if it is certified
+        self.derived: Optional[set[Clause]] = None
+        if cfg.check == "full":
+            self.derived = self.sound_cache["derived"] = set(state.initial)
+        self.certified: Optional[Closure] = None
         # the entries per predicate of the trail recorded last
         self.by_predicate = Counter(e.literal.atom.pred for e in state.trail)
 
@@ -488,6 +495,16 @@ class _Recorder:
                 raise InvariantViolation(
                     "; ".join(str(v) for v in violations))
 
+    def _replay(self, state: ProblemState, step, parent=None):
+        """Certifies the conflict closure of ``state`` when ``step``,
+        replayed from the certified closure before it (and ``parent``, the
+        clause a Resolve names, if certified), yields it."""
+        prev, self.certified = self.certified, None
+        if prev is not None and (parent is None or parent in self.derived) \
+                and oracle.replay_step(prev, step, parent) == state.conflict:
+            self.certified = state.conflict
+            self.derived.add(state.conflict.clause)
+
     def _count_pushed(self, state: ProblemState):
         """Only a push can raise a predicate's count on the trail."""
         pred = state.trail[-1].literal.atom.pred
@@ -500,6 +517,13 @@ class _Recorder:
         entry = state.trail[-1]
         self.propagation_sources[entry.annotation] = (
             self.name_of(option.clause), option.lit_index, option.clause)
+        annotated = entry.annotation.closure.clause
+        if self.derived is not None and annotated is not option.clause \
+                and option.clause in self.derived \
+                and oracle.propagation_annotation(
+                    option.clause, option.lit_index, option.sigma) \
+                == (annotated, entry.annotation.lit_index):
+            self.derived.add(annotated)  # a factor of a certified clause
         self.stats.propagations_by_predicate[option.literal.atom.pred] += 1
         self._after("propagate",
                     f"{option.literal} from {self.name_of(option.clause)} . "
@@ -525,6 +549,8 @@ class _Recorder:
         self.episode_resolves = 0
         self.episode_snapshot = state.trail_order()
         self.episode_pool = state.pool
+        self.certified = state.conflict if self.derived is not None \
+            and clause in self.derived else None
         self._after("conflict",
                     f"{self.name_of(clause)} . {sigma}", state)
 
@@ -534,6 +560,7 @@ class _Recorder:
 
     def on_factorize(self, state: ProblemState, i: int, j: int):
         self.episode_steps.append(FactorizeStep(i, j))
+        self._replay(state, self.episode_steps[-1])
         self._after("factorize", f"{i} {j}", state)
 
     def on_resolve(self, state: ProblemState, top, conflict_index: int):
@@ -550,11 +577,16 @@ class _Recorder:
         self.episode_steps.append(
             ResolveStep(name, lit_index, sigma, conflict_index))
         self.episode_resolves += 1
+        self._replay(state, self.episode_steps[-1], pool_clause)
         self._after("resolve", f"with {name} on {top.literal}", state)
 
     def on_backtrack(self, prev: ProblemState, state: ProblemState):
         learned = state.learned[-1]
         name = self.add_learned_name(learned)
+        if self.certified is not None \
+                and alpha_equal(learned, self.certified.clause):
+            self.derived.add(learned)
+        self.certified = None
         if self.episode_start is not None:
             self.derivations.append(Derivation(
                 name, self.episode_start, tuple(self.episode_steps), learned))

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
+import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -11,6 +12,8 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from conftest import (
     NONUNIT_BLOWUP_PROPOSITIONAL, NONUNIT_BLOWUP_TEXT, LOOPING_TEXT,
@@ -27,9 +30,10 @@ from sclfol.orderings import bounded_instances_of_set
 from sclfol.state import (
     Decision, ProblemState, Propagation, Trail, TrailEntry, soundness_check,
 )
-from sclfol import orderings, strategy
+from sclfol import oracle, orderings, strategy
+from sclfol import state as state_module
 from sclfol.strategy import RunConfig, resolve_conflict_loop, run
-from sclfol.terms import Closure, alpha_equal
+from sclfol.terms import Clause, Closure, alpha_equal
 
 
 def _passed(n, message):
@@ -431,6 +435,74 @@ def test_grow_fn_trace_fingerprint():
                for parsed, cfg in _grow_fn_runs(100)]
     assert _trace_fingerprint(results) == expected["grow-fn"]["100"]
     assert expected["grow-fn"]["100"] == "aa9a370685269636"
+
+
+def test_full_check_accepts_every_grow_fn_run():
+    # with function symbols the bounded groundings can miss an entailment
+    # that a learned clause's derivation proves (ROADMAP item 1); full
+    # checking certifies it by the recorded steps and changes nothing
+    for parsed, cfg in _grow_fn_runs(300):
+        off = run(parsed.clauses, cfg, parsed.names)
+        full = run(parsed.clauses, dataclasses.replace(cfg, check="full"),
+                   parsed.names)
+        assert (full.verdict, full.trace) == (off.verdict, off.trace)
+
+
+def test_full_check_certifies_by_replayed_steps(bs_corpus, monkeypatch):
+    # the recorder certifies every factored propagation clause, conflict
+    # and learned clause of these runs by replaying its step, so the
+    # soundness check decides no entailment over the bounded groundings
+    bounded = []
+    checking = [False]
+    check = strategy.soundness_check
+    entailment_violation = state_module._entailment_violation
+    ground_entails = oracle.ground_entails
+
+    def tracked_check(*args):
+        checking[0] = True
+        try:
+            return check(*args)
+        finally:
+            checking[0] = False
+
+    def tracked_violation(*args, **kwargs):
+        bounded.append(args[3])
+        return entailment_violation(*args, **kwargs)
+
+    def tracked_entails(premises, clause, *args):
+        if checking[0]:
+            bounded.append(clause)
+        return ground_entails(premises, clause, *args)
+
+    monkeypatch.setattr(strategy, "soundness_check", tracked_check)
+    monkeypatch.setattr(state_module, "_entailment_violation",
+                        tracked_violation)
+    monkeypatch.setattr(oracle, "ground_entails", tracked_entails)
+    results = [run(clauses, RunConfig(check="full", max_steps=50_000))
+               for clauses in bs_corpus[:100]]
+    assert sum(result.stats.rule_counts["resolve"] for result in results)
+    assert bounded == []
+
+
+def test_full_check_catches_a_resolvent_missing_a_literal(bs_corpus,
+                                                          monkeypatch):
+    # the certificates are not taken on trust: a Resolve that drops a
+    # literal makes a closure its replay does not reproduce, so the bounded
+    # check decides the clause learned from it.  This run ends sat-bounded,
+    # so no proof check would catch it either
+    resolve = strategy.apply_resolve
+
+    def dropping(state):
+        new = resolve(state)
+        closure = new.conflict
+        return dataclasses.replace(new, conflict=Closure(
+            Clause(closure.clause.literals[:-1]), closure.subst))
+
+    assert run(bs_corpus[11], RunConfig()).verdict == "sat-bounded"
+    monkeypatch.setattr(strategy, "apply_resolve", dropping)
+    with pytest.raises(strategy.InvariantViolation,
+                       match="condition 4: initial clauses do not entail"):
+        run(bs_corpus[11], RunConfig(check="full", max_steps=50_000))
 
 
 def test_recorder_counts_the_trail_by_predicate(bs_corpus, monkeypatch):

@@ -483,7 +483,7 @@ class TestCliModes:
 
     WIDE = "P(X,Y) | ~C(X)\n" + "".join(f"C({c})\n" for c in "abcdefghijkl")
 
-    def test_full_check_reports_a_cap_overflow(self, tmp_path, capsys):
+    def test_full_check_certifies_past_the_atom_cap(self, tmp_path, capsys):
         # 156 ground atoms: too many to decide by DPLL, yet each propagation
         # comes from a pool clause, which the pool entails without a check
         problem = tmp_path / "wide.native"
@@ -495,16 +495,41 @@ class TestCliModes:
         assert main(["check-model", "--input", str(problem), "--format",
                      "native", "--model", str(model)]) == 0
         capsys.readouterr()
-        # a conflict instance is not a pool member: its check overflows,
-        # which is a failed check, not a non-entailment
+        # the conflict is an instance of an input clause: certified by its
+        # step, it needs no bounded check (tests/test_state.py pins the
+        # cap overflow of a state that no run recorded)
         problem.write_text(self.WIDE + "~P(a,b)\n")
+        proof = tmp_path / "wide.proof"
         code = main(["--input", str(problem), "--format", "native",
-                     "--check", "full"])
-        err = capsys.readouterr().err
-        assert code == 70
-        assert "condition 5: entailment check failed: 156 ground atoms " \
-               "exceed the cap of 128" in err
-        assert "does not entail" not in err
+                     "--check", "full", "--proof", str(proof)])
+        assert code == 0
+        assert main(["check-proof", "--input", str(problem), "--format",
+                     "native", "--proof", str(proof)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PROOF OK"
+
+    # ROADMAP item 1's reproduction (the grow-fn stream at seed 7, problem
+    # 15): the learned clause ~P2(f(X)) | ~P2(a) | P1(X) is sound, but its
+    # instance at X -> f(f(f(a))) is derived through an atom above beta,
+    # so the bounded groundings do not entail it
+    VIOL = ("~P1(f(a)) | P0(a,f(f(Y))) | ~P2(f(f(Y)))\n"
+            "P0(f(f(a)),a) | ~P0(f(f(Y)),f(a))\n"
+            "~P2(f(Y)) | P0(X,f(f(Y))) | P1(Y)\n"
+            "~P1(f(X)) | ~P2(X) | ~P2(a)\n"
+            "P2(f(a)) | P1(f(f(Y))) | P1(Y)\n"
+            "~P0(f(a),f(f(X))) | P1(f(f(X)))\n")
+
+    def test_full_check_accepts_a_learned_clause_beyond_the_bound(
+            self, tmp_path, capsys):
+        problem = tmp_path / "viol.native"
+        problem.write_text(self.VIOL)
+        model = tmp_path / "viol.model"
+        code = main(["--input", str(problem), "--format", "native",
+                     "--beta", "P0(a,a)", "--grow", "4", "--check", "full",
+                     "--model", str(model)])
+        assert "condition" not in capsys.readouterr().err
+        assert code == 1
+        assert main(["check-model", "--input", str(problem), "--format",
+                     "native", "--model", str(model)]) == 0
 
     def test_bad_heuristic_usage_error(self, capsys):
         assert main(["--input", self.E1, "--heuristic", "maximal"]) == 64

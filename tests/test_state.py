@@ -9,6 +9,7 @@ from conftest import (
 )
 from sclfol.oracle import entails_bounded
 from sclfol.orderings import Bound, bounded_groundings
+from sclfol.strategy import RunConfig, configure_bound
 from sclfol.state import (
     SOUNDNESS_ATOM_CAP, Decision, NotOnTrail, ProblemState, Propagation, Trail,
     TrailEntry, clause_level, literal_level, soundness_check, trace_line,
@@ -214,6 +215,24 @@ class TestSoundness:
         c1 = sc.clauses[0]
         s = state_with(sc, [], conflict=Closure(c1, sub("{X -> a}")))
         assert 5 in {v.condition for v in soundness_check(s)}
+
+    def test_uncertified_conflict_past_the_cap_fails_its_check(self):
+        # a state that no run recorded has no certificates: its conflict is
+        # decided over the bounded groundings, whose 156 atoms pass the cap
+        clauses = (cl("P(X,Y) | ~C(X)"),
+                   *(cl(f"C({c})") for c in "abcdefghijkl"), cl("~P(a,b)"))
+        s = ProblemState(
+            Trail((entry("C(a)", Propagation(Closure(clauses[1], Subst()),
+                                             0)),
+                   entry("P(a,b)", Propagation(
+                       Closure(clauses[0], sub("{X -> a, Y -> b}")), 0)))),
+            clauses, (), configure_bound(clauses, RunConfig()), 0,
+            Closure(clauses[-1], Subst()))
+        assert [str(v) for v in soundness_check(s)] == [
+            "condition 5: entailment check failed: 156 ground atoms exceed "
+            "the cap of 128"]
+        # the conflict instantiates an initial clause, which certifies it
+        assert soundness_check(s, {"derived": set(clauses)}) == []
 
     def test_unbounded_trail_literal_condition_6(self):
         sc = grow_example()
