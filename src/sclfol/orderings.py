@@ -17,7 +17,6 @@ and enumerates the finite set of atoms strictly below beta.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -164,7 +163,8 @@ def ground_terms_of_weight(signature: Signature, weight: int,
 
 def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
                            below: Optional[Atom] = None,
-                           ordering=None) -> list[Atom]:
+                           ordering=None,
+                           above: Optional[Atom] = None) -> list[Atom]:
     """All ground atoms with exactly ``weight`` symbols, ascending under
     count-KBO (by default with ``Precedence.default_for(signature)``).
 
@@ -175,6 +175,10 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
     off at the first argument above the matching one of ``below``.  Ground
     LPO does not order by weight, so there every atom of the weight is
     built and compared; its bounds have no proper function symbols.
+
+    With ``above``, under count-KBO only, only the atoms not below it: the
+    inclusive lower cut that mirrors ``below``, which skips the predicates
+    before its head and the argument tuples before its arguments.
     """
     if _memo is None:
         _memo = {}
@@ -182,20 +186,28 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
         ordering = CountKBO(Precedence.default_for(signature))
     kbo_limit = symbol_count(below) \
         if below is not None and isinstance(ordering, CountKBO) else None
-    if kbo_limit is not None and weight > kbo_limit:
+    floor = None if above is None else symbol_count(above)
+    if kbo_limit is not None and weight > kbo_limit \
+            or floor is not None and weight < floor:
         return []
     out: list[Atom] = []
     for name, arity in _by_precedence(signature.predicates, ordering):
-        args_below = None
+        args_below = args_above = None
         if weight == kbo_limit:
             c = ordering.precedence.compare(name, below.pred)
             if c > 0:
                 break
             if c == 0:
                 args_below = below.args
+        if weight == floor:
+            c = ordering.precedence.compare(name, above.pred)
+            if c < 0:
+                continue
+            if c == 0:
+                args_above = above.args
         out += [Atom(name, args)
                 for args in _arg_tuples(signature, weight - 1, arity, _memo,
-                                        ordering, args_below)]
+                                        ordering, args_below, args_above)]
     if below is not None and kbo_limit is None:
         out = [a for a in out if ordering.compare_atoms(a, below) < 0]
     return out
@@ -207,51 +219,76 @@ def _by_precedence(symbols, ordering) -> list[tuple[str, int]]:
 
 
 def _arg_tuples(signature: Signature, total: int, arity: int, memo,
-                ordering, below: Optional[tuple] = None) -> list[tuple]:
+                ordering, below: Optional[tuple] = None,
+                above: Optional[tuple] = None) -> list[tuple]:
     """Tuples of ``arity`` ground terms with ``total`` symbols between them,
     lexicographically ascending; with ``below``, a tuple of the same total,
-    only those lexicographically below it under count-KBO.
+    only those lexicographically below it under count-KBO, and with
+    ``above``, another such tuple, only those not below it.
 
-    Memoized without ``below``, so a weight split that no terms can fill is
-    found empty once, not once per choice of the arguments before it.
+    Memoized without the cuts, so a weight split that no terms can fill is
+    found empty once, not once per choice of the arguments before it.  A
+    list built under a cut never enters the memo.
     """
     if arity == 0:
         return [()] if total == 0 and below is None else []
     key = (total, arity)
-    if below is None and key in memo:
+    uncut = below is None and above is None
+    if uncut and key in memo:
         return memo[key]
     out: list[tuple] = []
     for w in range(1, total - arity + 2):
         for first in ground_terms_of_weight(signature, w, memo, ordering):
-            rest = None
+            rest_below = rest_above = None
+            if above is not None:
+                c = ordering.compare_terms(first, above[0])
+                if c < 0:
+                    continue
+                if c == 0:
+                    rest_above = above[1:]
             if below is not None:
                 c = ordering.compare_terms(first, below[0])
                 if c > 0:
                     return out
                 if c == 0:
-                    rest = below[1:]
+                    rest_below = below[1:]
             out += [(first,) + tail
                     for tail in _arg_tuples(signature, total - w, arity - 1,
-                                            memo, ordering, rest)]
-    if below is None:
+                                            memo, ordering, rest_below,
+                                            rest_above)]
+    if uncut:
         memo[key] = out
     return out
 
 
+class _Fills(dict):
+    """The answers of ``_fills`` for one signature and ordering, by
+    ``(total, arity)``, with the function symbols in descending and the
+    predicates in ascending precedence."""
+
+    def __init__(self, signature: Signature, ordering):
+        super().__init__()
+        self.functions = _by_precedence(signature.functions, ordering)[::-1]
+        self.predicates = _by_precedence(signature.predicates, ordering)
+
+
 def largest_atom_of_weight(signature: Signature, weight: int,
-                           ordering: CountKBO) -> Optional[Atom]:
+                           ordering: CountKBO,
+                           _memo: Optional[_Fills] = None) -> Optional[Atom]:
     """The count-KBO-largest ground atom with exactly ``weight`` symbols, or
     None when there is none; built directly, without the other atoms.
 
     Its head is the highest-precedence predicate whose arguments can fill
     the weight.  Arguments compare lexicographically, so each one in turn is
     the heaviest, and then largest, term that leaves a weight the remaining
-    arguments can fill.
+    arguments can fill.  ``_memo`` keeps what is found out about the
+    signature across calls: a bound's ``fills``, which the bounds grown
+    from it share, so a run sorts the symbols and answers each ``_fills``
+    question once.
     """
-    functions = _by_precedence(signature.functions, ordering)[::-1]
-    memo: dict = {}
-    for name, arity in reversed(_by_precedence(signature.predicates,
-                                               ordering)):
+    memo = _Fills(signature, ordering) if _memo is None else _memo
+    functions = memo.functions
+    for name, arity in reversed(memo.predicates):
         if _fills(weight - 1, arity, functions, memo):
             return Atom(name, _largest_args(weight - 1, arity, functions,
                                             memo))
@@ -260,20 +297,22 @@ def largest_atom_of_weight(signature: Signature, weight: int,
 
 def _fills(total: int, arity: int, functions, memo: dict) -> bool:
     """Do some ``arity`` ground terms over ``functions`` have ``total``
-    symbols between them?  ``memo`` keeps the answers."""
+    symbols between them?  One term does when some head's arguments fill
+    the rest.  ``memo`` keeps the answers."""
     if arity == 0:
         return total == 0
+    if total < arity:  # every term has a symbol
+        return False
     key = (total, arity)
     if key not in memo:
-        memo[key] = any(_term_of(w, functions, memo)
-                        and _fills(total - w, arity - 1, functions, memo)
-                        for w in range(1, total - arity + 2))
+        if arity == 1:
+            memo[key] = any(_fills(total - 1, k, functions, memo)
+                            for _, k in functions)
+        else:
+            memo[key] = any(_fills(w, 1, functions, memo)
+                            and _fills(total - w, arity - 1, functions, memo)
+                            for w in range(1, total - arity + 2))
     return memo[key]
-
-
-def _term_of(w: int, functions, memo: dict) -> bool:
-    """Is there a ground term of ``w`` symbols over ``functions``?"""
-    return any(_fills(w - 1, k, functions, memo) for _, k in functions)
 
 
 def _largest_args(total: int, arity: int, functions, memo: dict) -> tuple:
@@ -281,9 +320,9 @@ def _largest_args(total: int, arity: int, functions, memo: dict) -> tuple:
     symbols between them; ``functions`` in descending precedence."""
     args = []
     for left in range(arity - 1, -1, -1):
-        w = max(w for w in range(1, total - left + 1)
-                if _term_of(w, functions, memo)
-                and _fills(total - w, left, functions, memo))
+        w = next(w for w in range(total - left, 0, -1)
+                 if _fills(w, 1, functions, memo)
+                 and _fills(total - w, left, functions, memo))
         name, k = next((n, k) for n, k in functions
                        if _fills(w - 1, k, functions, memo))
         args.append(Fn(name, _largest_args(w - 1, k, functions, memo)))
@@ -314,16 +353,22 @@ class Bound:
     codes (``bounded_codes``, the one cache of groundings, which the
     searches, the soundness checks and the oracle's entailment and
     redundancy checks all read), and the ``calculus.GroundIndex`` of the
-    searches (see the ``calculus`` module docstring).  A Grow builds a new
-    bound with ``grow_to``.  Under count-KBO that bound starts from the
-    atoms of the one it grew from, which are its first atoms, so every
-    atom keeps its id across the Grow; it enumerates only the atoms above
-    them, and takes over the match tables, which match only those atoms
-    when next read.  So a run matches each pattern against each atom once.
-    The grown bound also shares the clauses' walk plans, which depend on
-    the clauses alone, and keeps no reference to its parent.  Under
-    ground LPO a grown bound enumerates its atoms afresh, and takes over
-    no table.
+    searches (see the ``calculus`` module docstring).  What depends on the
+    signature and ordering alone it keeps too: the ground terms and uncut
+    argument tuples it enumerated (``_terms``), and ``fills``, which
+    ``largest_atom_of_weight`` reads.
+
+    A Grow builds a new bound with ``grow_to``, which hands it those two
+    and the clauses' walk plans, which depend on the clauses alone; so a
+    run builds each term once.  Under count-KBO the grown bound's first
+    atoms are those of the one it grew from, so every atom keeps its id
+    across the Grow: it copies its parent's ``atom_id``, enumerates only
+    the atoms from its parent's beta on, and takes over the match tables,
+    which match only those atoms when next read.  So a run matches each
+    pattern against each atom once.  Under ground LPO a grown bound
+    enumerates its atoms afresh, and takes over no table.  A grown bound
+    keeps no reference to its parent, and a parent of another signature or
+    ordering hands it nothing.
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
@@ -331,6 +376,9 @@ class Bound:
                  parent: Optional["Bound"] = None):
         if not is_ground(beta):
             raise OrderingConfigError(f"bound literal {beta} is not ground")
+        if parent is not None and (parent.ordering is not ordering
+                                   or parent.signature != signature):
+            parent = None
         self.beta = beta
         self.ordering = ordering
         self.signature = signature
@@ -338,13 +386,19 @@ class Bound:
         self._groundings: dict[Clause, tuple[tuple[int, ...], ...]] = {}
         # pattern -> (the number of atoms matched against it, its table)
         self._matches: dict[Atom, tuple[int, tuple]] = {}
-        self._plans: dict[Clause, tuple] = {}  # see ``_plan``
         self.ground_index = None  # kept by ``calculus``
+        # the walk plans (see ``_plan``), and weight -> ground terms and
+        # (total, arity) -> uncut argument tuples
+        self._plans, self._terms = ({}, {}) if parent is None \
+            else (parent._plans, parent._terms)
         self._atoms_below = tuple(self._enumerate_below(parent))
-        if parent is not None:
-            self._plans = parent._plans
-            if isinstance(ordering, CountKBO):  # the parent's atoms come first
-                self._matches = dict(parent._matches)
+        self.fills = _Fills(signature, ordering) if parent is None \
+            else parent.fills
+        self._ids_from: Optional[dict] = {}  # the ids ``atom_id`` extends
+        if parent is not None and isinstance(ordering, CountKBO):
+            # the parent's atoms come first
+            self._matches = dict(parent._matches)
+            self._ids_from = parent.atom_id
 
     def atoms_below(self) -> tuple[Atom, ...]:
         return self._atoms_below
@@ -360,28 +414,29 @@ class Bound:
     @cached_property
     def atom_id(self) -> dict[Atom, int]:
         """Each atom below beta mapped to its position in
-        ``atoms_below()``."""
-        return {atom: i for i, atom in enumerate(self._atoms_below)}
+        ``atoms_below()``.  A grown count-KBO bound copies its parent's
+        map and adds only the new atoms."""
+        ids, self._ids_from = dict(self._ids_from), None
+        atoms = self._atoms_below
+        ids.update(zip(atoms[len(ids):], range(len(ids), len(atoms))))
+        return ids
 
     def _enumerate_below(self, parent: Optional["Bound"]) -> list[Atom]:
         """The atoms below beta, ascending.  Under count-KBO, a ``parent``
-        bound below this one gives the first of them: its atoms are all
-        the lighter atoms and the least ones of its beta's weight, so the
-        enumeration starts at that weight and drops as many atoms of it as
-        the parent holds.  The cap test fails where it would without a
-        parent: the counts at the lighter weights are the parent's, which
-        passed it."""
+        bound below this one gives the first of them, all the atoms below
+        its beta; the enumeration starts at that beta's weight, cut below
+        at the beta itself, which is the least atom the parent does not
+        hold.  The cap test fails where it would without a parent: the
+        counts at the lighter weights are the parent's, which passed it."""
         beta_atom = self.beta.atom
         found: list[Atom] = []
-        held = 0  # atoms of the first weight that ``found`` holds already
+        lowest = None  # the least atom not in ``found``
         if isinstance(self.ordering, CountKBO):
-            start = 1
             if parent is not None:
                 found = list(parent._atoms_below)
-                start = symbol_count(parent.beta.atom)
-                held = len(found) - bisect.bisect_left(found, start,
-                                                       key=symbol_count)
-            weights = range(start, symbol_count(beta_atom) + 1)
+                lowest = parent.beta.atom
+            weights = range(1 if lowest is None else symbol_count(lowest),
+                            symbol_count(beta_atom) + 1)
         elif isinstance(self.ordering, GroundLPO):
             if self.signature.has_proper_functions:
                 raise OrderingConfigError(
@@ -393,12 +448,11 @@ class Bound:
         else:
             raise OrderingConfigError(
                 f"unsupported ordering {type(self.ordering).__name__}")
-        memo: dict = {}
         for w in weights:
-            found += ground_atoms_of_weight(self.signature, w, memo,
+            found += ground_atoms_of_weight(self.signature, w, self._terms,
                                             below=beta_atom,
-                                            ordering=self.ordering)[held:]
-            held = 0
+                                            ordering=self.ordering,
+                                            above=lowest)
             if len(found) > self.cap:
                 raise EnumerationCapExceeded(self.cap,
                                              f"atoms below {self.beta}")

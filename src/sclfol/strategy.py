@@ -225,7 +225,7 @@ def next_beta(bound: Bound) -> Literal:
         window = max(16, 2 + max([k for _, k in sig.functions] or [0])
                      + max([k for _, k in sig.predicates] or [0]))
         for w in range(base + 1, base + window + 1):
-            atom = largest_atom_of_weight(sig, w, ordering)
+            atom = largest_atom_of_weight(sig, w, ordering, bound.fills)
             if atom is not None:
                 return Literal(atom)
         raise SignatureExhausted(str(bound.beta))

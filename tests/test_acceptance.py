@@ -274,6 +274,15 @@ def test_corpus_trace_fingerprint(bs_corpus_results):
     assert sum(result.stats.learned for result in results) == 64
 
 
+@pytest.mark.parametrize("check", ["off", "invariants"])
+def test_corpus_trace_fingerprint_unchecked(bs_corpus, check):
+    # the checking mode changes nothing a run does: the corpus under the
+    # lighter modes keeps the digest of the full-check runs above
+    cfg = RunConfig(check=check, max_steps=50_000)
+    results = [run(clauses, cfg) for clauses in bs_corpus]
+    assert _trace_fingerprint(results) == "6c7ec91f8cc06499"
+
+
 # nested g/2 terms and a bound of 1,459 atoms after one Grow: what the
 # function-free, first-heuristic corpus does not reach
 GROWCAP_TEXT = """\
@@ -317,6 +326,18 @@ def test_large_bound_three_grows_fingerprint():
     assert result.verdict == "sat-bounded"
     assert result.stats.steps == 4010
     assert len(result.final_bound.atoms_below()) == 23334
+    assert result.stats.max_trail == 3408
+
+
+def test_large_bound_four_grows_fingerprint():
+    # the large-bound case: 285,834 atoms below the last bound
+    problem = parse_native(GROWCAP_TEXT)
+    result = run(problem.clauses, RunConfig(beta_weight=4, max_growths=4),
+                 problem.names)
+    assert _trace_fingerprint([result]) == "6fae8d0f467140ab"
+    assert result.verdict == "sat-bounded"
+    assert result.stats.steps == 7419
+    assert len(result.final_bound.atoms_below()) == 285834
     assert result.stats.max_trail == 3408
 
 
@@ -365,6 +386,42 @@ def test_each_pattern_meets_each_atom_once_per_run(monkeypatch):
         assert max(matched.values()) == 1, [
             f"{pattern} against {atom}: {n} times"
             for (pattern, atom), n in matched.items() if n > 1]
+
+
+def test_each_term_is_built_once_per_run(monkeypatch):
+    # a Grow hands the bound's ground terms and argument tuples on, and a
+    # count-KBO Grow enumerates only the atoms from the old beta up: over
+    # all the bounds a run grows through, each uncut argument-tuple list is
+    # built once and each atom comes out of the enumeration once
+    built, returned = Counter(), Counter()
+    arg_tuples = orderings._arg_tuples
+    atoms_of_weight = orderings.ground_atoms_of_weight
+
+    def counted_tuples(signature, total, arity, memo, ordering, *cuts):
+        if arity and all(cut is None for cut in cuts) \
+                and (total, arity) not in memo:
+            built[total, arity] += 1
+        return arg_tuples(signature, total, arity, memo, ordering, *cuts)
+
+    def counted_atoms(*args, **kwargs):
+        atoms = atoms_of_weight(*args, **kwargs)
+        returned.update(atoms)
+        return atoms
+
+    monkeypatch.setattr(orderings, "_arg_tuples", counted_tuples)
+    monkeypatch.setattr(orderings, "ground_atoms_of_weight", counted_atoms)
+    growcap = parse_native(GROWCAP_TEXT)
+    for parsed, cfg in [(growcap, RunConfig(beta_weight=4, max_growths=2))] \
+            + _grow_fn_runs(20):
+        built.clear()
+        returned.clear()
+        result = run(parsed.clauses, cfg, parsed.names)
+        assert result.stats.growths > 0 and built and returned
+        assert max(built.values()) == 1, [
+            f"{arity} arguments of {total} symbols: built {n} times"
+            for (total, arity), n in built.items() if n > 1]
+        assert max(returned.values()) == 1, [
+            f"{atom}: {n} times" for atom, n in returned.items() if n > 1]
 
 
 def test_random_heuristic_trace_fingerprint(bs_corpus):

@@ -350,23 +350,31 @@ class TestBoundedGroundings:
 
     def test_carried_match_tables_agree_with_fresh_bounds(self):
         # each bound grown twice with grow_to, to random larger betas, after
-        # grounding some of the clauses on it: a grown count-KBO bound reads
-        # the match tables it took over, some matched against its parent's
-        # atoms and some only against its grandparent's, and grounds as a
-        # fresh bound of its beta does and as brute force does.  The carry
-        # rests on the grown bound's atoms beginning with its parent's, so
-        # that no id moves; checked under both orderings.  Betas of at most
-        # four symbols keep the brute force to a few seconds.
+        # grounding some of the clauses on it: a grown bound equals a fresh
+        # bound of its beta in its atoms, their ids and its next beta,
+        # although it shares its parent's terms and argument tuples and,
+        # under count-KBO, starts from its parent's atoms and ids and
+        # enumerates only from its parent's beta on.  A grown count-KBO
+        # bound reads the match tables it took over, some matched against
+        # its parent's atoms and some only against its grandparent's, and
+        # grounds as the fresh bound does and as brute force does.  The
+        # first Grow stays within beta's weight where it can, from a beta
+        # that is then not the largest of its weight.  Last, a parent of
+        # another ordering and one of another signature hand nothing on.
+        # Checked under both orderings; betas of at most four symbols keep
+        # the brute force to a few seconds.
         rng = random.Random(20261115)
+        cases = Counter()
         for kind, ordering, sig, atoms, beta, context in _random_bounds():
             cmp = ordering.compare_atoms
             clauses = [_random_clause(rng, sig) for _ in range(4)]
             bound = Bound(Literal(beta), ordering, sig)
             for grows in range(3):
+                fresh = Bound(bound.beta, ordering, sig)
+                _assert_same_bound(bound, fresh, f"{context} -> {bound.beta}")
                 for clause in clauses[:2 + grows]:
                     found = _bruteforce_groundings(clause, bound.beta.atom,
                                                    ordering, sig, atoms)
-                    fresh = Bound(bound.beta, ordering, sig)
                     assert bounded_codes(clause, bound) == \
                         bounded_codes(clause, fresh) == \
                         _codes_of(clause, found), \
@@ -375,9 +383,32 @@ class TestBoundedGroundings:
                          and cmp(a, bound.beta.atom) > 0]
                 if grows == 2 or not above:
                     break
+                level = [a for a in above if symbol_count(a)
+                         == symbol_count(bound.beta.atom)]
+                if kind == "kbo" and level:
+                    cases["not the largest of its weight"] += 1
+                if kind == "kbo" and level and grows == 0:
+                    cases["within one weight"] += 1
+                    beta2 = rng.choice(level)
+                else:
+                    beta2 = rng.choice(above)
                 old = bound.atoms_below()
-                bound = bound.grow_to(Literal(rng.choice(above)))
+                bound = bound.grow_to(Literal(beta2))
                 assert bound.atoms_below()[:len(old)] == old, context
+            other = make_ordering(kind, Precedence(
+                list(ordering.precedence.rank)[::-1]))
+            _assert_same_bound(Bound(bound.beta, other, sig, parent=bound),
+                               Bound(bound.beta, other, sig),
+                               f"{context} reversed -> {bound.beta}")
+            smaller = Signature(sig.predicates, sig.functions[:-1])
+            if smaller.functions:
+                beta2 = rng.choice(_bruteforce_atoms(smaller, 4))
+                _assert_same_bound(Bound(Literal(beta2), ordering, smaller,
+                                         parent=bound),
+                                   Bound(Literal(beta2), ordering, smaller),
+                                   f"{context} over {smaller} -> {beta2}")
+                cases["another signature"] += 1
+        assert min(cases.values()) > 10 and len(cases) == 3, cases
 
     def test_each_clause_is_grounded_once_per_bound(self, bs_corpus,
                                                     monkeypatch):
@@ -597,6 +628,19 @@ class TestCarriedGrow:
                 state = apply_grow(state, fresh.beta)
                 assert state.bound.atoms_below() == fresh.atoms_below(), \
                     context
+
+
+def _assert_same_bound(bound, fresh, context):
+    """``bound`` has the atoms, ids and next beta of ``fresh``."""
+    assert bound.atoms_below() == fresh.atoms_below(), context
+    assert bound.atom_id == fresh.atom_id, context
+    nexts = []
+    for b in (bound, fresh):
+        try:
+            nexts.append(next_beta(b))
+        except SignatureExhausted:
+            nexts.append(None)
+    assert nexts[0] == nexts[1], context
 
 
 def _assert_searches_agree(state, avoid, context):
