@@ -34,7 +34,8 @@ The index holds:
   order; with none undefined it is false, and Conflict takes the pool
   clause of the lowest-numbered one.  No ``Clause``, ``Literal`` or
   grounding is built for an instance; a candidate is decoded when a search
-  yields it, its grounding rebuilt by ``orderings.grounding_of``;
+  yields it, its grounding read off the match tables by
+  ``orderings.grounding_of``;
 * the atoms that instantiate a pool literal, each with its first source,
   by id, read off the literals' match tables.  A Decide walks them and
   skips the defined atoms; ``first_reasonable_decision`` stops at the
@@ -73,10 +74,9 @@ import bisect
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 from typing import Iterator, Optional
 
-from .orderings import atom_matches, bounded_codes, grounding_of
+from .orderings import _atom_id, atom_matches, bounded_codes, grounding_of
 from .state import Decision, NotOnTrail, ProblemState, Propagation, Trail, \
     TrailEntry, clause_level
 from .terms import (
@@ -508,9 +508,6 @@ class GroundIndex:
             self.falsified.discard(i)
 
 
-_atom_id = itemgetter(0)  # of a source entry or a match table row
-
-
 def _source(clause: Clause, unsourced: bytearray, bound,
             first: int = 0) -> list:
     """Makes ``clause`` the first source of the ``unsourced`` atoms from id
@@ -592,7 +589,7 @@ def propagation_candidates(state: ProblemState,
             continue
         clause, codes = instances[i]
         yield PropagationOption(clause, codes.index(code),
-                                grounding_of(clause, codes, atoms),
+                                grounding_of(clause, codes, state.bound),
                                 Literal(atom, not code & 1))
 
 

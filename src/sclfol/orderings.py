@@ -17,12 +17,14 @@ and enumerates the finite set of atoms strictly below beta.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .terms import (
-    Atom, Clause, Fn, Literal, Signature, Subst, Var, is_ground, match,
+    Atom, Clause, Fn, Literal, Signature, Subst, Term, Var, is_ground, match,
     symbol_count, variables_in_order,
 )
 
@@ -142,7 +144,9 @@ def make_ordering(kind: str, precedence: Precedence):
 # Terms and atoms of one weight come out in ascending count-KBO order under
 # the precedence of the ordering passed in: head symbols by precedence, then
 # argument tuples lexicographically, each argument by weight first.  A
-# ``_memo`` holds the term and argument lists of one signature and ordering.
+# ``_memo`` holds the term and argument lists of one signature and ordering,
+# and under ``"symbols"`` its function symbols and predicates, each in
+# ascending precedence, sorted on first use.
 
 def ground_terms_of_weight(signature: Signature, weight: int,
                            _memo=None, ordering=None) -> list[Fn]:
@@ -155,7 +159,7 @@ def ground_terms_of_weight(signature: Signature, weight: int,
     if weight not in _memo:
         _memo[weight] = [
             Fn(name, args)
-            for name, arity in _by_precedence(signature.functions, ordering)
+            for name, arity in _symbols(signature, _memo, ordering)[0]
             for args in _arg_tuples(signature, weight - 1, arity, _memo,
                                     ordering)]
     return _memo[weight]
@@ -191,7 +195,7 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
             or floor is not None and weight < floor:
         return []
     out: list[Atom] = []
-    for name, arity in _by_precedence(signature.predicates, ordering):
+    for name, arity in _symbols(signature, _memo, ordering)[1]:
         args_below = args_above = None
         if weight == kbo_limit:
             c = ordering.precedence.compare(name, below.pred)
@@ -216,6 +220,17 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
 def _by_precedence(symbols, ordering) -> list[tuple[str, int]]:
     return sorted(symbols, key=functools.cmp_to_key(
         lambda f, g: ordering.precedence.compare(f[0], g[0])))
+
+
+def _symbols(signature: Signature, memo: dict, ordering) -> tuple:
+    """The function symbols and the predicates of ``signature``, each in
+    ascending precedence; kept in ``memo``."""
+    symbols = memo.get("symbols")
+    if symbols is None:
+        symbols = memo["symbols"] = (
+            _by_precedence(signature.functions, ordering),
+            _by_precedence(signature.predicates, ordering))
+    return symbols
 
 
 def _arg_tuples(signature: Signature, total: int, arity: int, memo,
@@ -263,13 +278,12 @@ def _arg_tuples(signature: Signature, total: int, arity: int, memo,
 
 class _Fills(dict):
     """The answers of ``_fills`` for one signature and ordering, by
-    ``(total, arity)``, with the function symbols in descending and the
-    predicates in ascending precedence."""
+    ``(total, arity)``, with the function symbols and the predicates, each
+    in ascending precedence, as ``_symbols`` gives them."""
 
-    def __init__(self, signature: Signature, ordering):
+    def __init__(self, functions: list, predicates: list):
         super().__init__()
-        self.functions = _by_precedence(signature.functions, ordering)[::-1]
-        self.predicates = _by_precedence(signature.predicates, ordering)
+        self.functions, self.predicates = functions, predicates
 
 
 def largest_atom_of_weight(signature: Signature, weight: int,
@@ -286,7 +300,8 @@ def largest_atom_of_weight(signature: Signature, weight: int,
     from it share, so a run sorts the symbols and answers each ``_fills``
     question once.
     """
-    memo = _Fills(signature, ordering) if _memo is None else _memo
+    memo = _Fills(*_symbols(signature, {}, ordering)) if _memo is None \
+        else _memo
     functions = memo.functions
     for name, arity in reversed(memo.predicates):
         if _fills(weight - 1, arity, functions, memo):
@@ -317,13 +332,13 @@ def _fills(total: int, arity: int, functions, memo: dict) -> bool:
 
 def _largest_args(total: int, arity: int, functions, memo: dict) -> tuple:
     """The lexicographically largest ``arity`` ground terms with ``total``
-    symbols between them; ``functions`` in descending precedence."""
+    symbols between them; ``functions`` in ascending precedence."""
     args = []
     for left in range(arity - 1, -1, -1):
         w = next(w for w in range(total - left, 0, -1)
                  if _fills(w, 1, functions, memo)
                  and _fills(total - w, left, functions, memo))
-        name, k = next((n, k) for n, k in functions
+        name, k = next((n, k) for n, k in reversed(functions)
                        if _fills(w - 1, k, functions, memo))
         args.append(Fn(name, _largest_args(w - 1, k, functions, memo)))
         total -= w
@@ -388,12 +403,12 @@ class Bound:
         self._matches: dict[Atom, tuple[int, tuple]] = {}
         self.ground_index = None  # kept by ``calculus``
         # the walk plans (see ``_plan``), and weight -> ground terms and
-        # (total, arity) -> uncut argument tuples
+        # (total, arity) -> uncut argument tuples, with the sorted symbols
         self._plans, self._terms = ({}, {}) if parent is None \
             else (parent._plans, parent._terms)
+        self.fills = _Fills(*_symbols(signature, self._terms, ordering)) \
+            if parent is None else parent.fills
         self._atoms_below = tuple(self._enumerate_below(parent))
-        self.fills = _Fills(signature, ordering) if parent is None \
-            else parent.fills
         self._ids_from: Optional[dict] = {}  # the ids ``atom_id`` extends
         if parent is not None and isinstance(ordering, CountKBO):
             # the parent's atoms come first
@@ -486,6 +501,9 @@ class Bound:
 # negative, the id of its atom being its position below the bound, so a
 # complement is ``code ^ 1``.  The functions after ``bounded_codes`` decode
 # its codes.
+
+_atom_id = itemgetter(0)  # of a match table row or a source entry
+
 
 def atom_matches(pattern: Atom,
                  bound: Bound) -> tuple[tuple[int, tuple], ...]:
@@ -591,15 +609,20 @@ def _walk_codes(q: int, images: tuple, codes: tuple[int, ...], steps: list,
 
 
 def grounding_of(clause: Clause, codes: tuple[int, ...],
-                 atoms: tuple[Atom, ...]) -> Subst:
-    """The grounding of ``clause`` whose instance has ``codes``, ``atoms``
-    being the atoms below the bound: its non-ground literals matched left
-    to right, as ``bounded_codes`` did."""
-    sigma = Subst()
+                 bound: Bound) -> Subst:
+    """The grounding of ``clause`` whose bounded instance has ``codes``:
+    the images that the ``atom_matches`` rows of its literals' atoms hold,
+    bound in the order that matching the literals left to right binds
+    them in."""
+    sub: dict[Var, Term] = {}
     for lit, code in zip(clause.literals, codes):
         if not is_ground(lit.atom):
-            sigma = match(lit.atom, atoms[code >> 1], sigma)
-    return sigma
+            table = atom_matches(lit.atom, bound)
+            _, images = table[bisect.bisect_left(table, code >> 1,
+                                                 key=_atom_id)]
+            for v, image in zip(variables_in_order(lit.atom), images):
+                sub.setdefault(v, image)
+    return Subst._of(sub)
 
 
 def _instance(codes: tuple[int, ...], atoms: tuple[Atom, ...]) -> Clause:
@@ -609,8 +632,7 @@ def _instance(codes: tuple[int, ...], atoms: tuple[Atom, ...]) -> Clause:
 def bounded_groundings(clause: Clause, bound: Bound) -> tuple[Subst, ...]:
     """All grounding substitutions producing only literals below the bound,
     in the order of ``bounded_codes``."""
-    atoms = bound.atoms_below()
-    return tuple(grounding_of(clause, codes, atoms)
+    return tuple(grounding_of(clause, codes, bound)
                  for codes in bounded_codes(clause, bound))
 
 

@@ -1,19 +1,30 @@
 """First-order term language: terms, atoms, literals, clauses, substitutions.
 
-Terms are immutable values with structural equality.  Clauses are literal
-*sequences* treated as multisets: duplicate literals are kept until an
-explicit factoring step removes them.
+Terms are immutable values.  Clauses are literal *sequences* treated as
+multisets: duplicate literals are kept until an explicit factoring step
+removes them.
 
-Since terms never change, ``Fn`` and ``Atom`` keep three facts about
-themselves once asked for them, in fixed slots outside equality: their
-hash (the value ``hash((name, args))`` the generated dataclass hash
-gives), whether they are ground (``is_ground``) and their symbol count
-(``symbol_count``); ``Literal`` and ``Clause`` keep their hash, the value
-the generated hash gives.  So a dict or set lookup of a deep term or a
-clause hashes its parts only the first time, and the bound checks count a
-term's symbols once.  ``apply`` returns a ground term, atom or literal as
-it is, so applying a grounding shares the ground subterms of the pattern
-instead of rebuilding them.
+Equal terms are one object.  ``Var``, ``Fn``, ``Atom``, ``Literal`` and
+``Clause`` are built through intern tables (maximal sharing, or
+hash-consing): the constructor returns the live object built from the same
+fields if there is one, and builds and files a new one otherwise.  So
+structural equality is identity, and ``==`` and ``hash`` are ``object``'s,
+which run in C: a dict or set lookup of a deep term or a clause costs what
+one of a small object does.  The tables hold weak references, so a term
+leaves its table when its last user drops it; pickles and copies go
+through the constructor and return the shared object.  A new term is
+filed by one dict operation, so threads may build terms at the same time
+and still share them.  A term's hash
+follows its address, so no result may depend on the iteration order of a
+set of terms.
+
+Since terms never change, ``Fn`` and ``Atom`` keep two facts about
+themselves once asked for them, in fixed slots outside the repr: whether
+they are ground (``is_ground``) and their symbol count (``symbol_count``),
+so the bound checks count a term's symbols once.  ``apply`` returns a
+ground term, atom or literal as it is, so applying a grounding shares the
+ground subterms of the pattern instead of rebuilding them; and a term
+none of whose variables it moves comes back as it is, by sharing.
 """
 
 from __future__ import annotations
@@ -22,20 +33,76 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
+from weakref import ref
+
+from _weakref import _remove_dead_weakref
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Ref(ref):
+    """A weak reference that knows its key in an intern table; unlike
+    ``weakref.KeyedRef``, built without a Python-level constructor."""
 
-    def __str__(self):
-        return self.name
+    __slots__ = ("key",)
+
+
+class _Table(dict):
+    """An intern table: each key maps to a ``_Ref`` to the one live object
+    built from it.  ``drop``, the callback of every ref in the table,
+    removes the entry of an object that died unless a live one has been
+    filed under its key since.  Filing (``setdefault``) and dropping
+    (``_remove_dead_weakref``, as ``weakref.WeakValueDictionary`` does) are
+    each one dict operation in C, so threads that build terms at the same
+    time still share one object per term."""
+
+    __slots__ = ("drop",)
+
+    def __init__(self):
+        super().__init__()
+        self.drop = self._drop
+
+    def _drop(self, entry: _Ref):
+        _remove_dead_weakref(self, entry.key)
+
+
+class _Tables(dict):
+    """Intern tables by head symbol, each keyed by the arguments and made
+    on first use."""
+
+    def __missing__(self, name: str) -> _Table:
+        return self.setdefault(name, _Table())
+
+
+_vars = _Table()                  # name -> variable
+_fns = _Tables()                  # name -> args -> term
+_atoms = _Tables()                # predicate -> args -> atom
+_literals = (_Table(), _Table())  # [positive] -> atom -> literal
+_clauses = _Table()               # literals -> clause
+_new = object.__new__
+
+
+def _shared(cls, table: _Table, key, *values):
+    """The live ``cls`` object filed in ``table`` under ``key``; if there is
+    none, a new one with ``values`` in its fields, filed there."""
+    entry = table.get(key)
+    obj = entry and entry()
+    if obj is None:
+        obj = _new(cls)
+        for put, value in zip(_setters[cls], values):
+            put(obj, value)
+        entry = _Ref(obj, table.drop)
+        entry.key = key
+        while (filed := table.setdefault(key, entry)) is not entry:
+            other = filed()
+            if other is not None:  # another thread filed it first
+                return other
+            _remove_dead_weakref(table, key)
+    return obj
 
 
 def _cache():
     """A slot for a fact computed on first request: unset until then, and
-    never part of equality, hash or repr."""
-    return field(init=False, repr=False, compare=False)
+    never part of the constructor or the repr."""
+    return field(init=False, repr=False)
 
 
 def _keep(obj, slot: str, value):
@@ -44,35 +111,50 @@ def _keep(obj, slot: str, value):
     return value
 
 
-def _hashed(key):
-    """A ``__hash__`` that keeps ``hash(key(self))`` in the ``_hash`` slot
-    once computed."""
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _keep(self, "_hash", hash(key(self)))
-    return __hash__
-
-
 def _reduce(self):
-    """Copies and pickles by the constructor arguments, as the cache slots
-    may be unset."""
+    """Copies and pickles by the constructor arguments, so a copy or an
+    unpickled term is the shared object."""
     return type(self), tuple(getattr(self, f.name) for f in fields(self)
                              if f.init)
 
 
-@dataclass(frozen=True, slots=True)
-class Fn:
+class _Interned:
+    """Base of the term classes, for the weak-reference slot the intern
+    tables need (``dataclass``'s ``weakref_slot`` needs Python 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
+# Frozen, with identity equality and hash.  Each class is built by its
+# ``__new__`` alone, through ``_shared``, which sets the fields of a new
+# object through their slot descriptors.
+_term = dataclass(frozen=True, slots=True, eq=False, init=False)
+
+
+@_term
+class Var(_Interned):
+    name: str
+    __reduce__ = _reduce
+
+    def __new__(cls, name: str):
+        return _shared(cls, _vars, name, name)
+
+    def __str__(self):
+        return self.name
+
+
+@_term
+class Fn(_Interned):
     """Function application; a constant is a function with no arguments."""
 
     name: str
     args: tuple["Term", ...] = ()
-    _hash: int = _cache()
     _ground: bool = _cache()
     _weight: int = _cache()
     __reduce__ = _reduce
-    __hash__ = _hashed(lambda self: (self.name, self.args))
+
+    def __new__(cls, name: str, args: tuple = ()):
+        return _shared(cls, _fns[name], args, name, args)
 
     def __str__(self):
         if not self.args:
@@ -83,15 +165,16 @@ class Fn:
 Term = Union[Var, Fn]
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+@_term
+class Atom(_Interned):
     pred: str
     args: tuple[Term, ...] = ()
-    _hash: int = _cache()
     _ground: bool = _cache()
     _weight: int = _cache()
     __reduce__ = _reduce
-    __hash__ = _hashed(lambda self: (self.pred, self.args))
+
+    def __new__(cls, pred: str, args: tuple = ()):
+        return _shared(cls, _atoms[pred], args, pred, args)
 
     def __str__(self):
         if not self.args:
@@ -99,13 +182,14 @@ class Atom:
         return f"{self.pred}({','.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+@_term
+class Literal(_Interned):
     atom: Atom
     positive: bool = True
-    _hash: int = _cache()
     __reduce__ = _reduce
-    __hash__ = _hashed(lambda self: (self.atom, self.positive))
+
+    def __new__(cls, atom: Atom, positive: bool = True):
+        return _shared(cls, _literals[positive], atom, atom, positive)
 
     def complement(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -114,14 +198,15 @@ class Literal:
         return str(self.atom) if self.positive else f"~{self.atom}"
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+@_term
+class Clause(_Interned):
     """A multiset of literals, stored as a sequence."""
 
     literals: tuple[Literal, ...] = ()
-    _hash: int = _cache()
     __reduce__ = _reduce
-    __hash__ = _hashed(lambda self: (self.literals,))
+
+    def __new__(cls, literals: tuple = ()):
+        return _shared(cls, _clauses, literals, literals)
 
     @staticmethod
     def of(*literals: Literal) -> "Clause":
@@ -147,6 +232,12 @@ class Clause:
         if not self.literals:
             return "$false"
         return " | ".join(str(lit) for lit in self.literals)
+
+
+# The slot setters of each class's constructor fields, in order.
+_setters = {cls: tuple(getattr(cls, f.name).__set__
+                       for f in fields(cls) if f.init)
+            for cls in (Var, Fn, Atom, Literal, Clause)}
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +515,7 @@ def match(pattern, target, partial: Optional[Subst] = None) -> Optional[Subst]:
             bound = sub.get(p)
             if bound is None:
                 sub[p] = t
-            elif bound is not t and bound != t:
+            elif bound is not t:
                 return None
         elif (type(t) is not Fn or p.name != t.name
               or len(p.args) != len(t.args)):

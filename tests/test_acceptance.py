@@ -366,8 +366,7 @@ def test_runs_leave_no_cyclic_garbage(bs_corpus):
 def test_each_pattern_meets_each_atom_once_per_run(monkeypatch):
     # a Grow hands the bound's match tables on, so a run matches each
     # literal pattern against each atom once, over all the bounds it grows
-    # through.  The table builder matches with no partial substitution;
-    # grounding_of, which decodes the candidates taken, extends one
+    # through.  The table builder matches with no partial substitution
     matched = Counter()
     match = orderings.match
 

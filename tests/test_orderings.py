@@ -557,7 +557,7 @@ class TestGroundIndex:
         # the index files each instance as literal codes 2 * id + sign bit,
         # the id being the atom's position below the bound, exactly as
         # bounded_codes gives them, pool clause by pool clause; decoded,
-        # with the grounding rebuilt by matching, they are the groundings
+        # with the grounding read off the match tables, they are the groundings
         # and instances of bounded_groundings and bounded_instances, in
         # order, on the random signatures and clauses of the groundings
         # cross-check
@@ -575,7 +575,7 @@ class TestGroundIndex:
             assert index.distinct == [
                 tuple(dict.fromkeys(codes)) for _, codes in index.instances
             ], where
-            decoded = [(clause, grounding_of(clause, codes, below),
+            decoded = [(clause, grounding_of(clause, codes, bound),
                         Clause(tuple(Literal(below[c >> 1], not c & 1)
                                      for c in codes)))
                        for clause, codes in index.instances]

@@ -1,11 +1,18 @@
+import gc
 import itertools
 import pickle
 import random
+import sys
+import threading
+import weakref
 from copy import deepcopy
 
 import pytest
 
 from conftest import cl, lit, sub
+from sclfol import terms
+from sclfol.frontend import parse_native
+from sclfol.strategy import RunConfig, run
 from sclfol.terms import (
     Atom, Clause, Closure, Fn, Literal, Signature, SignatureError, Subst,
     Var, alpha_equal, apply, canonical_variant, is_ground, match, mgu,
@@ -290,6 +297,18 @@ def _ref_apply(sigma, obj):
     return Clause(tuple(_ref_apply(sigma, lit) for lit in obj.literals))
 
 
+def _fields_of(obj):
+    if isinstance(obj, Var):
+        return (obj.name,)
+    if isinstance(obj, Fn):
+        return obj.name, obj.args
+    if isinstance(obj, Atom):
+        return obj.pred, obj.args
+    if isinstance(obj, Literal):
+        return obj.atom, obj.positive
+    return (obj.literals,)
+
+
 def _ref_match(pattern, target, partial=None):
     sub = dict(partial.mapping) if partial is not None else {}
 
@@ -348,15 +367,11 @@ class TestKernelsAgainstReferences:
                 for _ in range(2):  # computed, then read back
                     assert is_ground(obj) == _ref_is_ground(obj)
                     assert symbol_count(obj) == _ref_symbol_count(obj)
-                if isinstance(obj, Fn):
-                    assert hash(obj) == hash((obj.name, obj.args))
-                elif isinstance(obj, Atom):
-                    assert hash(obj) == hash((obj.pred, obj.args))
-                elif isinstance(obj, Literal):
-                    assert hash(obj) == hash((obj.atom, obj.positive))
-                elif isinstance(obj, Clause):
-                    assert hash(obj) == hash((obj.literals,))
-                assert hash(obj) == hash(obj)
+                # rebuilt from its fields, or from its leaves up, a term is
+                # the object it was built from, so equal terms hash equal
+                rebuilt = _ref_apply(Subst(), obj)
+                assert type(obj)(*_fields_of(obj)) is obj and rebuilt is obj
+                assert hash(rebuilt) == hash(obj)
         # the caches are no part of equality, printing, copies or pickles
         for text in ("~P(f(X),g(a,b))", "~P(f(X),g(a,b)) | Q(a)"):
             fresh, used = cl(text), cl(text)
@@ -379,17 +394,17 @@ class TestKernelsAgainstReferences:
             sigma = Subst(kept)
             for obj in self.objects(rng):
                 result = apply(sigma, obj)
-                assert result == _ref_apply(sigma, obj)
+                assert result is _ref_apply(sigma, obj)
                 if isinstance(obj, Var):
                     continue
                 assert type(result) is type(obj)
-                # ground parts come back as they are, the others are built
-                if not isinstance(obj, Clause):
-                    assert (result is obj) == is_ground(obj)
+                # ground parts come back as they are
+                if is_ground(obj):
+                    assert result is obj
                 args = obj.args if isinstance(obj, (Fn, Atom)) else ()
                 for a, b in zip(args, getattr(result, "args", ())):
-                    if not isinstance(a, Var):
-                        assert (b is a) == is_ground(a)
+                    if is_ground(a):
+                        assert b is a
 
     def test_match(self):
         rng = random.Random(13)
@@ -420,3 +435,106 @@ class TestKernelsAgainstReferences:
             assert list(got.mapping.items()) == list(want.mapping.items())
             assert _ref_apply(got, obj) == target
         assert clashes > 100 and matched > 200
+
+
+# ---------------------------------------------------------------------------
+# Sharing: equal terms are one object
+# ---------------------------------------------------------------------------
+
+def _table_sizes():
+    """The number of variables, terms, atoms, literals and clauses alive in
+    the intern tables."""
+    return (len(terms._vars), sum(map(len, terms._fns.values())),
+            sum(map(len, terms._atoms.values())),
+            sum(map(len, terms._literals)), len(terms._clauses))
+
+
+class TestSharing:
+    TEXT = "~P(f(X),g(a,b)) | Q(X,Y) | R"
+
+    def test_equal_terms_are_one_object(self):
+        clause = cl(self.TEXT)
+        x = Var("X")
+        built = Clause((
+            Literal(Atom("P", (Fn("f", (x,)), Fn("g", (Fn("a"), Fn("b"))))),
+                    False),
+            Literal(Atom("Q", (x, Var("Y")))),
+            Literal(Atom("R"))))
+        assert built is clause
+        assert parse_native(self.TEXT).clauses[0] is clause
+        assert apply(sub("{X -> a}"), clause) is \
+            cl("~P(f(a),g(a,b)) | Q(a,Y) | R")
+        renamed = apply(sub("{X -> Z, Y -> W}"), clause)
+        assert renamed is not clause and canonical_variant(renamed) is clause
+        parts = [x, clause[0].atom.args[0], clause[0].atom, clause[0], clause]
+        for obj in parts:
+            assert pickle.loads(pickle.dumps(obj)) is obj
+            assert deepcopy(obj) is obj
+
+    def test_kinds_and_signs_never_collide(self):
+        var, fn, atom = Var("a"), Fn("a"), Atom("a")
+        assert len({id(var), id(fn), id(atom)}) == 3
+        assert (type(var), type(fn), type(atom)) == (Var, Fn, Atom)
+        assert Fn("f") is not Fn("f", (fn,))
+        positive, negative = Literal(atom, True), Literal(atom, False)
+        assert positive is not negative
+        assert (positive.positive, negative.positive) == (True, False)
+        assert positive.complement() is negative
+        assert Clause((positive,)) is not Clause((negative,))
+
+    def test_a_dropped_term_leaves_its_table(self):
+        gc.collect()
+        before = _table_sizes()
+        clause = Clause((Literal(Atom("Psharing", (Fn("fsharing", (
+            Fn("csharing"),)), Var("Xsharing"))), False),))
+        assert _table_sizes() == tuple(
+            n + k for n, k in zip(before, (1, 2, 1, 1, 1)))
+        dead = weakref.ref(clause)
+        del clause
+        assert dead() is None and _table_sizes() == before
+        # built again, it is filed again
+        again = Fn("fsharing", (Fn("csharing"),))
+        assert again is Fn("fsharing", (Fn("csharing"),))
+        assert _table_sizes()[1] == before[1] + 2
+
+    def test_a_dropped_run_leaves_the_tables_as_they_were(self):
+        # two Grows and a proof: none of what the run built outlives its
+        # result
+        problem = parse_native(
+            "P(a)\n~P(X) | P(f(X))\n~P(f(f(f(f(a)))))\nQ(b) | Q(X)\n")
+        gc.collect()  # what earlier tests left in cycles
+        before = _table_sizes()
+        result = run(problem.clauses, RunConfig(beta_weight=3, max_growths=3),
+                     problem.names)
+        assert result.verdict == "unsat" and result.stats.growths == 2
+        assert _table_sizes() != before
+        del result
+        assert _table_sizes() == before
+
+    def test_threads_building_the_same_terms_share_them(self):
+        # a thread switch every few bytecodes falls between the lookup and
+        # the filing of many constructor calls
+        names = [f"cthreads{i}" for i in range(1000)]
+        start, built = threading.Barrier(4), []
+
+        def build():
+            start.wait()
+            built.append([Literal(Atom("Pthreads", (
+                Fn(f"f{name}", (Fn(name),)), Var(name.upper()))))
+                for name in names])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 4
+        for name, *shared in zip(names, *built):
+            rebuilt = Literal(Atom("Pthreads", (
+                Fn(f"f{name}", (Fn(name),)), Var(name.upper()))))
+            assert all(obj is rebuilt for obj in shared)
