@@ -391,8 +391,10 @@ class Bound:
                  parent: Optional["Bound"] = None):
         if not is_ground(beta):
             raise OrderingConfigError(f"bound literal {beta} is not ground")
-        if parent is not None and (parent.ordering is not ordering
-                                   or parent.signature != signature):
+        if parent is not None and (
+                parent.ordering is not ordering
+                or parent.signature is not signature
+                and parent.signature != signature):
             parent = None
         self.beta = beta
         self.ordering = ordering

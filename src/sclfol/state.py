@@ -11,8 +11,7 @@ found).  The empty-clause closure is distinct from "no conflict".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import oracle
@@ -57,18 +56,104 @@ class TrailEntry:
         return f"{self.literal}^{self.annotation}"
 
 
-@dataclass(frozen=True)
+class _Node:
+    """A trail's place in the persistent map of first positions that the
+    trails made from one another share (see ``Trail``): the root holds the
+    map in ``first``; any other node links to a neighbouring trail's node,
+    with the changes (atom, its position, or None for no position) that
+    turn that trail's map into this one's, and the number of leading
+    entries the two trails share."""
+
+    __slots__ = ("first", "link", "changes", "shared")
+
+    def __init__(self, first: dict):
+        self.first = first
+        self.link: Optional[_Node] = None
+
+    def reroot(self) -> dict:
+        """Makes this node the root, reversing the links on the way to
+        the old one; returns the map, now this trail's."""
+        path = []
+        node = self
+        while node.link is not None:
+            path.append(node)
+            node = node.link
+        first = node.first
+        for child in reversed(path):  # ``child.link`` is ``node``, the root
+            node.changes = tuple(_change(first, atom, pos)
+                                 for atom, pos in child.changes)
+            node.link, node.shared, node.first = child, child.shared, None
+            child.link, child.first = None, first
+            node = child
+        return first
+
+    def hand_on(self, changes, shared: int) -> "_Node":
+        """A new root that takes the map over from this node, the root,
+        once its caller has changed the map: ``changes`` turn it back into
+        this node's, and the two trails share ``shared`` leading
+        entries."""
+        child = _Node(self.first)
+        self.first, self.link, self.shared = None, child, shared
+        self.changes = changes
+        return child
+
+
+def _change(first: dict, atom: Atom, pos: Optional[int]):
+    """Gives ``atom`` the position ``pos`` in ``first`` (none if None);
+    returns the change that undoes it."""
+    old = first.get(atom)
+    if pos is None:
+        del first[atom]
+    else:
+        first[atom] = pos
+    return atom, old
+
+
+def _linked(node: _Node, target: _Node, n: int) -> int:
+    """At most ``n``: the fewest entries shared by the trails along the
+    links from ``node`` to ``target``, which its trail and ``target``'s
+    therefore share; 0 when ``target`` is not on the way to the root."""
+    while node is not target:
+        if node.link is None:
+            return 0
+        n = min(n, node.shared)
+        node = node.link
+    return n
+
+
+@dataclass(frozen=True, slots=True)
 class Trail:
     """A sequence of trail entries, never changed once built.
 
     Lookups go through ``first``, each atom's first position, so an
-    inconsistent trail reads as its earliest entry.  It is built in one pass
-    on the first query, and it is the one record of the trail's assignment,
-    which everything else reads.  A level is read off the entries left of a
-    position (``literal_level``), and the decisions are counted where asked.
+    inconsistent trail reads as its earliest entry.  It is the one record
+    of the trail's assignment, which everything else reads.  A level is
+    read off the entries left of a position (``literal_level``), and the
+    decisions are counted where asked.
+
+    ``push``, ``pop`` and ``prefix`` hand the map on: the trails made from
+    one another share one dict, a persistent map by rerooting (Baker's
+    trick; Conchon and Filliatre, "A Persistent Union-Find Data
+    Structure", 2007).  The dict holds the map of one trail, the root; the
+    node of every other trail links to a neighbour, the trail it was made
+    from or one made from it, with the changes between their maps.  A new
+    trail becomes the root by changing only the entries it adds or drops.
+    Asking an older trail for its map moves the root back to it along the
+    links, undoing those changes, so every trail keeps its answers and
+    ``first`` returns the same dict; it holds a trail's map until another
+    trail that shares it is made or asked.  The link also gives the
+    entries two neighbours share (``shared_prefix``) without a walk.  A
+    trail built from its entries builds its map in one pass.
     """
 
     entries: tuple[TrailEntry, ...] = ()
+    _node: _Node = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        first: dict[Atom, int] = {}
+        for i, e in enumerate(self.entries):
+            first.setdefault(e.literal.atom, i)
+        _set_node(self, _Node(first))
 
     def __len__(self):
         return len(self.entries)
@@ -83,31 +168,55 @@ class Trail:
     def literals(self) -> tuple[Literal, ...]:
         return tuple(e.literal for e in self.entries)
 
+    def _made(self, entries: tuple, changes, shared: int) -> "Trail":
+        """The trail of ``entries``, made from this one after ``changes``
+        (see ``_Node.hand_on``) turned the map into its own."""
+        trail = _new(Trail)
+        _set_entries(trail, entries)
+        _set_node(trail, self._node.hand_on(changes, shared))
+        return trail
+
     def push(self, entry: TrailEntry) -> "Trail":
-        return Trail(self.entries + (entry,))
+        first, n = self.first, len(self.entries)
+        atom = entry.literal.atom
+        if atom in first:
+            return self._made(self.entries + (entry,), (), n)
+        first[atom] = n
+        return self._made(self.entries + (entry,), ((atom, None),), n)
 
     def pop(self) -> "Trail":
-        return Trail(self.entries[:-1])
+        return self.prefix(len(self.entries) - 1)
 
     def prefix(self, n: int) -> "Trail":
-        return Trail(self.entries[:n])
+        entries = self.entries[:n]
+        first, kept = self.first, len(entries)
+        changes = []
+        for i in range(kept, len(self.entries)):
+            atom = self.entries[i].literal.atom
+            if first.get(atom) == i:
+                del first[atom]
+                changes.append((atom, i))
+        return self._made(entries, changes, kept)
 
     def shared_prefix(self, other: "Trail") -> int:
         """How many leading entries this trail and ``other`` share as the
-        same objects."""
-        n = 0
-        for a, b in zip(self.entries, other.entries):
-            if a is not b:
-                break
+        same objects.  When one is made from the other, the link between
+        them says.  Otherwise the links from one towards the other give a
+        count to start from, and the entries after it are compared."""
+        a, b = self.entries, other.entries
+        n = _linked(self._node, other._node, len(a)) \
+            or _linked(other._node, self._node, len(b))
+        while n < len(a) and n < len(b) and a[n] is b[n]:
             n += 1
         return n
 
-    @cached_property
+    @property
     def first(self) -> dict[Atom, int]:
-        first: dict[Atom, int] = {}
-        for i, e in enumerate(self.entries):
-            first.setdefault(e.literal.atom, i)
-        return first
+        """Each atom's first position: the dict this trail shares, which
+        holds this trail's map until another trail is made from it or
+        asked."""
+        node = self._node
+        return node.first if node.link is None else node.reroot()
 
     def decision_count(self) -> int:
         return sum(isinstance(e.annotation, Decision) for e in self.entries)
@@ -131,6 +240,10 @@ class Trail:
 
     def __str__(self):
         return ", ".join(str(e) for e in self.entries)
+
+
+_new = object.__new__
+_set_entries, _set_node = Trail.entries.__set__, Trail._node.__set__
 
 
 @dataclass(frozen=True)

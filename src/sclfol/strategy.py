@@ -253,7 +253,7 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
     bound = configure_bound(clauses, cfg)
     state = ProblemState.start(clauses, bound)
     rec = _Recorder(cfg, list(names), state)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(cfg.seed) if cfg.heuristic == "random" else None
     growths = 0
 
     # past the initial bound, a cap reached by a Grow or by one clause's
@@ -390,7 +390,7 @@ def _duplicate_pair(ground: Clause) -> Optional[tuple[int, int]]:
 
 
 def _choose_extension(state: ProblemState, cfg: RunConfig,
-                      rng: random.Random):
+                      rng: Optional[random.Random]):
     # the avoid list is only a preference: a second pass admits everything
     for avoid in (cfg.avoid, ()):
         if cfg.heuristic == "random":
@@ -435,6 +435,9 @@ class _Recorder:
         self.episode_resolves = 0
         self.episode_snapshot: Optional[TrailOrder] = None
         self.episode_pool: tuple[Clause, ...] = ()
+        # by the id of each propagation the run placed: the annotation
+        # itself, which keeps the id from being reused, and its pool
+        # clause's name, literal index and the clause
         self.propagation_sources: dict = {}
         self.last_rule: Optional[str] = None
         self.sound_cache: dict = {}
@@ -515,8 +518,9 @@ class _Recorder:
     def on_propagate(self, state: ProblemState, option: PropagationOption):
         self._count_pushed(state)
         entry = state.trail[-1]
-        self.propagation_sources[entry.annotation] = (
-            self.name_of(option.clause), option.lit_index, option.clause)
+        self.propagation_sources[id(entry.annotation)] = (
+            entry.annotation, self.name_of(option.clause), option.lit_index,
+            option.clause)
         annotated = entry.annotation.closure.clause
         if self.derived is not None and annotated is not option.clause \
                 and option.clause in self.derived \
@@ -564,14 +568,14 @@ class _Recorder:
         self._after("factorize", f"{i} {j}", state)
 
     def on_resolve(self, state: ProblemState, top, conflict_index: int):
-        source = self.propagation_sources.get(top.annotation)
+        source = self.propagation_sources.get(id(top.annotation))
         if source is None:
             # propagation placed by a script rather than this driver
             name, lit_index = self.name_of(top.annotation.closure.clause), \
                 top.annotation.lit_index
             pool_clause = top.annotation.closure.clause
         else:
-            name, lit_index, pool_clause = source
+            _, name, lit_index, pool_clause = source
         sigma = top.annotation.closure.subst.restrict(
             variables_of(pool_clause))
         self.episode_steps.append(

@@ -11,25 +11,32 @@ fields if there is one, and builds and files a new one otherwise.  So
 structural equality is identity, and ``==`` and ``hash`` are ``object``'s,
 which run in C: a dict or set lookup of a deep term or a clause costs what
 one of a small object does.  The tables hold weak references, so a term
-leaves its table when its last user drops it; pickles and copies go
+leaves its table when its last user drops it, and the table of a function
+or predicate symbol goes when its last term does; pickles and copies go
 through the constructor and return the shared object.  A new term is
 filed by one dict operation, so threads may build terms at the same time
-and still share them.  A term's hash
-follows its address, so no result may depend on the iteration order of a
-set of terms.
+and still share them.  A term's hash follows its address, so no result
+may depend on the iteration order of a set of terms.
 
-Since terms never change, ``Fn`` and ``Atom`` keep two facts about
-themselves once asked for them, in fixed slots outside the repr: whether
-they are ground (``is_ground``) and their symbol count (``symbol_count``),
-so the bound checks count a term's symbols once.  ``apply`` returns a
-ground term, atom or literal as it is, so applying a grounding shares the
-ground subterms of the pattern instead of rebuilding them; and a term
-none of whose variables it moves comes back as it is, by sharing.
+Since terms never change, each keeps what is derived from it once asked
+for it, in fixed slots outside the repr, the way hash-consing libraries
+keep a node's hash (Filliatre and Conchon, "Type-Safe Modular
+Hash-Consing", 2006): ``Fn`` and ``Atom`` their variables in
+first-occurrence order (``variables_in_order``) and their symbol count
+(``symbol_count``); ``Fn``, ``Atom`` and ``Literal`` their text; and
+``Clause`` its variables.  A term is ground exactly when its stored
+variables are none, so ``is_ground``, ``variables_of`` and ``apply`` read
+them off instead of walking the term, and printing a term builds the text
+of each subterm once.  ``apply`` returns a ground term, atom or literal as
+it is, so applying a grounding shares the ground subterms of the pattern
+instead of rebuilding them; and a term none of whose variables it moves
+comes back as it is, by sharing.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
@@ -52,24 +59,50 @@ class _Table(dict):
     filed under its key since.  Filing (``setdefault``) and dropping
     (``_remove_dead_weakref``, as ``weakref.WeakValueDictionary`` does) are
     each one dict operation in C, so threads that build terms at the same
-    time still share one object per term."""
+    time still share one object per term.  A table of one head symbol
+    (``owner`` and ``name`` set) leaves its owner when it empties."""
 
-    __slots__ = ("drop",)
+    __slots__ = ("drop", "owner", "name", "closing")
 
-    def __init__(self):
+    def __init__(self, owner: Optional["_Tables"] = None, name: str = ""):
         super().__init__()
         self.drop = self._drop
+        self.owner, self.name = owner, name
+        self.closing = False  # set while or once its owner drops it
 
     def _drop(self, entry: _Ref):
         _remove_dead_weakref(self, entry.key)
+        if not self and self.owner is not None:
+            self.owner.close(self)
 
 
 class _Tables(dict):
-    """Intern tables by head symbol, each keyed by the arguments and made
-    on first use."""
+    """Intern tables by head symbol, each keyed by the arguments, made on
+    first use and dropped once empty.
+
+    A constructor that filed or found a term in a table reads the table's
+    ``closing`` flag after it; ``close`` sets the flag before it checks
+    that the table is still empty.  So either the constructor sees the
+    flag and files the term again in the symbol's current table, or the
+    table holds the term when ``close`` looks and stays.  Closes are
+    serialized by a lock; filing takes none."""
+
+    _lock = threading.Lock()
 
     def __missing__(self, name: str) -> _Table:
-        return self.setdefault(name, _Table())
+        return self.setdefault(name, _Table(self, name))
+
+    def close(self, table: _Table):
+        """Drops ``table`` if it is still this owner's table and empty."""
+        with self._lock:
+            if table or self.get(table.name) is not table:
+                return
+            table.closing = True
+            if table:  # a term was filed before the flag was set
+                table.closing = False
+            else:
+                del self[table.name]
+                table.drop = None  # so the table is no cyclic garbage
 
 
 _vars = _Table()                  # name -> variable
@@ -143,23 +176,32 @@ class Var(_Interned):
         return self.name
 
 
+def _written(head: str, args: tuple) -> str:
+    return f"{head}({','.join(map(str, args))})" if args else head
+
+
 @_term
 class Fn(_Interned):
     """Function application; a constant is a function with no arguments."""
 
     name: str
     args: tuple["Term", ...] = ()
-    _ground: bool = _cache()
+    _order: tuple["Var", ...] = _cache()
     _weight: int = _cache()
+    _text: str = _cache()
     __reduce__ = _reduce
 
     def __new__(cls, name: str, args: tuple = ()):
-        return _shared(cls, _fns[name], args, name, args)
+        table = _fns[name]
+        obj = _shared(cls, table, args, name, args)
+        # a table being dropped may not keep it: file it again (``_Tables``)
+        return cls(name, args) if table.closing else obj
 
     def __str__(self):
-        if not self.args:
-            return self.name
-        return f"{self.name}({','.join(str(a) for a in self.args)})"
+        try:
+            return self._text
+        except AttributeError:
+            return _keep(self, "_text", _written(self.name, self.args))
 
 
 Term = Union[Var, Fn]
@@ -169,23 +211,28 @@ Term = Union[Var, Fn]
 class Atom(_Interned):
     pred: str
     args: tuple[Term, ...] = ()
-    _ground: bool = _cache()
+    _order: tuple[Var, ...] = _cache()
     _weight: int = _cache()
+    _text: str = _cache()
     __reduce__ = _reduce
 
     def __new__(cls, pred: str, args: tuple = ()):
-        return _shared(cls, _atoms[pred], args, pred, args)
+        table = _atoms[pred]
+        obj = _shared(cls, table, args, pred, args)
+        return cls(pred, args) if table.closing else obj
 
     def __str__(self):
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({','.join(str(a) for a in self.args)})"
+        try:
+            return self._text
+        except AttributeError:
+            return _keep(self, "_text", _written(self.pred, self.args))
 
 
 @_term
 class Literal(_Interned):
     atom: Atom
     positive: bool = True
+    _text: str = _cache()
     __reduce__ = _reduce
 
     def __new__(cls, atom: Atom, positive: bool = True):
@@ -195,7 +242,11 @@ class Literal(_Interned):
         return Literal(self.atom, not self.positive)
 
     def __str__(self):
-        return str(self.atom) if self.positive else f"~{self.atom}"
+        try:
+            return self._text
+        except AttributeError:
+            text = str(self.atom)
+            return _keep(self, "_text", text if self.positive else "~" + text)
 
 
 @_term
@@ -203,6 +254,7 @@ class Clause(_Interned):
     """A multiset of literals, stored as a sequence."""
 
     literals: tuple[Literal, ...] = ()
+    _order: tuple[Var, ...] = _cache()
     __reduce__ = _reduce
 
     def __new__(cls, literals: tuple = ()):
@@ -244,45 +296,47 @@ _setters = {cls: tuple(getattr(cls, f.name).__set__
 # Variable and groundness queries
 # ---------------------------------------------------------------------------
 
+def variables_in_order(obj) -> tuple[Var, ...]:
+    """The variables of a term, atom, literal, clause or tuple of these,
+    each once, in the order a left-to-right walk meets them: the order
+    ``match`` binds them in."""
+    cls = type(obj)
+    if cls is Fn or cls is Atom:
+        order = getattr(obj, "_order", None)
+        if order is None:
+            return _keep(obj, "_order", _joined(obj.args))
+        return order
+    if cls is Var:
+        return (obj,)
+    if cls is Literal:
+        return variables_in_order(obj.atom)
+    if cls is Clause:
+        order = getattr(obj, "_order", None)
+        if order is None:
+            return _keep(obj, "_order", _joined(obj.literals))
+        return order
+    return _joined(obj)
+
+
+def _joined(parts) -> tuple[Var, ...]:
+    """The variables of ``parts`` in first-occurrence order."""
+    order = ()
+    for part in parts:
+        more = variables_in_order(part)
+        if not order:
+            order = more
+        elif more:
+            order += tuple(v for v in more if v not in order)
+    return order
+
+
 def variables_of(obj) -> set[Var]:
     """All variables occurring in a term, atom, literal, clause or tuple."""
-    out: set[Var] = set()
-    _collect_vars(obj, out)
-    return out
-
-
-def _collect_vars(obj, out: set[Var]):
-    cls = type(obj)
-    if cls is Var:
-        out.add(obj)
-    elif cls is Fn or cls is Atom:
-        if not is_ground(obj):
-            for a in obj.args:
-                _collect_vars(a, out)
-    elif cls is Literal:
-        _collect_vars(obj.atom, out)
-    elif cls is Clause:
-        for lit in obj.literals:
-            _collect_vars(lit, out)
-    else:
-        for item in obj:
-            _collect_vars(item, out)
+    return set(variables_in_order(obj))
 
 
 def is_ground(obj) -> bool:
-    cls = type(obj)
-    if cls is Fn or cls is Atom:
-        ground = getattr(obj, "_ground", None)
-        if ground is None:
-            return _keep(obj, "_ground", all(map(is_ground, obj.args)))
-        return ground
-    if cls is Var:
-        return False
-    if cls is Literal:
-        return is_ground(obj.atom)
-    if cls is Clause:
-        return all(map(is_ground, obj.literals))
-    return all(map(is_ground, obj))
+    return not variables_in_order(obj)
 
 
 def symbol_count(obj) -> int:
@@ -395,8 +449,8 @@ def _substitute(mapping: dict[Var, Term], term):
     """A term or atom under ``mapping``; a ground one as it is."""
     if type(term) is Var:
         return mapping.get(term, term)
-    ground = getattr(term, "_ground", None)
-    if ground or ground is None and is_ground(term):
+    order = getattr(term, "_order", None)
+    if not (variables_in_order(term) if order is None else order):
         return term
     args = tuple([_substitute(mapping, a) for a in term.args])
     return Fn(term.name, args) if type(term) is Fn else Atom(term.pred, args)
@@ -573,7 +627,7 @@ class Closure:
         # ground term; nothing is built to find out
         image = self.subst.mapping
         if not all(is_ground(image.get(v, v))
-                   for v in variables_of(self.clause)):
+                   for v in variables_in_order(self.clause)):
             raise ValueError(
                 f"substitution {self.subst} does not ground {self.clause}")
 
@@ -610,31 +664,10 @@ def same_multiset(c1: Clause, c2: Clause) -> bool:
 def canonical_variant(clause: Clause) -> Clause:
     """Rename variables to a fixed scheme in first-occurrence order."""
     names = ["X", "Y", "Z", "W", "V"]
-    order: dict[Var, None] = {}  # the variables, in first-occurrence order
-    for lit in clause:
-        _first_occurrences(lit.atom, order)
     ren = {}
-    for i, v in enumerate(order):
+    for i, v in enumerate(variables_in_order(clause)):
         ren[v] = Var(names[i]) if i < len(names) else Var(f"X{i - len(names) + 1}")
     return apply(Subst(ren), clause)
-
-
-def variables_in_order(t) -> tuple[Var, ...]:
-    """The variables of a term or atom, each once, in the order a
-    left-to-right walk meets them: the order ``match`` binds them in."""
-    order: dict[Var, None] = {}
-    _first_occurrences(t, order)
-    return tuple(order)
-
-
-def _first_occurrences(t, order: dict):
-    """Adds the variables of ``t`` not yet in ``order`` to it, left to
-    right."""
-    if isinstance(t, Var):
-        order.setdefault(t)
-    elif isinstance(t, (Fn, Atom)):
-        for a in t.args:
-            _first_occurrences(a, order)
 
 
 def alpha_equal(c1: Clause, c2: Clause) -> bool:

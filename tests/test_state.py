@@ -152,6 +152,56 @@ class TestLevels:
                 assert parent.first is first
                 assert first == Trail(parent.entries).first
 
+    def test_versions_answer_as_their_scans_in_any_order(self):
+        # pushes (repeated atoms, and second pushes onto trails that have
+        # a child), pops (of the empty trail too) and prefixes (longer
+        # than the trail too) made from random earlier versions.  After
+        # each, random pairs of versions are compared, and then every
+        # version is asked in a random order, so that the map the versions
+        # share moves between them
+        sc = lpo_refutation_scenario()
+        rng = random.Random(19)
+        atoms = [f"{p}({c})" for p in "PQ" for c in "abc"]
+        queries = [lit(sign + text) for sign in ("", "~") for text in atoms]
+        # entries pushed again, so that trails not made from one another
+        # share entries after their common part
+        pushed = [TrailEntry(literal, annotation) for literal in queries
+                  for annotation in (Decision(1), Decision(2), Propagation(
+                      Closure(Clause((literal,)), Subst()), 0))]
+        for _ in range(40):
+            versions = [Trail()]
+            for _ in range(20):
+                trail = rng.choice(versions)
+                move = rng.random()
+                if move < 0.55:
+                    e = rng.choice(pushed)
+                    made = trail.push(e)
+                    assert made.entries == trail.entries + (e,)
+                elif move < 0.7:
+                    made = trail.pop()
+                    assert made.entries == trail.entries[:-1]
+                else:
+                    n = rng.randint(0, len(trail) + 2)
+                    made = trail.prefix(n)
+                    assert made.entries == trail.entries[:n]
+                versions.append(made)
+                for trail in rng.sample(versions, len(versions)):
+                    other = rng.choice(versions)
+                    shared = 0
+                    for a, b in zip(trail.entries, other.entries):
+                        if a is not b:
+                            break
+                        shared += 1
+                    assert trail.shared_prefix(other) == shared
+                    assert other.shared_prefix(trail) == shared
+                for trail in rng.sample(versions, len(versions)):
+                    self.check_first(sc, trail, atoms)
+                    for query in queries:
+                        on = [e.literal for e in trail
+                              if e.literal.atom == query.atom][:1]
+                        assert trail.truth_value(query) == \
+                            (on[0] == query if on else None)
+
     def check_first(self, sc, trail, atoms):
         assert trail.decision_count() == sum(1 for e in trail if e.is_decision)
         s = ProblemState(trail, sc.clauses, (), sc.bound,

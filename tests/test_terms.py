@@ -274,6 +274,47 @@ def _ref_is_ground(obj):
     return all(_ref_is_ground(lit) for lit in obj.literals)
 
 
+def _ref_text(obj):
+    if isinstance(obj, Var):
+        return obj.name
+    if isinstance(obj, (Fn, Atom)):
+        head = obj.name if isinstance(obj, Fn) else obj.pred
+        if not obj.args:
+            return head
+        return f"{head}({','.join(_ref_text(a) for a in obj.args)})"
+    if isinstance(obj, Literal):
+        return ("" if obj.positive else "~") + _ref_text(obj.atom)
+    return " | ".join(_ref_text(lit) for lit in obj.literals) or "$false"
+
+
+def _ref_variables(obj, order=None):
+    """The variables of ``obj`` in first-occurrence order, by a walk."""
+    order = [] if order is None else order
+    if isinstance(obj, Var):
+        if obj not in order:
+            order.append(obj)
+    elif isinstance(obj, (Fn, Atom)):
+        for a in obj.args:
+            _ref_variables(a, order)
+    elif isinstance(obj, Literal):
+        _ref_variables(obj.atom, order)
+    else:
+        for lit in obj.literals:
+            _ref_variables(lit, order)
+    return tuple(order)
+
+
+def _parsed(text, kind):
+    """The object of type ``kind`` that ``parse_native`` reads from its
+    text: a term as the argument of a unary predicate."""
+    if kind in (Var, Fn):
+        return parse_native(f"Q({text})").clauses[0][0].atom.args[0]
+    clause = parse_native(text).clauses[0]
+    if kind is Clause:
+        return clause
+    return clause[0] if kind is Literal else clause[0].atom
+
+
 def _ref_symbol_count(obj):
     if isinstance(obj, Var):
         return 1
@@ -382,6 +423,44 @@ class TestKernelsAgainstReferences:
                 for copy in (pickle.loads(pickle.dumps(used)),
                              deepcopy(used)):
                     assert copy == used and hash(copy) == hash(used)
+
+    def test_stored_facts(self):
+        # what a term keeps (its text and its variables, and so whether it
+        # is ground) against walks of its fields, asked in a random order,
+        # first on a new object and then on the same term built again from
+        # its text once the first object died
+        rng = random.Random(19)
+        rebuilt = 0
+        for _ in range(300):
+            objects = self.objects(rng)
+            kinds_texts = [(type(obj), _ref_text(obj)) for obj in objects]
+            for obj in objects:
+                self.check_stored(rng, obj)
+            dead = [weakref.ref(obj) for obj in objects]
+            del obj, objects
+            for (kind, text), ref in zip(kinds_texts, dead):
+                again = _parsed(text, kind)
+                rebuilt += ref() is None
+                self.check_stored(rng, again)
+        assert rebuilt > 600
+        # a tuple of them is walked
+        lits = cl("P(Y,f(X)) | Q(X) | ~P(Z,Y)").literals
+        assert terms.variables_in_order(lits) == \
+            (Var("Y"), Var("X"), Var("Z"))
+        assert variables_of(lits[1:]) == {Var("X"), Var("Y"), Var("Z")}
+        assert not is_ground(lits) and is_ground(cl("P(a) | Q(b)").literals)
+
+    def check_stored(self, rng, obj):
+        checks = [
+            lambda: str(obj) == _ref_text(obj),
+            lambda: terms.variables_in_order(obj) == _ref_variables(obj),
+            lambda: variables_of(obj) == set(_ref_variables(obj)),
+            lambda: is_ground(obj) == (not _ref_variables(obj)),
+            lambda: is_ground(obj) == _ref_is_ground(obj),
+            lambda: _parsed(str(obj), type(obj)) is obj,
+        ]
+        for check in rng.sample(checks, len(checks)) * 2:
+            assert check(), repr(obj)
 
     def test_apply(self):
         rng = random.Random(12)
@@ -538,3 +617,64 @@ class TestSharing:
             rebuilt = Literal(Atom("Pthreads", (
                 Fn(f"f{name}", (Fn(name),)), Var(name.upper()))))
             assert all(obj is rebuilt for obj in shared)
+
+    def test_a_symbol_table_goes_with_its_last_term(self):
+        # by reference count: it leaves no cyclic garbage
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(terms._fns), len(terms._atoms)
+            built = [Atom(f"Ptables{i}", (Fn(f"ctables{i}"),))
+                     for i in range(20_000)]
+            assert (len(terms._fns), len(terms._atoms)) == \
+                (before[0] + 20_000, before[1] + 20_000)
+            del built
+            assert (len(terms._fns), len(terms._atoms)) == before
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        # built again, a term gets a table again
+        again = Fn("ctables7")
+        assert again is Fn("ctables7") and len(terms._fns) == before[0] + 1
+
+    def test_threads_share_terms_while_their_tables_come_and_go(self):
+        # threads drop and build terms of a few symbols, so that tables
+        # empty, go and come back while other threads file and find the
+        # same terms: two live objects for one term would break ``is``
+        names = [f"cchurn{i}" for i in range(6)]
+        held = [{} for _ in range(4)]
+        start, clashes = threading.Barrier(4), []
+
+        def churn(k):
+            rng, mine = random.Random(k), held[k]
+            start.wait()
+            for _ in range(20_000):
+                name = rng.choice(names)
+                if rng.random() < 0.5:
+                    mine.pop(name, None)  # perhaps the last user
+                    continue
+                term = mine[name] = Fn(name)
+                for other in held:
+                    theirs = other.get(name)
+                    if theirs is not None and theirs is not term:
+                        clashes.append(name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not clashes
+        for name in names:
+            live = {id(mine[name]) for mine in held if name in mine}
+            assert live <= {id(Fn(name))}
+        held.clear()
+        gc.collect()
+        assert not any(name in terms._fns for name in names)
