@@ -8,9 +8,9 @@ from conftest import LOOPING_TEXT, cap_bounds, cl, random_bs_problem
 from sclfol import cli
 from sclfol.cli import build_parser, main
 from sclfol.frontend import (
-    MAX_TERM_DEPTH, ParseError, ProblemFile, UnsupportedFeature, parse_literal_text,
-    parse_native, parse_problem, parse_subst_text, parse_tptp_cnf,
-    problem_to_native, problem_to_tptp,
+    MAX_TERM_DEPTH, ParseError, ProblemFile, UnsupportedFeature,
+    parse_clause_text, parse_literal_text, parse_native, parse_problem,
+    parse_subst_text, parse_tptp_cnf, problem_to_native, problem_to_tptp,
 )
 from sclfol.orderings import Bound
 from sclfol.terms import Var, variables_of
@@ -128,6 +128,164 @@ class TestRoundTrip:
             assert str(parse_literal_text(text)) == text
         for text in ("{}", "{X -> a}", "{X -> g(a,b), Y -> b}"):
             assert str(parse_subst_text(text)) == text
+
+
+# Every malformed input of this table gives exactly this error class, line,
+# column and message, and every accepted one these clauses; the expected
+# values were recorded from the parser as it was before its token layer was
+# rewritten.
+DEEP = "f(" * 100 + "a" + ")" * 100
+ERROR_CONTRACT = [
+    ('native', 'P(a) |',
+     ('ParseError', 1, 7, 'unexpected end of input')),
+    ('native', '~',
+     ('ParseError', 1, 2, 'unexpected end of input')),
+    ('native', 'P(a) | ~',
+     ('ParseError', 1, 9, 'unexpected end of input')),
+    ('native', 'P(a,)',
+     ('ParseError', 1, 5, "expected a term, got ')'")),
+    ('native', 'P(a',
+     ('ParseError', 1, 4, 'unexpected end of input')),
+    ('native', 'P(a))',
+     ('ParseError', 1, 5, "trailing input ')'")),
+    ('native', 'P(1)',
+     ('ParseError', 1, 3, "expected a term, got '1'")),
+    ('native', '1(a)',
+     ('ParseError', 1, 1, "expected a predicate, got '1'")),
+    ('native', 'X = a',
+     ('UnsupportedFeature', 1, 3, 'unsupported feature: equality')),
+    ('native', 'P(a) != b',
+     ('UnsupportedFeature', 1, 6, 'unsupported feature: equality')),
+    ('native', 'P(a) | $false',
+     ('ParseError', 1, 8, '$false is only allowed on its own')),
+    ('native', 'P(a) Q(b)',
+     ('ParseError', 1, 6, "trailing input 'Q'")),
+    ('native', f"P({DEEP})",
+     ('ParseError', 1, 203, 'term nested more than 100 deep')),
+    ('native', 'P(a)\n  # comment\n  Q(b) | ~R(c d)',
+     ('ParseError', 3, 15, "expected ')', got 'd'")),
+    ('native', 'vars: x\nP(x) | ~',
+     ('ParseError', 2, 9, 'unexpected end of input')),
+    ('native', 'P(a) | ~~Q(a,',
+     ('ParseError', 1, 14, 'unexpected end of input')),
+    ('native', 'P(f(a)',
+     ('ParseError', 1, 7, 'unexpected end of input')),
+    ('native', 'P(f(a) | Q',
+     ('ParseError', 1, 8, "expected ')', got '|'")),
+    ('native', 'P(a, ~b)',
+     ('ParseError', 1, 6, "expected a term, got '~'")),
+    ('native', 'P(X,=)',
+     ('UnsupportedFeature', 1, 5, 'unsupported feature: equality')),
+    ('native', 'P($false)',
+     ('ParseError', 1, 3, "expected a term, got '$false'")),
+    ('native', '$false | P(a)',
+     ('ParseError', 1, 8, "trailing input '|'")),
+    ('native', 'P(a)\n$false',
+     ['c1: P(a)', 'c2: $false']),
+    ('native', 'P(a) @',
+     ('ParseError', 1, 6, "trailing input '@'")),
+    ('native', 'p(a)\nP(é)',
+     ('ParseError', 2, 3, "expected a term, got 'é'")),
+    ('tptp', 'cnf(c, axiom, P(a) | ~Q(b)).',
+     ['c: P(a) | ~Q(b)']),
+    ('tptp', 'cnf(c, axiom, (P(a)))',
+     ('ParseError', 1, 22, 'unexpected end of input')),
+    ('tptp', 'cnf(c, axiom, (P(a))',
+     ('ParseError', 1, 21, 'unexpected end of input')),
+    ('tptp', 'cnf(a, axiom, (P(a))). cnf(b, axiom, (Q(a))).',
+     ['a: P(a)', 'b: Q(a)']),
+    ('tptp', 'cnf(a, axiom, (P(a))). cnf(b, axiom, (Q(a) |)).',
+     ('ParseError', 1, 45, "expected a predicate, got ')'")),
+    ('tptp', 'cnf(a, axiom, (P(a))) cnf(b, axiom, (Q(a))).',
+     ('ParseError', 1, 23, "expected '.', got 'cnf'")),
+    ('tptp', "include('Axioms/EQ001-0.ax').",
+     ('UnsupportedFeature', 1, 1, 'unsupported feature: include')),
+    ('tptp', "  include('x').",
+     ('UnsupportedFeature', 1, 3, 'unsupported feature: include')),
+    ('tptp', 'fof(f, axiom, p).',
+     ('UnsupportedFeature', 1, 1, 'unsupported feature: fof')),
+    ('tptp', 'tff(f, axiom, p).',
+     ('UnsupportedFeature', 1, 1, 'unsupported feature: tff')),
+    ('tptp', 'cnf(c, axiom, (X = a)).',
+     ('UnsupportedFeature', 1, 18, 'unsupported feature: equality')),
+    ('tptp', 'cnf(c, axiom, (P(a) | $false)).',
+     ('ParseError', 1, 23, '$false is only allowed on its own')),
+    ('tptp', 'fnc(c, axiom, (P(a))).',
+     ('ParseError', 1, 1, "expected 'cnf', got 'fnc'")),
+    ('tptp', 'cnf c, axiom, (P(a))).',
+     ('ParseError', 1, 5, "expected '(', got 'c'")),
+    ('tptp', 'cnf(c axiom, (P(a))).',
+     ('ParseError', 1, 7, "expected ',', got 'axiom'")),
+    ('tptp', 'cnf(c, axiom (P(a))).',
+     ('ParseError', 1, 14, "expected ',', got '('")),
+    ('tptp', 'cnf(c, axiom, (P(a))].',
+     ('ParseError', 1, 21, "expected ')', got ']'")),
+    ('tptp', 'cnf(c, axiom, (P(a)))',
+     ('ParseError', 1, 22, 'unexpected end of input')),
+    ('tptp', 'cnf(',
+     ('ParseError', 1, 5, 'unexpected end of input')),
+    ('tptp', '% c\ncnf(c, axiom, (P(a))). % x\n\ncnf(d, axiom, ~Q(a, )).',
+     ('ParseError', 4, 21, "expected a term, got ')'")),
+    ('tptp', f"cnf(c, axiom, (P({DEEP}))).",
+     ('ParseError', 1, 218, 'term nested more than 100 deep')),
+    ('tptp', 'cnf(c, axiom, ($false)).',
+     ['c: $false']),
+    ('literal', '~~P(a)',
+     'P(a)'),
+    ('literal', '  P(a) | Q',
+     ('ParseError', 1, 6, "trailing input '|'")),
+    ('literal', '',
+     ('ParseError', 1, 1, 'unexpected end of input')),
+    ('literal', 'P(a',
+     ('ParseError', 1, 4, 'unexpected end of input')),
+    ('literal', 'P(a) = b',
+     ('UnsupportedFeature', 1, 6, 'unsupported feature: equality')),
+    ('clause', '$false',
+     '$false'),
+    ('clause', 'P(a) | ~Q(X) extra',
+     ('ParseError', 1, 14, "trailing input 'extra'")),
+    ('clause', 'P(a) |',
+     ('ParseError', 1, 7, 'unexpected end of input')),
+    ('clause', '$false | P',
+     ('ParseError', 1, 8, "trailing input '|'")),
+    ('subst', '{}',
+     '{}'),
+    ('subst', '{X -> g(a,b), Y -> b}',
+     '{X -> g(a,b), Y -> b}'),
+    ('subst', '{X -> a',
+     ('ParseError', 1, 1, "malformed substitution '{X -> a'")),
+    ('subst', 'X -> a}',
+     ('ParseError', 1, 1, "malformed substitution 'X -> a}'")),
+    ('subst', '{X a}',
+     ('ParseError', 1, 1, "malformed binding 'X a'")),
+    ('subst', '{X -> f(a,}',
+     ('ParseError', 1, 5, 'unexpected end of input')),
+    ('subst', '{X -> a b}',
+     ('ParseError', 1, 3, "trailing input 'b'")),
+    ('subst', '{X -> }',
+     ('ParseError', 1, 1, 'unexpected end of input')),
+    ('subst', '{X -> =}',
+     ('UnsupportedFeature', 1, 1, 'unsupported feature: equality')),
+    ('subst', '{X -> f(a, g(b)), Y -> h(}',
+     ('ParseError', 1, 3, 'unexpected end of input')),
+]
+ENTRY_POINTS = {"native": parse_native, "tptp": parse_tptp_cnf,
+                "literal": parse_literal_text, "clause": parse_clause_text,
+                "subst": parse_subst_text}
+
+
+@pytest.mark.parametrize("kind,text,expected", ERROR_CONTRACT)
+def test_error_contract(kind, text, expected):
+    try:
+        result = ENTRY_POINTS[kind](text)
+    except ParseError as exc:
+        got = (type(exc).__name__, exc.line, exc.column, exc.message)
+    else:
+        if kind in ("native", "tptp"):
+            got = [f"{n}: {c}" for n, c in zip(result.names, result.clauses)]
+        else:
+            got = str(result)
+    assert got == expected
 
 
 class TestCli:
