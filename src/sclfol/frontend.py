@@ -4,15 +4,25 @@ Variable convention follows TPTP in both formats: an identifier starting
 with an uppercase letter is a variable.  The native format additionally
 accepts a ``vars:`` header declaring extra (e.g. lowercase) variable names.
 Equality is not supported and is rejected up front.
+
+Both formats and the standalone literal, clause and substitution parsers
+share one token layer: ``_Tokens`` splits a line with one ``findall`` into
+a list that ends in ``None``, and the parse functions walk that list by
+index, each returning the index after what it read.  Columns are worked
+out from the line only when an error is raised.  A symbol used with two
+arities, or as both a predicate and a function, is a ``ParseError`` at the
+occurrence that clashes, reported after every line has parsed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .terms import Atom, Clause, Fn, Literal, Signature, Subst, Term, Var
+from .terms import (
+    Atom, Clause, Fn, Literal, Signature, SignatureError, Subst, Term, Var,
+    _declare,
+)
 
 
 class ParseError(ValueError):
@@ -49,46 +59,60 @@ class ProblemFile:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\$?[A-Za-z_][A-Za-z0-9_]*|\d+|[(),.|~]|!=|=|\S")
+# a token that starts with one of these is a name (see ``_TOKEN_RE``)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                        "abcdefghijklmnopqrstuvwxyz_")
+_EQUALITY = ("=", "!=")
 
 
 class _Tokens:
+    """The tokens of one line, as a list that ends in ``None``.
+
+    The parse functions walk ``toks`` by index and return the index after
+    what they read.  A column is worked out from the line only for an
+    error."""
+
+    __slots__ = ("text", "line", "variables", "toks")
+
     def __init__(self, text: str, line: int,
                  variables: frozenset[str] = frozenset()):
+        self.text = text
         self.line = line
         self.variables = variables
-        self.toks: list[tuple[str, int]] = [
-            (m.group(0), m.start() + 1)
-            for m in _TOKEN_RE.finditer(text)
-        ]
-        self.pos = 0
+        self.toks: list = _TOKEN_RE.findall(text)
+        self.toks.append(None)
 
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+    def column(self, i: int) -> int:
+        """The column of token ``i``; for the end, the column after the
+        last token."""
+        spans = [m.span() for m in _TOKEN_RE.finditer(self.text)]
+        if i < len(spans):
+            return spans[i][0] + 1
+        return spans[-1][1] + 1 if spans else 1
 
-    def col(self) -> int:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][1]
-        return self.toks[-1][1] + len(self.toks[-1][0]) if self.toks else 1
+    def error(self, i: int, message: str) -> ParseError:
+        return ParseError(self.line, self.column(i), message)
 
-    def next(self) -> str:
-        tok = self.peek()
+    def unexpected(self, i: int, what: str) -> ParseError:
+        """The error for token ``i``, where ``what`` was expected."""
+        tok = self.toks[i]
         if tok is None:
-            raise ParseError(self.line, self.col(), "unexpected end of input")
-        self.pos += 1
-        return tok
+            return self.error(i, "unexpected end of input")
+        if tok in _EQUALITY:
+            return UnsupportedFeature(self.line, self.column(i), "equality")
+        return self.error(i, f"expected {what}, got {tok!r}")
 
-    def expect(self, want: str) -> str:
-        col = self.col()
-        tok = self.next()
-        if tok != want:
-            raise ParseError(self.line, col, f"expected {want!r}, got {tok!r}")
-        return tok
+    def expect(self, i: int, want: str) -> int:
+        if self.toks[i] != want:
+            tok = self.toks[i]
+            raise (self.error(i, "unexpected end of input") if tok is None
+                   else self.error(i, f"expected {want!r}, got {tok!r}"))
+        return i + 1
 
-    def error(self, msg: str):
-        raise ParseError(self.line, self.col(), msg)
-
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+    def end(self, i: int):
+        """Raises unless token ``i`` ends the line."""
+        if self.toks[i] is not None:
+            raise self.error(i, f"trailing input {self.toks[i]!r}")
 
 
 def _is_variable_name(name: str, extra: frozenset[str]) -> bool:
@@ -100,65 +124,65 @@ def _is_variable_name(name: str, extra: frozenset[str]) -> bool:
 MAX_TERM_DEPTH = 100
 
 
-def _parse_term(tk: _Tokens, depth: int = 1) -> Term:
-    col = tk.col()
+def _parse_term(tk: _Tokens, i: int, depth: int = 1) -> tuple[Term, int]:
     if depth > MAX_TERM_DEPTH:
-        raise ParseError(tk.line, col, f"term nested more than "
-                                       f"{MAX_TERM_DEPTH} deep")
-    name = tk.next()
-    if name in ("=", "!="):
-        raise UnsupportedFeature(tk.line, col, "equality")
-    if not _NAME_RE.match(name):
-        raise ParseError(tk.line, col, f"expected a term, got {name!r}")
+        raise tk.error(i, f"term nested more than {MAX_TERM_DEPTH} deep")
+    toks = tk.toks
+    name = toks[i]
+    if name is None or name[0] not in _NAME_START:
+        raise tk.unexpected(i, "a term")
     if _is_variable_name(name, tk.variables):
-        return Var(name)
-    if tk.peek() == "(":
-        tk.next()
-        args = [_parse_term(tk, depth + 1)]
-        while tk.peek() == ",":
-            tk.next()
-            args.append(_parse_term(tk, depth + 1))
-        tk.expect(")")
-        return Fn(name, tuple(args))
-    return Fn(name)
+        return Var(name), i + 1
+    if toks[i + 1] != "(":
+        return Fn(name), i + 1
+    args, i = _parse_args(tk, i + 2, depth + 1)
+    return Fn(name, args), i
 
 
-def _parse_literal(tk: _Tokens) -> Literal:
+def _parse_args(tk: _Tokens, i: int, depth: int) -> tuple[tuple, int]:
+    """The terms from token ``i``, just after an opening parenthesis, to
+    the closing one, at nesting ``depth``."""
+    toks = tk.toks
+    arg, i = _parse_term(tk, i, depth)
+    args = [arg]
+    while toks[i] == ",":
+        arg, i = _parse_term(tk, i + 1, depth)
+        args.append(arg)
+    return tuple(args), tk.expect(i, ")")
+
+
+def _parse_literal(tk: _Tokens, i: int) -> tuple[Literal, int]:
+    toks = tk.toks
     positive = True
-    while tk.peek() == "~":
-        tk.next()
+    while toks[i] == "~":
+        i += 1
         positive = not positive
-    col = tk.col()
-    name = tk.next()
+    name = toks[i]
     if name == "$false":
-        raise ParseError(tk.line, col, "$false is only allowed on its own")
-    if name in ("=", "!="):
-        raise UnsupportedFeature(tk.line, col, "equality")
-    if not _NAME_RE.match(name):
-        raise ParseError(tk.line, col, f"expected a predicate, got {name!r}")
-    args: tuple[Term, ...] = ()
-    if tk.peek() == "(":
-        tk.next()
-        lst = [_parse_term(tk)]
-        while tk.peek() == ",":
-            tk.next()
-            lst.append(_parse_term(tk))
-        tk.expect(")")
-        args = tuple(lst)
-    if tk.peek() in ("=", "!="):
-        raise UnsupportedFeature(tk.line, tk.col(), "equality")
-    return Literal(Atom(name, args), positive)
+        raise tk.error(i, "$false is only allowed on its own")
+    if name is None or name[0] not in _NAME_START:
+        raise tk.unexpected(i, "a predicate")
+    if toks[i + 1] == "(":
+        args, i = _parse_args(tk, i + 2, 1)
+        atom = Atom(name, args)
+    else:
+        atom = Atom(name)
+        i += 1
+    if toks[i] in _EQUALITY:
+        raise UnsupportedFeature(tk.line, tk.column(i), "equality")
+    return Literal(atom, positive), i
 
 
-def _parse_disjunction(tk: _Tokens) -> Clause:
-    if tk.peek() == "$false":
-        tk.next()
-        return Clause()
-    lits = [_parse_literal(tk)]
-    while tk.peek() == "|":
-        tk.next()
-        lits.append(_parse_literal(tk))
-    return Clause(tuple(lits))
+def _parse_disjunction(tk: _Tokens, i: int) -> tuple[Clause, int]:
+    toks = tk.toks
+    if toks[i] == "$false":
+        return Clause(), i + 1
+    lit, i = _parse_literal(tk, i)
+    lits = [lit]
+    while toks[i] == "|":
+        lit, i = _parse_literal(tk, i + 1)
+        lits.append(lit)
+    return Clause(tuple(lits)), i
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +195,7 @@ def parse_native(text: str) -> ProblemFile:
     additional variable names."""
     clauses: list[Clause] = []
     names: list[str] = []
+    origins: list[tuple[_Tokens, int]] = []
     extra_vars: frozenset[str] = frozenset()
     header_allowed = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -182,21 +207,18 @@ def parse_native(text: str) -> ProblemFile:
             header_allowed = False
             continue
         header_allowed = False
-        tk = _Tokens(line, lineno, variables=extra_vars)
-        clause = _parse_disjunction(tk)
-        if tk.peek() is not None:
-            tk.error(f"trailing input {tk.peek()!r}")
+        tk = _Tokens(line, lineno, extra_vars)
+        clause, i = _parse_disjunction(tk, 0)
+        tk.end(i)
         clauses.append(clause)
         names.append(f"c{len(clauses)}")
-    return ProblemFile(clauses, names, format="native")
+        origins.append((tk, 0))
+    return _problem_file(clauses, names, "native", origins)
 
 
 # ---------------------------------------------------------------------------
 # TPTP CNF subset
 # ---------------------------------------------------------------------------
-
-_CNF_RE = re.compile(r"cnf\s*\(", re.MULTILINE)
-
 
 def parse_tptp_cnf(text: str) -> ProblemFile:
     """Accepts ``cnf(name, role, (L1 | ... | Ln)).`` clause annotations.
@@ -206,6 +228,7 @@ def parse_tptp_cnf(text: str) -> ProblemFile:
     """
     clauses: list[Clause] = []
     names: list[str] = []
+    origins: list[tuple[_Tokens, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].rstrip()
         if not line.strip():
@@ -217,28 +240,95 @@ def parse_tptp_cnf(text: str) -> ProblemFile:
             if stripped.startswith(kw + "("):
                 raise UnsupportedFeature(lineno, 1, kw)
         tk = _Tokens(line, lineno)
-        while tk.peek() is not None:
-            col = tk.col()
-            head = tk.next()
-            if head != "cnf":
-                raise ParseError(lineno, col, f"expected 'cnf', got {head!r}")
-            tk.expect("(")
-            name = tk.next()
-            tk.expect(",")
-            tk.next()  # role; anything other than axiom is treated as axiom
-            tk.expect(",")
-            paren = tk.peek() == "("
+        toks = tk.toks
+        i = 0
+        while toks[i] is not None:
+            if toks[i] != "cnf":
+                raise tk.error(i, f"expected 'cnf', got {toks[i]!r}")
+            i = tk.expect(i + 1, "(")
+            name = toks[i]
+            if name is None:
+                raise tk.error(i, "unexpected end of input")
+            i = tk.expect(i + 1, ",")
+            # the role; anything other than axiom is treated as axiom
+            if toks[i] is None:
+                raise tk.error(i, "unexpected end of input")
+            i = tk.expect(i + 1, ",")
+            paren = toks[i] == "("
             if paren:
-                tk.next()
-            clause = _parse_disjunction(tk)
+                i += 1
+            start = i
+            clause, i = _parse_disjunction(tk, start)
             if paren:
-                tk.expect(")")
-            tk.expect(")")
-            tk.expect(".")
+                i = tk.expect(i, ")")
+            i = tk.expect(tk.expect(i, ")"), ".")
             clauses.append(clause)
             names.append(name)
-    return ProblemFile(clauses, names, format="tptp")
+            origins.append((tk, start))
+    return _problem_file(clauses, names, "tptp", origins)
 
+
+def _problem_file(clauses: list[Clause], names: list[str], fmt: str,
+                  origins: list[tuple[_Tokens, int]]) -> ProblemFile:
+    """The problem with its signature.  A symbol used with two arities, or
+    as both a predicate and a function, is a parse error at the occurrence
+    that clashes with the earlier ones; ``origins`` holds each clause's
+    tokens and the index of its first one."""
+    try:
+        signature = Signature.from_clauses(clauses)
+    except SignatureError:
+        raise _clash(clauses, origins) from None
+    return ProblemFile(clauses, names, fmt, signature)
+
+
+def _clash(clauses: list[Clause],
+           origins: list[tuple[_Tokens, int]]) -> ParseError:
+    """The error ``Signature.from_clauses`` raises on ``clauses``, at the
+    line and column of the occurrence that raised it."""
+    preds: dict[str, int] = {}
+    funcs: dict[str, int] = {}
+    for clause, (tk, start) in zip(clauses, origins):
+        tokens = _symbol_tokens(tk, start)
+        for name, arity, is_pred in _symbols(clause):
+            i = next(tokens)
+            try:
+                if is_pred:
+                    _declare(preds, funcs, name, arity, is_pred=True)
+                else:
+                    _declare(funcs, preds, name, arity, is_pred=False)
+            except SignatureError as exc:
+                return tk.error(i, str(exc))
+    raise AssertionError("no clause clashes")
+
+
+def _symbols(clause: Clause):
+    """The symbol occurrences of ``clause`` as (name, arity, is predicate),
+    in the order ``Signature.from_clauses`` declares them: each literal's
+    predicate, then its arguments' function symbols, outermost first."""
+    for lit in clause:
+        yield lit.atom.pred, len(lit.atom.args), True
+        todo = list(reversed(lit.atom.args))
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Fn):
+                yield t.name, len(t.args), False
+                todo.extend(reversed(t.args))
+
+
+def _symbol_tokens(tk: _Tokens, start: int):
+    """The indices of the same occurrences among the tokens of the clause
+    that starts at token ``start``: its names, less the variables."""
+    toks = tk.toks
+    for i in range(start, len(toks) - 1):
+        if toks[i][0] in _NAME_START and not (
+                i > start and toks[i - 1] in ("(", ",")
+                and _is_variable_name(toks[i], tk.variables)):
+            yield i
+
+
+# ---------------------------------------------------------------------------
+# Standalone literal / clause / substitution parsing (CLI flags, proof files)
+# ---------------------------------------------------------------------------
 
 def parse_problem(text: str, fmt: str) -> ProblemFile:
     if fmt == "tptp":
@@ -248,23 +338,17 @@ def parse_problem(text: str, fmt: str) -> ProblemFile:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-# ---------------------------------------------------------------------------
-# Standalone literal / substitution parsing (CLI flags, proof files)
-# ---------------------------------------------------------------------------
-
 def parse_literal_text(text: str, line: int = 1) -> Literal:
     tk = _Tokens(text.strip(), line)
-    lit = _parse_literal(tk)
-    if tk.peek() is not None:
-        tk.error(f"trailing input {tk.peek()!r}")
+    lit, i = _parse_literal(tk, 0)
+    tk.end(i)
     return lit
 
 
 def parse_clause_text(text: str, line: int = 1) -> Clause:
     tk = _Tokens(text.strip(), line)
-    clause = _parse_disjunction(tk)
-    if tk.peek() is not None:
-        tk.error(f"trailing input {tk.peek()!r}")
+    clause, i = _parse_disjunction(tk, 0)
+    tk.end(i)
     return clause
 
 
@@ -283,9 +367,8 @@ def parse_subst_text(text: str, line: int = 1) -> Subst:
         left, right = part.split("->", 1)
         var_name = left.strip()
         tk = _Tokens(right.strip(), line)
-        term = _parse_term(tk)
-        if tk.peek() is not None:
-            tk.error(f"trailing input {tk.peek()!r}")
+        term, i = _parse_term(tk, 0)
+        tk.end(i)
         mapping[Var(var_name)] = term
     return Subst(mapping)
 

@@ -168,7 +168,8 @@ def ground_terms_of_weight(signature: Signature, weight: int,
 def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
                            below: Optional[Atom] = None,
                            ordering=None,
-                           above: Optional[Atom] = None) -> list[Atom]:
+                           above: Optional[Atom] = None,
+                           fills: Optional["_Fills"] = None) -> list[Atom]:
     """All ground atoms with exactly ``weight`` symbols, ascending under
     count-KBO (by default with ``Precedence.default_for(signature)``).
 
@@ -183,6 +184,9 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
     With ``above``, under count-KBO only, only the atoms not below it: the
     inclusive lower cut that mirrors ``below``, which skips the predicates
     before its head and the argument tuples before its arguments.
+
+    With ``fills``, the signature's ``_Fills``, a predicate whose arguments
+    cannot fill the weight is skipped without building any of them.
     """
     if _memo is None:
         _memo = {}
@@ -196,6 +200,9 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
         return []
     out: list[Atom] = []
     for name, arity in _symbols(signature, _memo, ordering)[1]:
+        if fills is not None \
+                and not _fills(weight - 1, arity, fills.functions, fills):
+            continue
         args_below = args_above = None
         if weight == kbo_limit:
             c = ordering.precedence.compare(name, below.pred)
@@ -469,7 +476,7 @@ class Bound:
             found += ground_atoms_of_weight(self.signature, w, self._terms,
                                             below=beta_atom,
                                             ordering=self.ordering,
-                                            above=lowest)
+                                            above=lowest, fills=self.fills)
             if len(found) > self.cap:
                 raise EnumerationCapExceeded(self.cap,
                                              f"atoms below {self.beta}")

@@ -424,12 +424,17 @@ def soundness_check(state: ProblemState,
             except oracle.CapExceeded as exc:
                 out.append(Violation(5, f"entailment check failed: {exc}"))
 
-    pool_literals = [lit for c in pool for lit in c] if unchecked else ()
+    if unchecked:
+        atom_id = state.bound.atom_id  # the atoms below beta
+        pool_atoms = _pool_atoms(state, cache)
     for i in unchecked:
         lit = trail[i].literal
-        if not state.bound.literal_below(lit):
+        if lit.atom not in atom_id and not state.bound.literal_below(lit):
             out.append(Violation(6, f"{lit} is not below {state.bound.beta}"))
-        if not _instantiates_pool(lit, pool_literals):
+        # either polarity: decisions may guess the complement of a clause
+        # literal
+        if all(match(atom, lit.atom) is None
+               for atom in pool_atoms.get(lit.atom.pred, ())):
             out.append(Violation(6, f"{lit} instantiates no pool literal"))
 
     if not out:
@@ -446,12 +451,20 @@ def _verified_prefix(state: ProblemState, cache: dict) -> int:
     return trail.shared_prefix(state.trail)
 
 
-def _instantiates_pool(lit: Literal, pool_literals) -> bool:
-    # either polarity: decisions may guess the complement of a clause literal
-    for cand in pool_literals:
-        if match(cand.atom, lit.atom) is not None:
-            return True
-    return False
+def _pool_atoms(state: ProblemState, cache: dict) -> dict[str, tuple]:
+    """The distinct atoms of the pool's literals by predicate, kept in
+    ``cache`` while ``state.initial`` and ``state.learned`` are the same
+    tuples (``state.pool`` is a new one on every call)."""
+    initial, learned, by_pred = cache.get("pool atoms", ((), (), None))
+    if by_pred is None or initial is not state.initial \
+            or learned is not state.learned:
+        atoms: dict[str, dict[Atom, None]] = {}
+        for clause in state.pool:
+            for lit in clause:
+                atoms.setdefault(lit.atom.pred, {})[lit.atom] = None
+        by_pred = {pred: tuple(found) for pred, found in atoms.items()}
+        cache["pool atoms"] = (state.initial, state.learned, by_pred)
+    return by_pred
 
 
 def _ground_pool(clauses, bound: Bound, cache: dict, tag: str):

@@ -1,6 +1,8 @@
 import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -288,6 +290,94 @@ def test_error_contract(kind, text, expected):
     assert got == expected
 
 
+def _fuzzed_line(rng: random.Random, most: int = 3) -> str:
+    """A clause of up to ``most`` literals, mostly well formed, sometimes
+    with a slip."""
+    def term(depth):
+        if depth > 2 or rng.random() < 0.5:
+            return rng.choice(["X", "Y", "x", "a", "b"])
+        # mostly one arity per symbol; the rest clash
+        name, arity = rng.choice([("f", 1), ("g", 2)])
+        if rng.random() < 0.05:
+            name, arity = rng.choice(["a", "P", "f"]), rng.choice([1, 2])
+        return f"{name}({','.join(term(depth + 1) for _ in range(arity))})"
+
+    lits = []
+    for _ in range(rng.randint(1, most)):
+        pred, arity = rng.choice([("P", 1), ("Q", 2), ("R", 0)])
+        if rng.random() < 0.05:
+            pred, arity = rng.choice(["P", "a", "f"]), rng.choice([0, 1])
+        args = [term(1) for _ in range(arity)]
+        atom = f"{pred}({','.join(args)})" if args else pred
+        lits.append("~" * rng.choice([0, 0, 1, 2]) + atom)
+    line = rng.choice(["", " "]) + " | ".join(lits)
+    if rng.random() < 0.05:
+        line = "$false"
+    for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 2])):
+        pos = rng.randint(0, len(line))
+        slip = rng.choice(["(", ")", ",", "|", "~", "$false", "=", "!=", "1",
+                           " ", "@", "", "f(" * 101 + "a" + ")" * 101])
+        line = line[:pos] + slip + line[pos + rng.choice([0, 1]):]
+    return line
+
+
+def _fuzzed_text(rng: random.Random, kind: str) -> str:
+    if kind == "subst":
+        return "{" + ", ".join(f"{rng.choice(['X', 'Y'])} -> "
+                               f"{_fuzzed_line(rng, 1).lstrip('~')}"
+                               for _ in range(rng.randint(0, 2))) + "}"
+    if kind in ("literal", "clause"):
+        return _fuzzed_line(rng, 1 if kind == "literal" else 3)
+    lines = [_fuzzed_line(rng) for _ in range(rng.randint(1, 4))]
+    if kind == "tptp":
+        lines = [f"cnf(c{n}, axiom, ({line}))." if rng.random() < 0.8
+                 else f"cnf(c{n}, axiom, {line})."
+                 for n, line in enumerate(lines)]
+    elif rng.random() < 0.2:
+        lines.insert(0, "vars: x")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", list(ENTRY_POINTS))
+def test_fuzzed_inputs(kind):
+    """An accepted text prints back to one that parses to the same objects;
+    a rejected one raises a ParseError within its offending line, the
+    first line whose prefix of the text raises that same error."""
+    parse = ENTRY_POINTS[kind]
+    rng = random.Random(2021)
+    for _ in range(600):
+        text = _fuzzed_text(rng, kind)
+        lines = text.splitlines()
+        try:
+            result = parse(text)
+        except ParseError as exc:
+            error = (type(exc), exc.line, exc.column, exc.message)
+            assert 1 <= exc.line <= max(len(lines), 1)
+            line = lines[exc.line - 1] if lines else ""
+            assert 1 <= exc.column <= len(line) + 1, (text, error)
+            if kind in ("native", "tptp"):
+                for n, expected in ((exc.line, error), (exc.line - 1, None)):
+                    try:
+                        parse("\n".join(lines[:n]))
+                    except ParseError as prefix:
+                        got = (type(prefix), prefix.line, prefix.column,
+                               prefix.message)
+                    else:
+                        got = None
+                    assert (got == error) == (expected is not None), text
+            continue
+        if kind == "native":
+            header = "vars: x\n" if text.startswith("vars:") else ""
+            again = parse(header + problem_to_native(result))
+            assert again.clauses == result.clauses, text
+        elif kind == "tptp":
+            again = parse(problem_to_tptp(result))
+            assert (again.clauses, again.names) == \
+                (result.clauses, result.names), text
+        else:
+            assert parse(str(result)) == result, text
+
+
 class TestCli:
     E1 = os.path.join(DATA, "bounded_unsat.p")
     GROW = os.path.join(DATA, "growing.p")
@@ -298,6 +388,14 @@ class TestCli:
                      "lpo", "--precedence", "a<b<P<Q<R"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "UNSATISFIABLE"
+
+    def test_python_dash_m_runs_the_cli(self):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run([sys.executable, "-m", "sclfol", "--input",
+                               self.E1], env=env, capture_output=True,
+                              text=True, cwd=root)
+        assert (done.returncode, done.stdout) == (0, "UNSATISFIABLE\n")
 
     def test_sat_bounded_exit_code(self, capsys):
         code = main(["--input", self.GROW, "--beta", "P(g(g(a)))",
@@ -340,6 +438,36 @@ class TestCli:
         bad = tmp_path / "bad.p"
         bad.write_text("cnf(c, axiom, (X = a)).")
         assert main(["--input", str(bad)]) == 65
+
+    CLASHES = [  # second line, column of the clash on it, message
+        ("p(a)", "p(a,b)", 1, "predicate p used with arities 1 and 2"),
+        ("p(f(a))", "q(f(a,b))", 3, "function f used with arities 1 and 2"),
+        ("p(a)", "q(p)", 3, "symbol p used as both predicate and function"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["native", "tptp"])
+    @pytest.mark.parametrize("first,second,column,message", CLASHES)
+    def test_symbol_clash_is_a_parse_error(self, tmp_path, capsys, fmt,
+                                           first, second, column, message):
+        lines = [first, second]
+        if fmt == "tptp":
+            lines = [f"cnf(c{n}, axiom, ({line}))." for n, line in
+                     enumerate(lines)]
+            column += len("cnf(c1, axiom, (")
+        problem = tmp_path / "clash.p"
+        problem.write_text("\n".join(lines) + "\n")
+        assert main(["--input", str(problem), "--format", fmt]) == 65
+        assert capsys.readouterr().err == \
+            f"parse error: line 2, column {column}: {message}\n"
+
+    def test_symbol_clash_with_the_bound_is_a_configuration_error(
+            self, tmp_path, capsys):
+        problem = tmp_path / "p.native"
+        problem.write_text("p(a) | ~p(b)\n")
+        assert main(["--input", str(problem), "--format", "native",
+                     "--beta", "p(a,b)"]) == 64
+        assert "configuration error: predicate p used with arities 1 and 2" \
+            in capsys.readouterr().err
 
     def test_native_format_flag(self, capsys):
         code = main(["--input", self.S1, "--format", "native",

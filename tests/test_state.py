@@ -296,6 +296,20 @@ class TestSoundness:
         s = state_with(sc, [entry("R(a)", Decision(1))])
         assert 6 in {v.condition for v in soundness_check(s)}
 
+    def test_carried_cache_follows_the_learned_clauses(self):
+        # the pool's atoms are kept per initial and learned clauses: R(a)
+        # instantiates the learned clause alone (the LPO example's initial
+        # clauses are unsatisfiable, so they entail it)
+        sc = lpo_refutation_scenario()
+        cache: dict = {}
+        decided = [entry("R(a)", Decision(1))]
+        assert soundness_check(state_with(sc, []), cache) == []
+        assert soundness_check(
+            state_with(sc, decided, learned=[cl("R(X)")]), cache) == []
+        assert [str(v) for v in soundness_check(state_with(sc, decided),
+                                                cache)] == [
+            "condition 6: R(a) instantiates no pool literal"]
+
     def test_complement_decisions_are_accepted(self):
         # guessing the complement of a clause-literal instance stays sound
         sc = lpo_refutation_scenario()
