@@ -95,18 +95,17 @@ class _Tokens:
 
     def unexpected(self, i: int, what: str) -> ParseError:
         """The error for token ``i``, where ``what`` was expected."""
-        tok = self.toks[i]
-        if tok is None:
+        if self.toks[i] is None:
             return self.error(i, "unexpected end of input")
-        if tok in _EQUALITY:
-            return UnsupportedFeature(self.line, self.column(i), "equality")
-        return self.error(i, f"expected {what}, got {tok!r}")
+        return self.error(i, f"expected {what}, got {self.toks[i]!r}")
+
+    def equality(self, i: int) -> UnsupportedFeature:
+        return UnsupportedFeature(self.line, self.column(i), "equality")
 
     def expect(self, i: int, want: str) -> int:
+        """The index after token ``i``, which must be ``want``."""
         if self.toks[i] != want:
-            tok = self.toks[i]
-            raise (self.error(i, "unexpected end of input") if tok is None
-                   else self.error(i, f"expected {want!r}, got {tok!r}"))
+            raise self.unexpected(i, repr(want))
         return i + 1
 
     def end(self, i: int):
@@ -130,7 +129,8 @@ def _parse_term(tk: _Tokens, i: int, depth: int = 1) -> tuple[Term, int]:
     toks = tk.toks
     name = toks[i]
     if name is None or name[0] not in _NAME_START:
-        raise tk.unexpected(i, "a term")
+        raise tk.equality(i) if name in _EQUALITY \
+            else tk.unexpected(i, "a term")
     if _is_variable_name(name, tk.variables):
         return Var(name), i + 1
     if toks[i + 1] != "(":
@@ -161,7 +161,8 @@ def _parse_literal(tk: _Tokens, i: int) -> tuple[Literal, int]:
     if name == "$false":
         raise tk.error(i, "$false is only allowed on its own")
     if name is None or name[0] not in _NAME_START:
-        raise tk.unexpected(i, "a predicate")
+        raise tk.equality(i) if name in _EQUALITY \
+            else tk.unexpected(i, "a predicate")
     if toks[i + 1] == "(":
         args, i = _parse_args(tk, i + 2, 1)
         atom = Atom(name, args)
@@ -169,7 +170,7 @@ def _parse_literal(tk: _Tokens, i: int) -> tuple[Literal, int]:
         atom = Atom(name)
         i += 1
     if toks[i] in _EQUALITY:
-        raise UnsupportedFeature(tk.line, tk.column(i), "equality")
+        raise tk.equality(i)
     return Literal(atom, positive), i
 
 
@@ -248,11 +249,11 @@ def parse_tptp_cnf(text: str) -> ProblemFile:
             i = tk.expect(i + 1, "(")
             name = toks[i]
             if name is None:
-                raise tk.error(i, "unexpected end of input")
+                raise tk.unexpected(i, "a name")
             i = tk.expect(i + 1, ",")
             # the role; anything other than axiom is treated as axiom
             if toks[i] is None:
-                raise tk.error(i, "unexpected end of input")
+                raise tk.unexpected(i, "a role")
             i = tk.expect(i + 1, ",")
             paren = toks[i] == "("
             if paren:
@@ -326,10 +327,6 @@ def _symbol_tokens(tk: _Tokens, start: int):
             yield i
 
 
-# ---------------------------------------------------------------------------
-# Standalone literal / clause / substitution parsing (CLI flags, proof files)
-# ---------------------------------------------------------------------------
-
 def parse_problem(text: str, fmt: str) -> ProblemFile:
     if fmt == "tptp":
         return parse_tptp_cnf(text)
@@ -337,6 +334,10 @@ def parse_problem(text: str, fmt: str) -> ProblemFile:
         return parse_native(text)
     raise ValueError(f"unknown format {fmt!r}")
 
+
+# ---------------------------------------------------------------------------
+# Standalone literal / substitution parsing (CLI flags, proof files)
+# ---------------------------------------------------------------------------
 
 def parse_literal_text(text: str, line: int = 1) -> Literal:
     tk = _Tokens(text.strip(), line)

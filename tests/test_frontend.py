@@ -290,6 +290,25 @@ def test_error_contract(kind, text, expected):
     assert got == expected
 
 
+@pytest.mark.parametrize("kind,text,line,column,message", [
+    # a literal's symbols clash in the order Signature.from_clauses
+    # declares them: the predicate, then the arguments outermost first
+    ("native", "p(f(a),g(b))\nq(f(a,b),g(a,b))", 2, 3,
+     "function f used with arities 1 and 2"),
+    ("native", "q(g(g))", 1, 5, "function g used with arities 1 and 0"),
+    ("native", "p(p)", 1, 3, "symbol p used as both predicate and function"),
+    ("native", "p(X, f(a))\nq(f)", 2, 3,
+     "function f used with arities 1 and 0"),
+    ("tptp", "cnf(a, axiom, (p(a))). cnf(b, axiom, (~q | p)).", 1, 44,
+     "predicate p used with arities 1 and 0"),
+])
+def test_symbol_clash_position(kind, text, line, column, message):
+    with pytest.raises(ParseError) as info:
+        ENTRY_POINTS[kind](text)
+    assert (type(info.value), info.value.line, info.value.column,
+            info.value.message) == (ParseError, line, column, message)
+
+
 def _fuzzed_line(rng: random.Random, most: int = 3) -> str:
     """A clause of up to ``most`` literals, mostly well formed, sometimes
     with a slip."""
