@@ -343,8 +343,9 @@ def soundness_check(state: ProblemState,
 
     A ``cache`` carried over the states of one run gives the same result
     as none, for less work.  It keeps each entailment verdict (under 2 and
-    4 per clause, under 5 per conflict instance; never a cap overflow) and,
-    after a result without violations, the trail, bound and pool checked.
+    4 per clause, under 5 per conflict instance; never a cap overflow), the
+    pool's atoms by predicate for 6 and, after a result without
+    violations, the trail, bound and pool checked.
     While the bound is the same object and the pool extends that one,
     conditions 1, 2, 3 and 6 are skipped for the entries the trail still
     shares with it (``Trail.shared_prefix``): they read only the entries up

@@ -132,10 +132,9 @@ class TestRoundTrip:
             assert str(parse_subst_text(text)) == text
 
 
-# Every malformed input of this table gives exactly this error class, line,
-# column and message, and every accepted one these clauses; the expected
-# values were recorded from the parser as it was before its token layer was
-# rewritten.
+# The parser's error contract: every malformed input of this table gives
+# exactly this error class, line, column and message, and every accepted one
+# these clauses, however the parser is written.
 DEEP = "f(" * 100 + "a" + ")" * 100
 ERROR_CONTRACT = [
     ('native', 'P(a) |',
@@ -301,7 +300,8 @@ def test_error_contract(kind, text, expected):
      "function f used with arities 1 and 0"),
     ("tptp", "cnf(a, axiom, (p(a))). cnf(b, axiom, (~q | p)).", 1, 44,
      "predicate p used with arities 1 and 0"),
-])
+], ids=["arguments-in-order", "nested", "predicate-as-argument",
+        "after-a-variable", "tptp-second-cnf"])
 def test_symbol_clash_position(kind, text, line, column, message):
     with pytest.raises(ParseError) as info:
         ENTRY_POINTS[kind](text)
@@ -465,7 +465,8 @@ class TestCli:
     ]
 
     @pytest.mark.parametrize("fmt", ["native", "tptp"])
-    @pytest.mark.parametrize("first,second,column,message", CLASHES)
+    @pytest.mark.parametrize("first,second,column,message", CLASHES,
+                             ids=["predicate", "function", "both"])
     def test_symbol_clash_is_a_parse_error(self, tmp_path, capsys, fmt,
                                            first, second, column, message):
         lines = [first, second]
