@@ -57,15 +57,15 @@ the same instances again.
 
 The index holds no reference to its bound, and a Grow hands its decision
 sources on (``GroundIndex.grown``): every atom below the old bound is below
-the new one, and its first source depends on the pool alone.  When the
-grown bound's atoms begin with the old ones, as after every Grow of the
-driver, every atom keeps its id, and the grown index keeps the old sources
-and the atoms still without one, which only a clause learned later can
-source; it sources only the new atoms from the pool.  Under count-KBO the
-grown bound also takes over the match tables (``Bound.grow_to``), so a run
-matches each pool literal against each atom once and walks the pool's
-groundings afresh on each bound.  The old index is not kept.  None of this
-changes which candidates come out, or in which order.
+the new one, and its first source depends on the pool alone.  The grown
+bound's atoms begin with the old ones under either ordering, so every atom
+keeps its id, and the grown index keeps the old sources and the atoms
+still without one, which only a clause learned later can source; it
+sources only the new atoms from the pool.  The grown bound also takes over
+the match tables (``Bound.grow_to``), so a run matches each pool literal
+against each atom once and walks the pool's groundings afresh on each
+bound.  The old index is not kept.  None of this changes which candidates
+come out, or in which order.
 """
 
 from __future__ import annotations
@@ -410,19 +410,15 @@ class GroundIndex:
         # ``self.trail``
         self.cursor = 0
 
-    def grown(self, parent, bound) -> Optional["GroundIndex"]:
+    def grown(self, parent, bound) -> "GroundIndex":
         """The empty index of ``bound``, grown from ``parent``, the bound of
         this index, with this index's decision sources.  The atoms below
-        ``parent`` keep their ids and their sources, or stay unsourced for
-        the clauses appended later; only the new atoms are sourced, from
-        the rows of the pool literals' match tables.  None when the atoms
-        below ``bound`` do not begin with those below ``parent``.  They do
-        after a count-KBO Grow, and after a ground-LPO Grow to the next
-        atom (``strategy.next_beta``), which adds only the old beta.
+        ``bound`` begin with those below ``parent`` (see ``Bound``), which
+        keep their ids and their sources, or stay unsourced for the clauses
+        appended later; only the new atoms are sourced, from the rows of
+        the pool literals' match tables.
         """
         atoms, old = bound.atoms_below(), parent.atoms_below()
-        if atoms[:len(old)] != old:
-            return None
         index = GroundIndex(bound, self.unsourced
                             + bytearray(b"\1") * (len(atoms) - len(old)))
         index.pool = self.pool

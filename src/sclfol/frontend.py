@@ -9,19 +9,24 @@ Both formats and the standalone literal, clause and substitution parsers
 share one token layer: ``_Tokens`` splits a line with one ``findall`` into
 a list that ends in ``None``, and the parse functions walk that list by
 index, each returning the index after what it read.  Columns are worked
-out from the line only when an error is raised.  A symbol used with two
-arities, or as both a predicate and a function, is a ``ParseError`` at the
-occurrence that clashes, reported after every line has parsed.
+out from the line only when an error is raised.
+
+The parse is the one walk over the input: each symbol occurrence is noted
+on its line's tokens as it is read, in the order ``Signature.from_clauses``
+declares them, and the file parsers declare those notes once, after the
+last line.  A symbol used with two arities, or as both a predicate and a
+function, is a ``ParseError`` at the first occurrence that clashes, so a
+syntax error on any line is reported before a clash on an earlier one.
+The literal, clause and substitution parsers check no clash.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import (
-    Atom, Clause, Fn, Literal, Signature, SignatureError, Subst, Term, Var,
-    _declare,
+    Atom, Clause, Fn, Literal, SignatureError, Subst, Term, Var, _declare,
 )
 
 
@@ -44,11 +49,6 @@ class ProblemFile:
     clauses: list[Clause]
     names: list[str]
     format: str = "native"
-    signature: Signature = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.signature is None:
-            self.signature = Signature.from_clauses(self.clauses)
 
     def by_name(self) -> dict[str, Clause]:
         return dict(zip(self.names, self.clauses))
@@ -70,9 +70,12 @@ class _Tokens:
 
     The parse functions walk ``toks`` by index and return the index after
     what they read.  A column is worked out from the line only for an
-    error."""
+    error.  ``symbols`` notes each predicate and function occurrence read,
+    as (name, arity, is predicate, token index).  A symbol's slot is taken
+    before its arguments are read, and its arity filled in after them, so
+    the notes come in the order ``Signature.from_clauses`` declares them."""
 
-    __slots__ = ("text", "line", "variables", "toks")
+    __slots__ = ("text", "line", "variables", "toks", "symbols")
 
     def __init__(self, text: str, line: int,
                  variables: frozenset[str] = frozenset()):
@@ -81,6 +84,7 @@ class _Tokens:
         self.variables = variables
         self.toks: list = _TOKEN_RE.findall(text)
         self.toks.append(None)
+        self.symbols: list = []
 
     def column(self, i: int) -> int:
         """The column of token ``i``; for the end, the column after the
@@ -133,10 +137,13 @@ def _parse_term(tk: _Tokens, i: int, depth: int = 1) -> tuple[Term, int]:
             else tk.unexpected(i, "a term")
     if _is_variable_name(name, tk.variables):
         return Var(name), i + 1
+    slot = len(tk.symbols)
+    tk.symbols.append((name, 0, False, i))
     if toks[i + 1] != "(":
         return Fn(name), i + 1
-    args, i = _parse_args(tk, i + 2, depth + 1)
-    return Fn(name, args), i
+    args, j = _parse_args(tk, i + 2, depth + 1)
+    tk.symbols[slot] = (name, len(args), False, i)
+    return Fn(name, args), j
 
 
 def _parse_args(tk: _Tokens, i: int, depth: int) -> tuple[tuple, int]:
@@ -163,12 +170,14 @@ def _parse_literal(tk: _Tokens, i: int) -> tuple[Literal, int]:
     if name is None or name[0] not in _NAME_START:
         raise tk.equality(i) if name in _EQUALITY \
             else tk.unexpected(i, "a predicate")
+    slot = len(tk.symbols)
+    tk.symbols.append((name, 0, True, i))
     if toks[i + 1] == "(":
-        args, i = _parse_args(tk, i + 2, 1)
-        atom = Atom(name, args)
+        args, j = _parse_args(tk, i + 2, 1)
+        tk.symbols[slot] = (name, len(args), True, i)
+        atom, i = Atom(name, args), j
     else:
-        atom = Atom(name)
-        i += 1
+        atom, i = Atom(name), i + 1
     if toks[i] in _EQUALITY:
         raise tk.equality(i)
     return Literal(atom, positive), i
@@ -196,7 +205,7 @@ def parse_native(text: str) -> ProblemFile:
     additional variable names."""
     clauses: list[Clause] = []
     names: list[str] = []
-    origins: list[tuple[_Tokens, int]] = []
+    lines: list[_Tokens] = []
     extra_vars: frozenset[str] = frozenset()
     header_allowed = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -213,8 +222,9 @@ def parse_native(text: str) -> ProblemFile:
         tk.end(i)
         clauses.append(clause)
         names.append(f"c{len(clauses)}")
-        origins.append((tk, 0))
-    return _problem_file(clauses, names, "native", origins)
+        lines.append(tk)
+    _check_symbols(lines)
+    return ProblemFile(clauses, names, "native")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +239,7 @@ def parse_tptp_cnf(text: str) -> ProblemFile:
     """
     clauses: list[Clause] = []
     names: list[str] = []
-    origins: list[tuple[_Tokens, int]] = []
+    lines: list[_Tokens] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].rstrip()
         if not line.strip():
@@ -258,73 +268,31 @@ def parse_tptp_cnf(text: str) -> ProblemFile:
             paren = toks[i] == "("
             if paren:
                 i += 1
-            start = i
-            clause, i = _parse_disjunction(tk, start)
+            clause, i = _parse_disjunction(tk, i)
             if paren:
                 i = tk.expect(i, ")")
             i = tk.expect(tk.expect(i, ")"), ".")
             clauses.append(clause)
             names.append(name)
-            origins.append((tk, start))
-    return _problem_file(clauses, names, "tptp", origins)
+        lines.append(tk)
+    _check_symbols(lines)
+    return ProblemFile(clauses, names, "tptp")
 
 
-def _problem_file(clauses: list[Clause], names: list[str], fmt: str,
-                  origins: list[tuple[_Tokens, int]]) -> ProblemFile:
-    """The problem with its signature.  A symbol used with two arities, or
-    as both a predicate and a function, is a parse error at the occurrence
-    that clashes with the earlier ones; ``origins`` holds each clause's
-    tokens and the index of its first one."""
-    try:
-        signature = Signature.from_clauses(clauses)
-    except SignatureError:
-        raise _clash(clauses, origins) from None
-    return ProblemFile(clauses, names, fmt, signature)
-
-
-def _clash(clauses: list[Clause],
-           origins: list[tuple[_Tokens, int]]) -> ParseError:
-    """The error ``Signature.from_clauses`` raises on ``clauses``, at the
-    line and column of the occurrence that raised it."""
+def _check_symbols(lines: list[_Tokens]):
+    """Declares the symbols noted on ``lines`` in order; a symbol used with
+    two arities, or as both a predicate and a function, is a parse error at
+    the first occurrence that clashes with the earlier ones."""
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
-    for clause, (tk, start) in zip(clauses, origins):
-        tokens = _symbol_tokens(tk, start)
-        for name, arity, is_pred in _symbols(clause):
-            i = next(tokens)
-            try:
-                if is_pred:
-                    _declare(preds, funcs, name, arity, is_pred=True)
-                else:
-                    _declare(funcs, preds, name, arity, is_pred=False)
-            except SignatureError as exc:
-                return tk.error(i, str(exc))
-    raise AssertionError("no clause clashes")
-
-
-def _symbols(clause: Clause):
-    """The symbol occurrences of ``clause`` as (name, arity, is predicate),
-    in the order ``Signature.from_clauses`` declares them: each literal's
-    predicate, then its arguments' function symbols, outermost first."""
-    for lit in clause:
-        yield lit.atom.pred, len(lit.atom.args), True
-        todo = list(reversed(lit.atom.args))
-        while todo:
-            t = todo.pop()
-            if isinstance(t, Fn):
-                yield t.name, len(t.args), False
-                todo.extend(reversed(t.args))
-
-
-def _symbol_tokens(tk: _Tokens, start: int):
-    """The indices of the same occurrences among the tokens of the clause
-    that starts at token ``start``: its names, less the variables."""
-    toks = tk.toks
-    for i in range(start, len(toks) - 1):
-        if toks[i][0] in _NAME_START and not (
-                i > start and toks[i - 1] in ("(", ",")
-                and _is_variable_name(toks[i], tk.variables)):
-            yield i
+    for tk in lines:
+        for name, arity, is_pred, i in tk.symbols:
+            own, other = (preds, funcs) if is_pred else (funcs, preds)
+            if own.get(name) != arity:  # a new symbol, or a clash
+                try:
+                    _declare(own, other, name, arity, is_pred)
+                except SignatureError as exc:
+                    raise tk.error(i, str(exc)) from None
 
 
 def parse_problem(text: str, fmt: str) -> ProblemFile:

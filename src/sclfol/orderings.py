@@ -382,15 +382,15 @@ class Bound:
 
     A Grow builds a new bound with ``grow_to``, which hands it those two
     and the clauses' walk plans, which depend on the clauses alone; so a
-    run builds each term once.  Under count-KBO the grown bound's first
-    atoms are those of the one it grew from, so every atom keeps its id
-    across the Grow: it copies its parent's ``atom_id``, enumerates only
-    the atoms from its parent's beta on, and takes over the match tables,
-    which match only those atoms when next read.  So a run matches each
-    pattern against each atom once.  Under ground LPO a grown bound
-    enumerates its atoms afresh, and takes over no table.  A grown bound
-    keeps no reference to its parent, and a parent of another signature or
-    ordering hands it nothing.
+    run builds each term once.  The grown bound's first atoms are those of
+    the one it grew from, since every atom below the old beta is below any
+    atom from that beta on, so every atom keeps its id across the Grow: it
+    copies its parent's ``atom_id`` and takes over the match tables, which
+    match only the new atoms when next read.  So a run matches each
+    pattern against each atom once.  Under count-KBO it also enumerates
+    only the atoms from its parent's beta on; under ground LPO it
+    enumerates its atoms afresh.  A grown bound keeps no reference to its
+    parent, and a parent of another signature or ordering hands it nothing.
     """
 
     def __init__(self, beta: Literal, ordering, signature: Signature,
@@ -419,7 +419,7 @@ class Bound:
             if parent is None else parent.fills
         self._atoms_below = tuple(self._enumerate_below(parent))
         self._ids_from: Optional[dict] = {}  # the ids ``atom_id`` extends
-        if parent is not None and isinstance(ordering, CountKBO):
+        if parent is not None:
             # the parent's atoms come first
             self._matches = dict(parent._matches)
             self._ids_from = parent.atom_id
@@ -438,8 +438,8 @@ class Bound:
     @cached_property
     def atom_id(self) -> dict[Atom, int]:
         """Each atom below beta mapped to its position in
-        ``atoms_below()``.  A grown count-KBO bound copies its parent's
-        map and adds only the new atoms."""
+        ``atoms_below()``.  A grown bound copies its parent's map and
+        adds only the new atoms."""
         ids, self._ids_from = dict(self._ids_from), None
         atoms = self._atoms_below
         ids.update(zip(atoms[len(ids):], range(len(ids), len(atoms))))
@@ -522,8 +522,8 @@ def atom_matches(pattern: Atom,
 
     Kept on the bound, by pattern, with the number of atoms it was matched
     against: a table carried from the bound's parent matches only the
-    atoms after those, which under count-KBO are the new ones.  A ground
-    pattern is looked up instead.
+    atoms after those, which are the new ones.  A ground pattern is looked
+    up instead.
     """
     matched, table = bound._matches.get(pattern, (0, ()))
     atoms = bound._atoms_below
@@ -687,9 +687,6 @@ class TrailOrder:
         for i, lit in enumerate(self.literals):
             self._rank[lit] = 2 * i
             self._rank[lit.complement()] = 2 * i + 1
-
-    def defined(self, lit: Literal) -> bool:
-        return lit in self._rank
 
     def compare(self, x: Literal, y: Literal) -> int:
         rx, ry = self._rank.get(x), self._rank.get(y)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import LOOPING_TEXT, cap_bounds, cl, random_bs_problem
-from sclfol import cli
+from sclfol import cli, terms
 from sclfol.cli import build_parser, main
 from sclfol.frontend import (
     MAX_TERM_DEPTH, ParseError, ProblemFile, UnsupportedFeature,
@@ -269,6 +269,12 @@ ERROR_CONTRACT = [
      ('UnsupportedFeature', 1, 1, 'unsupported feature: equality')),
     ('subst', '{X -> f(a, g(b)), Y -> h(}',
      ('ParseError', 1, 3, 'unexpected end of input')),
+    # a syntax error on a later line wins over a symbol clash on an earlier one
+    ('native', 'p(a)\np(a,b)\nq(',
+     ('ParseError', 3, 3, 'unexpected end of input')),
+    ('tptp', 'cnf(a, axiom, (p(a))).\ncnf(b, axiom, (p(a,b))).\n'
+             'cnf(c, axiom, (q(a)).',
+     ('ParseError', 3, 21, "expected ')', got '.'")),
 ]
 ENTRY_POINTS = {"native": parse_native, "tptp": parse_tptp_cnf,
                 "literal": parse_literal_text, "clause": parse_clause_text,
@@ -307,6 +313,24 @@ def test_symbol_clash_position(kind, text, line, column, message):
         ENTRY_POINTS[kind](text)
     assert (type(info.value), info.value.line, info.value.column,
             info.value.message) == (ParseError, line, column, message)
+
+
+@pytest.mark.parametrize("parse,clash", [
+    (parse_native, "p(f(a))\nq(f(a,b))"),
+    (parse_tptp_cnf, "cnf(a, axiom, p(f(a))).\ncnf(b, axiom, q(f(a,b)))."),
+], ids=["native", "tptp"])
+def test_parsers_declare_symbols_themselves(monkeypatch, parse, clash):
+    # the parse notes each symbol as it reads it and walks no clause again
+    def walk(*args, **kwargs):
+        raise AssertionError("Signature.from_clauses called")
+
+    monkeypatch.setattr(terms.Signature, "from_clauses", walk)
+    first = clash.splitlines()[0]
+    assert parse(first).clauses == [cl("p(f(a))")]
+    with pytest.raises(ParseError) as info:
+        parse(clash)
+    assert (info.value.line, info.value.message) == \
+        (2, "function f used with arities 1 and 2")
 
 
 def _fuzzed_line(rng: random.Random, most: int = 3) -> str:

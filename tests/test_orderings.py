@@ -591,14 +591,16 @@ class TestGroundIndex:
 class TestCarriedGrow:
     def test_grown_index_agrees_with_scans(self):
         # the driver grows a bound after searching it, so apply_grow hands
-        # the decision sources of its index to the grown one.  Two Grows,
-        # each after a walk of pushes, pops and jumps, on both orderings.
-        # Between them a unit is learned over every atom of each
-        # predicate: the atoms the first index left unsourced must find
-        # their source in one.  Every third bound of the cross-checks
-        # above, offset from those of TestGroundIndex; a Grow past 150
-        # atoms ends a case, which keeps this to a few seconds.
+        # the decision sources of its index and the bound's atom ids and
+        # match tables to the grown one.  Two Grows, each after a walk of
+        # pushes, pops and jumps, on both orderings.  Between them a unit
+        # is learned over every atom of each predicate: the atoms the
+        # first index left unsourced must find their source in one.  Every
+        # third bound of the cross-checks above, offset from those of
+        # TestGroundIndex; a Grow past 150 atoms ends a case, which keeps
+        # this to a few seconds.
         rng = random.Random(20261019)
+        grown = Counter()
         for kind, ordering, sig, atoms, beta, context in itertools.islice(
                 _random_bounds(), 1, None, 3):
             initial = tuple(_random_clause(rng, sig)
@@ -628,6 +630,9 @@ class TestCarriedGrow:
                 state = apply_grow(state, fresh.beta)
                 assert state.bound.atoms_below() == fresh.atoms_below(), \
                     context
+                assert state.bound.atom_id == fresh.atom_id, context
+                grown[kind] += 1
+        assert grown["kbo"] > 0 and grown["lpo"] > 0, grown
 
 
 def _assert_same_bound(bound, fresh, context):
