@@ -48,12 +48,13 @@ The index holds:
 When the pool extends the one the index was built for (a learned clause
 is appended), only the new clauses are grounded and matched; any other
 pool rebuilds it.  The index keeps no assignment of its own: it reads
-``Trail.first``, through the atom of each code.  A sync collects the
-instances of the atoms of the entries the old and the new trail do not
-share (``Trail.shared_prefix``) and files each of them again under the new
-trail, so a step pays for what changed.  Nothing is counted, so returning
-to an earlier trail through Skip or Backtrack takes nothing back: it files
-the same instances again.
+``Trail.first`` through the atom of each code, and the entry at that
+position off ``Trail.log``.  A sync collects the instances of the atoms
+of the entries the old and the new trail do not share
+(``Trail.shared_prefix``), sliced off their logs, and files each of them
+again under the new trail, so a step pays for what changed.  Nothing is
+counted, so returning to an earlier trail through Skip or Backtrack takes
+nothing back: it files the same instances again.
 
 The index holds no reference to its bound, and a Grow hands its decision
 sources on (``GroundIndex.grown``): every atom below the old bound is below
@@ -290,14 +291,14 @@ def apply_backtrack(state: ProblemState) -> ProblemState:
              lambda: f"remaining conflict literals are of level {level}, "
                      f"not below {state.decisions}")
 
-    shortest = None
+    # the longest prefix without a false grounding, by bisection: a
+    # grounding false under a prefix is false under every longer one
     literals = state.trail.literals
-    for p in range(1, len(literals) + 1):
-        if false_grounding(clause, literals[:p]) is not None:
-            shortest = p
-            break
-    assert shortest is not None, "the conflict is false under the full trail"
-    new_trail = state.trail.prefix(shortest - 1)
+    kept = bisect.bisect_left(
+        range(len(literals)), True,
+        key=lambda n: false_grounding(clause, literals[:n + 1]) is not None)
+    assert kept < len(literals), "the conflict is false under the full trail"
+    new_trail = state.trail.prefix(kept)
     learned = canonical_variant(clause)
     return ProblemState(new_trail, state.initial,
                         state.learned + (learned,), state.bound,
@@ -434,7 +435,7 @@ class GroundIndex:
         for clause in pool[len(self.pool):]:
             found += _source(clause, self.unsourced, bound)
         self._add_sources(found)
-        on_empty = not self.trail.entries
+        on_empty = not self.trail
         occurrences = self.occurrences
         for clause in pool[self.grounded:]:
             for codes in bounded_codes(clause, bound):
@@ -463,11 +464,13 @@ class GroundIndex:
     def sync(self, trail: Trail):
         if trail is self.trail:
             return
-        shared = self.trail.shared_prefix(trail)
-        dropped = self.trail.entries[shared:]
+        old = self.trail
+        shared = old.shared_prefix(trail)
+        # the entries after the shared ones, sliced off each trail's log
+        dropped = old.log[shared:len(old)]
         atom_id, occurrences = self.atom_id, self.occurrences
         touched = set()
-        for entries in (dropped, trail.entries[shared:]):
+        for entries in (dropped, trail.log[shared:len(trail)]):
             for entry in entries:
                 touched.update(occurrences.get(
                     atom_id.get(entry.literal.atom), ()))
@@ -482,7 +485,9 @@ class GroundIndex:
     def _file(self, i: int):
         """Files instance ``i`` as a unit, as false, or neither, by the
         truth values of its distinct literals under ``self.trail``."""
-        first, entries = self.trail.first, self.trail.entries
+        # ``first`` before ``log``: it moves a trail shorter than its log
+        # to a log of its own
+        first, entries = self.trail.first, self.trail.log
         atoms = self.atoms
         undefined = []
         for code in self.distinct[i]:

@@ -11,8 +11,9 @@ found).  The empty-clause closure is distinct from "no conflict".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Optional, Union
 
 from . import oracle
 from .orderings import Bound, TrailOrder, bounded_instances_of_set
@@ -56,173 +57,113 @@ class TrailEntry:
         return f"{self.literal}^{self.annotation}"
 
 
-class _Node:
-    """A trail's place in the persistent map of first positions that the
-    trails made from one another share (see ``Trail``): the root holds the
-    map in ``first``; any other node links to a neighbouring trail's node,
-    with the changes (atom, its position, or None for no position) that
-    turn that trail's map into this one's, and the number of leading
-    entries the two trails share."""
-
-    __slots__ = ("first", "link", "changes", "shared")
-
-    def __init__(self, first: dict):
-        self.first = first
-        self.link: Optional[_Node] = None
-
-    def reroot(self) -> dict:
-        """Makes this node the root, reversing the links on the way to
-        the old one; returns the map, now this trail's."""
-        path = []
-        node = self
-        while node.link is not None:
-            path.append(node)
-            node = node.link
-        first = node.first
-        for child in reversed(path):  # ``child.link`` is ``node``, the root
-            node.changes = tuple(_change(first, atom, pos)
-                                 for atom, pos in child.changes)
-            node.link, node.shared, node.first = child, child.shared, None
-            child.link, child.first = None, first
-            node = child
-        return first
-
-    def hand_on(self, changes, shared: int) -> "_Node":
-        """A new root that takes the map over from this node, the root,
-        once its caller has changed the map: ``changes`` turn it back into
-        this node's, and the two trails share ``shared`` leading
-        entries."""
-        child = _Node(self.first)
-        self.first, self.link, self.shared = None, child, shared
-        self.changes = changes
-        return child
-
-
-def _change(first: dict, atom: Atom, pos: Optional[int]):
-    """Gives ``atom`` the position ``pos`` in ``first`` (none if None);
-    returns the change that undoes it."""
-    old = first.get(atom)
-    if pos is None:
-        del first[atom]
-    else:
-        first[atom] = pos
-    return atom, old
-
-
-def _linked(node: _Node, target: _Node, n: int) -> int:
-    """At most ``n``: the fewest entries shared by the trails along the
-    links from ``node`` to ``target``, which its trail and ``target``'s
-    therefore share; 0 when ``target`` is not on the way to the root."""
-    while node is not target:
-        if node.link is None:
-            return 0
-        n = min(n, node.shared)
-        node = node.link
-    return n
-
-
-@dataclass(frozen=True, slots=True)
 class Trail:
     """A sequence of trail entries, never changed once built.
 
-    Lookups go through ``first``, each atom's first position, so an
-    inconsistent trail reads as its earliest entry.  It is the one record
-    of the trail's assignment, which everything else reads.  A level is
-    read off the entries left of a position (``literal_level``), and the
-    decisions are counted where asked.
+    A trail is the first ``len`` entries of a log: one list of entries,
+    only ever appended to, and each atom's first position in it.  The
+    trails made from one another by ``push``, ``pop`` and ``prefix`` share
+    their log, as a CDCL solver's trail is one array that it cuts short on
+    backtrack (Een and Sorensson, "An Extensible SAT-solver", 2003).
+    ``pop`` and ``prefix`` only shorten the length.  ``push`` onto a trail
+    as long as its log appends the entry, and the atom's position if the
+    atom is new.  A trail shorter than its log moves to a log of its own
+    entries when it is pushed onto or asked for ``first``; in a run that
+    happens once per Backtrack, not once per step.
 
-    ``push``, ``pop`` and ``prefix`` hand the map on: the trails made from
-    one another share one dict, a persistent map by rerooting (Baker's
-    trick; Conchon and Filliatre, "A Persistent Union-Find Data
-    Structure", 2007).  The dict holds the map of one trail, the root; the
-    node of every other trail links to a neighbour, the trail it was made
-    from or one made from it, with the changes between their maps.  A new
-    trail becomes the root by changing only the entries it adds or drops.
-    Asking an older trail for its map moves the root back to it along the
-    links, undoing those changes, so every trail keeps its answers and
-    ``first`` returns the same dict; it holds a trail's map until another
-    trail that shares it is made or asked.  The link also gives the
-    entries two neighbours share (``shared_prefix``) without a walk.  A
-    trail built from its entries builds its map in one pass.
+    Lookups go through the log's map, in which a position counts only
+    below the trail's length, so an inconsistent trail reads as its
+    earliest entry.  The map is the one record of the trail's assignment,
+    which everything else reads.  A level is read off the entries left of
+    a position (``literal_level``), and the decisions are counted where
+    asked.  Trails compare and hash by their entries.
     """
 
-    entries: tuple[TrailEntry, ...] = ()
-    _node: _Node = field(init=False, repr=False, compare=False)
+    __slots__ = ("_log", "_first", "_len")
 
-    def __post_init__(self):
-        first: dict[Atom, int] = {}
-        for i, e in enumerate(self.entries):
-            first.setdefault(e.literal.atom, i)
-        _set_node(self, _Node(first))
+    def __init__(self, entries: Iterable[TrailEntry] = ()):
+        self._log, self._first = _log_of(entries)
+        self._len = len(self._log)
 
     def __len__(self):
-        return len(self.entries)
+        return self._len
 
     def __iter__(self):
-        return iter(self.entries)
+        return islice(self._log, self._len)
 
     def __getitem__(self, i):
-        return self.entries[i]
+        if isinstance(i, slice):
+            return tuple(map(self._log.__getitem__, range(self._len)[i]))
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("trail index out of range")
+        return self._log[i]
+
+    @property
+    def entries(self) -> tuple[TrailEntry, ...]:
+        return tuple(self)
 
     @property
     def literals(self) -> tuple[Literal, ...]:
-        return tuple(e.literal for e in self.entries)
+        return tuple(e.literal for e in self)
 
-    def _made(self, entries: tuple, changes, shared: int) -> "Trail":
-        """The trail of ``entries``, made from this one after ``changes``
-        (see ``_Node.hand_on``) turned the map into its own."""
-        trail = _new(Trail)
-        _set_entries(trail, entries)
-        _set_node(trail, self._node.hand_on(changes, shared))
-        return trail
+    def _move(self):
+        """Moves this trail, shorter than its log, to a copy of its own
+        entries."""
+        self._log, self._first = _log_of(self._log[:self._len])
 
     def push(self, entry: TrailEntry) -> "Trail":
-        first, n = self.first, len(self.entries)
-        atom = entry.literal.atom
-        if atom in first:
-            return self._made(self.entries + (entry,), (), n)
-        first[atom] = n
-        return self._made(self.entries + (entry,), ((atom, None),), n)
+        log, n = self._log, self._len
+        if len(log) > n:
+            self._move()
+            log = self._log
+        log.append(entry)
+        self._first.setdefault(entry.literal.atom, n)
+        return _view(log, self._first, n + 1)
 
     def pop(self) -> "Trail":
-        return self.prefix(len(self.entries) - 1)
+        return self.prefix(self._len - 1)
 
     def prefix(self, n: int) -> "Trail":
-        entries = self.entries[:n]
-        first, kept = self.first, len(entries)
-        changes = []
-        for i in range(kept, len(self.entries)):
-            atom = self.entries[i].literal.atom
-            if first.get(atom) == i:
-                del first[atom]
-                changes.append((atom, i))
-        return self._made(entries, changes, kept)
+        """The first ``n`` entries: all of them if there are fewer, none
+        if ``n`` is negative."""
+        return _view(self._log, self._first, max(0, min(n, self._len)))
 
     def shared_prefix(self, other: "Trail") -> int:
         """How many leading entries this trail and ``other`` share as the
-        same objects.  When one is made from the other, the link between
-        them says.  Otherwise the links from one towards the other give a
-        count to start from, and the entries after it are compared."""
-        a, b = self.entries, other.entries
-        n = _linked(self._node, other._node, len(a)) \
-            or _linked(other._node, self._node, len(b))
-        while n < len(a) and n < len(b) and a[n] is b[n]:
+        same objects: the shorter length for two trails of one log, and
+        otherwise as many as compare identical."""
+        if self._log is other._log:
+            return min(self._len, other._len)
+        a, b = self._log, other._log
+        n, most = 0, min(self._len, other._len)
+        while n < most and a[n] is b[n]:
             n += 1
         return n
 
     @property
     def first(self) -> dict[Atom, int]:
-        """Each atom's first position: the dict this trail shares, which
-        holds this trail's map until another trail is made from it or
-        asked."""
-        node = self._node
-        return node.first if node.link is None else node.reroot()
+        """Each atom's first position: the dict of this trail's log, once
+        the trail is as long as its log (it moves to a copy otherwise).
+        It holds this trail's map until a trail is pushed onto this one."""
+        if len(self._log) > self._len:
+            self._move()
+        return self._first
+
+    @property
+    def log(self) -> list[TrailEntry]:
+        """The entries of this trail's log, to read and not to change:
+        they begin with the trail's, and after ``first`` they are the
+        trail's."""
+        return self._log
 
     def decision_count(self) -> int:
-        return sum(isinstance(e.annotation, Decision) for e in self.entries)
+        return sum(isinstance(e.annotation, Decision) for e in self)
 
     def position_of_atom(self, atom: Atom) -> Optional[int]:
-        return self.first.get(atom)
+        pos = self._first.get(atom)
+        return None if pos is None or pos >= self._len else pos
 
     def truth_value(self, lit: Literal) -> Optional[bool]:
         """True if the literal is on the trail, False if its complement is,
@@ -230,7 +171,7 @@ class Trail:
         pos = self.position_of_atom(lit.atom)
         if pos is None:
             return None
-        return self.entries[pos].literal == lit
+        return self._log[pos].literal == lit
 
     def is_defined(self, lit: Literal) -> bool:
         return self.position_of_atom(lit.atom) is not None
@@ -238,12 +179,37 @@ class Trail:
     def all_false(self, clause: Clause) -> bool:
         return all(self.truth_value(lit) is False for lit in clause)
 
+    def __eq__(self, other):
+        if not isinstance(other, Trail):
+            return NotImplemented
+        return self._len == other._len and (
+            self._log is other._log or self.entries == other.entries)
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"Trail(entries={self.entries!r})"
+
     def __str__(self):
-        return ", ".join(str(e) for e in self.entries)
+        return ", ".join(str(e) for e in self)
 
 
-_new = object.__new__
-_set_entries, _set_node = Trail.entries.__set__, Trail._node.__set__
+def _log_of(entries: Iterable[TrailEntry]) -> tuple[list, dict]:
+    """The log of ``entries``: their list, and each atom's first position
+    in it."""
+    log, first = list(entries), {}
+    for i, e in enumerate(log):
+        first.setdefault(e.literal.atom, i)
+    return log, first
+
+
+def _view(log: list, first: dict, n: int) -> Trail:
+    """The trail of the first ``n`` entries of the log ``log``, whose map
+    is ``first``."""
+    trail = object.__new__(Trail)
+    trail._log, trail._first, trail._len = log, first, n
+    return trail
 
 
 @dataclass(frozen=True)
@@ -287,9 +253,9 @@ def literal_level(lit: Literal, state: ProblemState) -> int:
     pos = state.trail.position_of_atom(lit.atom)
     if pos is None:
         raise NotOnTrail(str(lit))
-    entries = state.trail.entries
-    return next((entries[i].annotation.level for i in range(pos, -1, -1)
-                 if isinstance(entries[i].annotation, Decision)), 0)
+    trail = state.trail
+    return next((trail[i].annotation.level for i in range(pos, -1, -1)
+                 if isinstance(trail[i].annotation, Decision)), 0)
 
 
 def clause_level(clause: Clause, state: ProblemState) -> int:

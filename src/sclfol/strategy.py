@@ -599,7 +599,8 @@ class _Recorder:
                 learned, self.episode_pool, self.episode_snapshot,
                 prev.bound))
         self._close_episode_stats()
-        self.by_predicate = Counter(e.literal.atom.pred for e in state.trail)
+        for entry in prev.trail[len(state.trail):]:
+            self.by_predicate[entry.literal.atom.pred] -= 1
         self._after("backtrack",
                     f"learn {learned} to level {state.decisions}", state)
         if self.cfg.check != "off":

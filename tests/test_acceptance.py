@@ -341,6 +341,19 @@ def test_large_bound_four_grows_fingerprint():
     assert result.stats.max_trail == 3408
 
 
+def test_large_bound_five_grows_fingerprint():
+    # the long trails: up to 47,158 entries, each step pushing onto the
+    # log the trails share, over 373,334 atoms below the last bound
+    problem = parse_native(GROWCAP_TEXT)
+    result = run(problem.clauses, RunConfig(beta_weight=4, max_growths=5),
+                 problem.names)
+    assert _trace_fingerprint([result]) == "3b5e67cdbf89edcb"
+    assert result.verdict == "sat-bounded"
+    assert result.stats.steps == 54578
+    assert len(result.final_bound.atoms_below()) == 373334
+    assert result.stats.max_trail == 47158
+
+
 def test_runs_leave_no_cyclic_garbage(bs_corpus):
     # a run's bounds, ground indexes and trails die by reference count:
     # nothing a run leaves behind waits for the cycle collector

@@ -15,7 +15,8 @@ from sclfol.calculus import (
 )
 from sclfol.orderings import bounded_instances_of_set
 from sclfol.state import Decision, ProblemState, Propagation, Trail, TrailEntry
-from sclfol.strategy import RunConfig, configure_bound
+from sclfol import strategy
+from sclfol.strategy import RunConfig, configure_bound, run
 from sclfol.terms import Closure, Subst, apply, same_multiset
 
 
@@ -245,7 +246,11 @@ class TestBacktrack:
                 Closure(clauses[1], Subst())))
 
 
-def test_backtrack_minimality_bruteforce():
+def test_backtrack_minimality_bruteforce(monkeypatch):
+    # the prefix Backtrack keeps against a brute force over every prefix
+    # for the shortest with a false bounded instance of the conflict
+    # clause: a hand-built state first, then every Backtrack of runs with
+    # random decisions on random problems
     clauses, bound = configure_scenario(["~P(X) | Q(X)", "P(a) | P(b)"])
     s = ProblemState.start(clauses, bound)
     c1, c2 = clauses
@@ -254,20 +259,26 @@ def test_backtrack_minimality_bruteforce():
     s = apply_decide(s, c1, 1, sub("{X -> b}"), negate=True)   # ~Q(b)^3
     # conflict ~P(X) | Q(X) with {X -> b} is false: P(b) true, Q(b) false
     conflict = Closure(cl("~P(X) | Q(X)"), sub("{X -> b}"))
-    s = ProblemState(s.trail, s.initial, s.learned, s.bound, s.decisions,
-                     conflict)
-    result = apply_backtrack(s)
-    # brute force: shortest prefix with a falsifiable grounding
-    expected = None
-    for p in range(1, len(s.trail) + 1):
-        prefix = s.trail.prefix(p)
-        if any(prefix.all_false(inst) for inst in
-               bounded_instances_of_set([conflict.clause], bound)):
-            expected = p
-            break
-    assert expected is not None
-    assert len(result.trail) == expected - 1
-    assert result.decisions == result.trail.decision_count()
+    states = [ProblemState(s.trail, s.initial, s.learned, s.bound,
+                           s.decisions, conflict)]
+
+    def recorded(state):
+        states.append(state)
+        return apply_backtrack(state)
+    monkeypatch.setattr(strategy, "apply_backtrack", recorded)
+    rng = random.Random(248)
+    for _ in range(150):
+        run(random_bs_problem(rng), RunConfig(
+            heuristic="random", seed=rng.randrange(10_000), max_steps=5_000))
+    assert len(states) > 100
+    for s in states:
+        result = apply_backtrack(s)
+        instances = bounded_instances_of_set([s.conflict.clause], s.bound)
+        expected = next(p for p in range(1, len(s.trail) + 1)
+                        if any(s.trail.prefix(p).all_false(inst)
+                               for inst in instances))
+        assert result.trail == s.trail.prefix(expected - 1)
+        assert result.decisions == result.trail.decision_count()
 
 
 class TestGrow:

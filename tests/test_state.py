@@ -147,10 +147,10 @@ class TestLevels:
             assert pushed.entries == tuple(entries)
             for trail in (Trail(tuple(entries)), pushed):
                 self.check_first(sc, trail, atoms)
-            # a push leaves the map of the trail it extends as it was
-            for parent, first in parents:
-                assert parent.first is first
-                assert first == Trail(parent.entries).first
+            # a push leaves the answers of the trail it extends as they were
+            for parent, _ in parents:
+                assert parent.first == Trail(parent.entries).first
+                self.check_first(sc, parent, atoms)
 
     def test_versions_answer_as_their_scans_in_any_order(self):
         # pushes (repeated atoms, and second pushes onto trails that have
@@ -219,6 +219,51 @@ class TestLevels:
                        if e.is_decision]
             assert literal_level(query, s) == \
                 (decided[-1] if decided else 0)
+
+
+class TestTrailValues:
+    def trails(self):
+        """The trail of the three entries below, made four ways, and the
+        trail two pushes made from the shared prefix of the last one."""
+        a, b, c = (entry("P(a)", Decision(1)), entry("~Q(b)", Decision(2)),
+                   entry("Q(a)", Decision(3)))
+        pushed = Trail().push(a).push(b).push(c)
+        shared = Trail().push(a).push(b)
+        other = shared.push(entry("P(b)", Decision(3)))
+        return (Trail((a, b, c)), pushed,
+                pushed.push(entry("P(c)", Decision(4))).prefix(3),
+                shared.push(c)), other
+
+    def test_equal_entries_make_equal_trails(self):
+        # from entries, by pushes, as a prefix of a longer trail, and by a
+        # second push onto a shared trail, which moves that one to a log of
+        # its own
+        trails, other = self.trails()
+        built, pushed, cut, second = trails
+        for trail in trails:
+            assert trail == built and hash(trail) == hash(built)
+            assert repr(trail) == repr(built)
+            assert list(trail) == list(built.entries)
+        assert other.log is not second.log
+        assert other.entries[:2] == second.entries[:2]
+        # a push onto a trail as long as its log appends to that log
+        assert pushed.push(other[-1]).log is pushed.log
+
+    def test_a_trail_differs_from_its_proper_prefixes(self):
+        built = self.trails()[0][0]
+        for n in range(len(built)):
+            assert built != built.prefix(n) and built.prefix(n) != built
+        assert built != built.entries
+        assert built.pop() == built.prefix(2) == Trail(built.entries[:2])
+
+    def test_states_on_equal_trails_are_equal(self):
+        sc = lpo_refutation_scenario()
+        trails, _ = self.trails()
+        states = [ProblemState(trail, sc.clauses, (), sc.bound, 3, None)
+                  for trail in trails]
+        assert all(state == states[0] for state in states)
+        assert states[0] != dataclasses.replace(states[0],
+                                                trail=trails[0].pop())
 
 
 class TestSoundness:
