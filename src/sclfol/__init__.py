@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .terms import (
     Atom, Clause, Closure, Fn, Literal, Signature, Subst, Var,
     alpha_equal, apply, is_ground, match, mgu, rename_apart, same_multiset,
+    subsumes,
 )
 from .orderings import (
     Bound, CountKBO, GroundLPO, Precedence, TrailOrder, bounded_groundings,
@@ -31,7 +32,7 @@ from .strategy import (
 )
 from .oracle import (
     check_model, check_proof, ground_entails, ground_sat,
-    is_redundant_snapshot, subsumes,
+    is_redundant_snapshot,
 )
 from .frontend import (
     ParseError, ProblemFile, UnsupportedFeature, parse_clause_text,

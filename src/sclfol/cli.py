@@ -1,7 +1,8 @@
 """Command-line prover plus the check-proof / check-model subcommands.
 
 Exit codes: 0 unsatisfiable, 1 satisfiable within the bound, 2 resource
-limit, 64 usage error or unopenable file, 65 parse error or non-UTF-8
+limit, 64 usage error, unopenable file or configuration error (an ordering,
+precedence or bound that cannot be set up), 65 parse error or non-UTF-8
 file, 70 internal error (an invariant violation or a crash).
 
 Terms may be nested at most 100 deep (``a`` has depth 1, ``f(a)`` depth 2);
@@ -28,7 +29,7 @@ from .orderings import (
 )
 from .proofs import proof_from_text, proof_to_text
 from .strategy import InvariantViolation, RunConfig, run
-from .terms import Signature, is_ground
+from .terms import Signature, SignatureError, is_ground
 
 EXIT_UNSAT = 0
 EXIT_SAT_BOUNDED = 1
@@ -266,7 +267,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, _Undecodable) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OrderingConfigError, EnumerationCapExceeded, ValueError) as exc:
+    except (OrderingConfigError, EnumerationCapExceeded, SignatureError) \
+            as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:

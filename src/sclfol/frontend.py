@@ -322,7 +322,9 @@ def parse_clause_text(text: str, line: int = 1) -> Clause:
 
 
 def parse_subst_text(text: str, line: int = 1) -> Subst:
-    """Parses ``{X -> a, Y -> g(b)}``."""
+    """Parses ``{X -> a, Y -> g(b)}``.  Left of each ``->`` stands one
+    name, of any case, since a native ``vars:`` variable may be lowercase;
+    a name bound twice is an error."""
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ParseError(line, 1, f"malformed substitution {text!r}")
@@ -331,14 +333,17 @@ def parse_subst_text(text: str, line: int = 1) -> Subst:
     if not body:
         return Subst()
     for part in _split_top_level(body):
-        if "->" not in part:
+        left, arrow, right = part.partition("->")
+        names = _TOKEN_RE.findall(left)
+        if not arrow or len(names) != 1 or names[0][0] not in _NAME_START:
             raise ParseError(line, 1, f"malformed binding {part!r}")
-        left, right = part.split("->", 1)
-        var_name = left.strip()
+        var = Var(names[0])
+        if var in mapping:
+            raise ParseError(line, 1, f"variable {var} bound twice")
         tk = _Tokens(right.strip(), line)
         term, i = _parse_term(tk, 0)
         tk.end(i)
-        mapping[Var(var_name)] = term
+        mapping[var] = term
     return Subst(mapping)
 
 

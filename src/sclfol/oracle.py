@@ -4,8 +4,10 @@ Everything here is deliberately slow and direct: exhaustive DPLL over ground
 clauses, definition-unfolding entailment, redundancy by enumerating smaller
 ground instances, and proof replay built only on the term kernel.  By
 convention this module must not call into the calculus or strategy modules,
-so its answers are an independent check on them.  It shares with the
-search only ``orderings.bounded_codes``, which is checked by brute force.
+so its answers are an independent check on them.  Besides the term
+kernel, whose one matcher ``terms.match`` is checked by brute force, it
+shares with the search only ``orderings.bounded_codes``, which is checked
+by brute force too.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from .orderings import Bound, EnumerationCapExceeded, TrailOrder, \
     bounded_groundings, bounded_instances, bounded_instances_of_set
 from .proofs import Derivation, FactorizeStep, Proof, ResolveStep, Step
 from .terms import (
-    Atom, Clause, Closure, Fn, Literal, Subst, Var, alpha_equal, apply,
-    is_ground, match, mgu, rename_apart, same_multiset, unify_all,
-    variables_of,
+    Atom, Clause, Closure, Literal, Subst, alpha_equal, apply, is_ground,
+    match, mgu, rename_apart, same_multiset, unify_all, variables_of,
 )
 
 DEFAULT_ATOM_CAP = 24
@@ -174,54 +175,6 @@ def is_redundant_snapshot(clause: Clause, pool: Sequence[Clause],
             continue
         return False
     return True
-
-
-def subsumes(general: Clause, specific: Clause) -> bool:
-    """Multiset subsumption: a substitution maps ``general`` injectively
-    onto distinct literals of ``specific``."""
-    if len(general) > len(specific):
-        return False
-    return _subsumes_from(general, specific, 0, frozenset(), {})
-
-
-def _subsumes_from(general: Clause, specific: Clause, i: int,
-                   used: frozenset[int], sigma: dict) -> bool:
-    """Extends ``sigma`` to map the literals of ``general`` from position
-    ``i`` on onto literals of ``specific`` outside ``used``."""
-    if i == len(general):
-        return True
-    lit = general[i]
-    for j, target in enumerate(specific.literals):
-        if j in used or lit.positive != target.positive:
-            continue
-        m = _match_any(lit.atom, target.atom, sigma)
-        if m is not None and _subsumes_from(general, specific, i + 1,
-                                            used | {j}, m):
-            return True
-    return False
-
-
-def _match_any(pattern: Atom, target: Atom, sigma: dict) -> Optional[dict]:
-    """Matching where the target may contain variables (treated as fixed)."""
-    sub = dict(sigma)
-    return sub if _match_into(pattern, target, sub) else None
-
-
-def _match_into(p, t, sub: dict) -> bool:
-    """Extends ``sub`` to map ``p`` onto ``t``; False on a clash."""
-    if isinstance(p, Atom):
-        return (p.pred == t.pred and len(p.args) == len(t.args)
-                and all(_match_into(a, b, sub)
-                        for a, b in zip(p.args, t.args)))
-    if isinstance(p, Var):
-        if p in sub:
-            return sub[p] == t
-        sub[p] = t
-        return True
-    return (isinstance(t, Fn) and p.name == t.name
-            and len(p.args) == len(t.args)
-            and all(_match_into(a, b, sub)
-                    for a, b in zip(p.args, t.args)))
 
 
 # ---------------------------------------------------------------------------

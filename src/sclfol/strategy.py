@@ -194,8 +194,9 @@ def configure_bound(clauses: Sequence[Clause], cfg: RunConfig) -> Bound:
         precedence = _precedence(signature, cfg)
     else:
         if cfg.ordering != "kbo":
-            raise ValueError("a weight-synthesized bound needs the kbo "
-                             "ordering; pass an explicit beta literal")
+            raise OrderingConfigError("a weight-synthesized bound needs the "
+                                      "kbo ordering; pass an explicit beta "
+                                      "literal")
         weight = cfg.beta_weight if cfg.beta_weight is not None \
             else default_beta_weight(clauses)
         signature = Signature.from_clauses(clauses)
@@ -448,8 +449,10 @@ class _Recorder:
         if cfg.check == "full":
             self.derived = self.sound_cache["derived"] = set(state.initial)
         self.certified: Optional[Closure] = None
-        # the entries per predicate of the trail recorded last
+        # the entries per predicate, and the decisions, of the trail
+        # recorded last
         self.by_predicate = Counter(e.literal.atom.pred for e in state.trail)
+        self.decisions = state.trail.decision_count()
 
     # -- naming ------------------------------------------------------------
 
@@ -488,10 +491,10 @@ class _Recorder:
     def _check(self, state: ProblemState):
         if self.cfg.check == "off":
             return
-        if state.decisions != state.trail.decision_count():
+        if state.decisions != self.decisions:
             raise InvariantViolation(
                 f"decision counter {state.decisions} does not match the "
-                f"trail ({state.trail.decision_count()} decisions)")
+                f"trail ({self.decisions} decisions)")
         if self.cfg.check == "full":
             violations = soundness_check(state, self.sound_cache)
             if violations:
@@ -535,6 +538,7 @@ class _Recorder:
 
     def on_decide(self, state: ProblemState, option: DecideOption):
         self._count_pushed(state)
+        self.decisions += 1
         self._after("decide", str(option.literal), state)
 
     def on_conflict(self, prev: ProblemState, state: ProblemState,
@@ -560,6 +564,7 @@ class _Recorder:
 
     def on_skip(self, state: ProblemState, top):
         self.by_predicate[top.literal.atom.pred] -= 1
+        self.decisions -= top.is_decision
         self._after("skip", str(top.literal), state)
 
     def on_factorize(self, state: ProblemState, i: int, j: int):
@@ -601,6 +606,7 @@ class _Recorder:
         self._close_episode_stats()
         for entry in prev.trail[len(state.trail):]:
             self.by_predicate[entry.literal.atom.pred] -= 1
+            self.decisions -= entry.is_decision
         self._after("backtrack",
                     f"learn {learned} to level {state.decisions}", state)
         if self.cfg.check != "off":
@@ -635,6 +641,7 @@ class _Recorder:
     def on_grow(self, prev: ProblemState, state: ProblemState):
         self.stats.growths += 1
         self.by_predicate = Counter()
+        self.decisions = 0
         self._after("grow",
                     f"beta {prev.bound.beta} -> {state.bound.beta}", state)
 

@@ -25,12 +25,12 @@ Hash-Consing", 2006): ``Fn`` and ``Atom`` their variables in
 first-occurrence order (``variables_in_order``) and their symbol count
 (``symbol_count``); ``Fn``, ``Atom`` and ``Literal`` their text; and
 ``Clause`` its variables.  A term is ground exactly when its stored
-variables are none, so ``is_ground``, ``variables_of`` and ``apply`` read
-them off instead of walking the term, and printing a term builds the text
-of each subterm once.  ``apply`` returns a ground term, atom or literal as
-it is, so applying a grounding shares the ground subterms of the pattern
-instead of rebuilding them; and a term none of whose variables it moves
-comes back as it is, by sharing.
+variables are none, so ``is_ground``, ``variables_of``, ``apply`` and the
+occurs check of ``mgu`` read them off instead of walking the term, and
+printing a term builds the text of each subterm once.  ``apply`` returns
+a ground term, atom or literal as it is, so applying a grounding shares
+the ground subterms of the pattern instead of rebuilding them; and a term
+none of whose variables it moves comes back as it is, by sharing.
 """
 
 from __future__ import annotations
@@ -383,8 +383,9 @@ class Subst:
 
     @staticmethod
     def _of(mapping: dict[Var, Term]) -> "Subst":
-        """A substitution over ``mapping`` itself, which must bind no
-        variable to itself."""
+        """A substitution over ``mapping`` itself.  It keeps a binding of
+        a variable to itself, which ``match`` makes only for a target with
+        variables; ``apply`` reads such a binding as none."""
         sigma = object.__new__(Subst)
         sigma.mapping = mapping
         return sigma
@@ -460,14 +461,6 @@ def _substitute(mapping: dict[Var, Term], term):
 # Unification and matching
 # ---------------------------------------------------------------------------
 
-def occurs_in(v: Var, term: Term) -> bool:
-    if v == term:
-        return True
-    if isinstance(term, Fn):
-        return any(occurs_in(v, a) for a in term.args)
-    return False
-
-
 def mgu(a, b) -> Optional[Subst]:
     """Most general unifier of two terms, atoms or literals.
 
@@ -508,7 +501,7 @@ def mgu(a, b) -> Optional[Subst]:
             s, t = t, s
         # s is a variable now; t fully resolved before the occurs check
         t = _walk(t, sub)
-        if occurs_in(s, t):
+        if s in variables_in_order(t):
             return None
         sub[s] = t
 
@@ -545,10 +538,13 @@ def unify_all(items) -> Optional[Subst]:
 def match(pattern, target, partial: Optional[Subst] = None) -> Optional[Subst]:
     """One-sided matching: extend ``partial`` to tau with pattern*tau = target.
 
-    ``target`` must be ground.  Returns the most general such extension, or
-    None on a structural clash or a clash with ``partial``.  The new
-    bindings follow those of ``partial``, in the order a left-to-right walk
-    of ``pattern`` meets their variables.
+    A variable of ``target`` matches as a constant would: only a pattern
+    variable, or itself, matches it, so a pattern variable that also occurs
+    in the target may be bound to itself (``subsumes`` matches such
+    targets).  Returns the most general such extension, or None on a
+    structural clash or a clash with ``partial``.  The new bindings follow
+    those of ``partial``, in the order a left-to-right walk of ``pattern``
+    meets their variables.
     """
     sub = dict(partial.mapping) if partial is not None else {}
     if type(pattern) is Literal:
@@ -576,7 +572,6 @@ def match(pattern, target, partial: Optional[Subst] = None) -> Optional[Subst]:
             return None
         elif p.args:
             stack.extend(zip(reversed(p.args), reversed(t.args)))
-    # a ground target binds no variable to itself
     return Subst._of(sub)
 
 
@@ -654,7 +649,7 @@ def rename_apart(first: Closure, second: Closure) -> tuple[Closure, Closure]:
 
 
 # ---------------------------------------------------------------------------
-# Multiset and alpha-equivalence helpers
+# Multiset, alpha-equivalence and subsumption
 # ---------------------------------------------------------------------------
 
 def same_multiset(c1: Clause, c2: Clause) -> bool:
@@ -671,51 +666,37 @@ def canonical_variant(clause: Clause) -> Clause:
 
 
 def alpha_equal(c1: Clause, c2: Clause) -> bool:
-    """Equality of clauses as multisets, modulo a variable bijection."""
+    """Equality of clauses as multisets, modulo a variable bijection.  Two
+    clauses of one length that subsume each other are variants (Gottlob
+    and Leitsch, "On the efficiency of subsumption algorithms", 1985)."""
     if len(c1) != len(c2):
         return False
     if canonical_variant(c1) == canonical_variant(c2):
         return True
-    return _alpha_permuted(list(c1.literals), list(c2.literals), {}, {})
+    return subsumes(c1, c2) and subsumes(c2, c1)
 
 
-def _alpha_permuted(lits1, lits2, fwd, bwd) -> bool:
-    if not lits1:
+def subsumes(general: Clause, specific: Clause) -> bool:
+    """Multiset subsumption: a substitution maps ``general`` injectively
+    onto distinct literals of ``specific``, whose variables ``match``
+    takes as constants."""
+    if len(general) > len(specific):
+        return False
+    return _subsumes_from(general, specific, 0, frozenset(), None)
+
+
+def _subsumes_from(general: Clause, specific: Clause, i: int,
+                   used: frozenset[int], sigma: Optional[Subst]) -> bool:
+    """Extends ``sigma`` to map the literals of ``general`` from position
+    ``i`` on onto literals of ``specific`` outside ``used``."""
+    if i == len(general):
         return True
-    first, rest = lits1[0], lits1[1:]
-    for j, cand in enumerate(lits2):
-        m = _alpha_literal(first, cand, dict(fwd), dict(bwd))
-        if m is None:
-            continue
-        if _alpha_permuted(rest, lits2[:j] + lits2[j + 1:], m[0], m[1]):
-            return True
-    return False
-
-
-def _alpha_literal(l1: Literal, l2: Literal, fwd, bwd):
-    if l1.positive != l2.positive:
-        return None
-    a1, a2 = l1.atom, l2.atom
-    if a1.pred != a2.pred or len(a1.args) != len(a2.args):
-        return None
-    if all(_alpha_terms(x, y, fwd, bwd) for x, y in zip(a1.args, a2.args)):
-        return fwd, bwd
-    return None
-
-
-def _alpha_terms(t1, t2, fwd: dict, bwd: dict) -> bool:
-    """Extends the variable bijection ``fwd``/``bwd`` so that it maps ``t1``
-    onto ``t2``; False when none does."""
-    if isinstance(t1, Var) and isinstance(t2, Var):
-        if fwd.get(t1, t2) != t2 or bwd.get(t2, t1) != t1:
-            return False
-        fwd[t1] = t2
-        bwd[t2] = t1
-        return True
-    if isinstance(t1, Fn) and isinstance(t2, Fn):
-        return (t1.name == t2.name and len(t1.args) == len(t2.args)
-                and all(_alpha_terms(a, b, fwd, bwd)
-                        for a, b in zip(t1.args, t2.args)))
+    for j, target in enumerate(specific.literals):
+        if j not in used:
+            m = match(general[i], target, sigma)
+            if m is not None and _subsumes_from(general, specific, i + 1,
+                                                used | {j}, m):
+                return True
     return False
 
 

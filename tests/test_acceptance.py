@@ -24,7 +24,7 @@ from conftest import (
 )
 from sclfol.frontend import parse_literal_text, parse_native
 from sclfol.oracle import (
-    check_model, check_proof, ground_sat, is_redundant_snapshot, subsumes,
+    check_model, check_proof, ground_sat, is_redundant_snapshot,
 )
 from sclfol.orderings import bounded_instances_of_set
 from sclfol.state import (
@@ -33,7 +33,7 @@ from sclfol.state import (
 from sclfol import oracle, orderings, strategy
 from sclfol import state as state_module
 from sclfol.strategy import RunConfig, resolve_conflict_loop, run
-from sclfol.terms import Clause, Closure, alpha_equal
+from sclfol.terms import Clause, Closure, alpha_equal, subsumes
 
 
 def _passed(n, message):
@@ -283,6 +283,32 @@ def test_corpus_trace_fingerprint_unchecked(bs_corpus, check):
     assert _trace_fingerprint(results) == "6c7ec91f8cc06499"
 
 
+def test_invariants_catch_a_miscounted_backtrack(bs_corpus, bs_corpus_results,
+                                                 monkeypatch):
+    # a Backtrack whose state claims one decision more than its trail holds
+    # fails the recorder's own count under invariants, in every corpus run
+    # that backtracks, and in no other
+    real = strategy.apply_backtrack
+
+    def miscounted(state):
+        new = real(state)
+        return dataclasses.replace(new, decisions=new.decisions + 1)
+
+    monkeypatch.setattr(strategy, "apply_backtrack", miscounted)
+    cfg = RunConfig(check="invariants", max_steps=50_000)
+    results, _ = bs_corpus_results
+    caught = 0
+    for clauses, result in zip(bs_corpus, results):
+        if result.stats.rule_counts["backtrack"]:
+            with pytest.raises(strategy.InvariantViolation,
+                               match="decision counter"):
+                run(clauses, cfg)
+            caught += 1
+        else:
+            assert run(clauses, cfg).trace == result.trace
+    assert caught == 64
+
+
 # nested g/2 terms and a bound of 1,459 atoms after one Grow: what the
 # function-free, first-heuristic corpus does not reach
 GROWCAP_TEXT = """\
@@ -329,11 +355,12 @@ def test_large_bound_three_grows_fingerprint():
     assert result.stats.max_trail == 3408
 
 
-def test_large_bound_four_grows_fingerprint():
+@pytest.mark.parametrize("check", ["off", "invariants"])
+def test_large_bound_four_grows_fingerprint(check):
     # the large-bound case: 285,834 atoms below the last bound
     problem = parse_native(GROWCAP_TEXT)
-    result = run(problem.clauses, RunConfig(beta_weight=4, max_growths=4),
-                 problem.names)
+    result = run(problem.clauses, RunConfig(beta_weight=4, max_growths=4,
+                                            check=check), problem.names)
     assert _trace_fingerprint([result]) == "6fae8d0f467140ab"
     assert result.verdict == "sat-bounded"
     assert result.stats.steps == 7419

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import LOOPING_TEXT, cap_bounds, cl, random_bs_problem
-from sclfol import cli, terms
+from sclfol import cli, strategy, terms
 from sclfol.cli import build_parser, main
 from sclfol.frontend import (
     MAX_TERM_DEPTH, ParseError, ProblemFile, UnsupportedFeature,
@@ -275,6 +275,17 @@ ERROR_CONTRACT = [
     ('tptp', 'cnf(a, axiom, (p(a))).\ncnf(b, axiom, (p(a,b))).\n'
              'cnf(c, axiom, (q(a)).',
      ('ParseError', 3, 21, "expected ')', got '.'")),
+    # a binding binds one name, a native ``vars:`` variable's included
+    ('subst', '{x -> a}',
+     '{x -> a}'),
+    ('subst', '{f(Q) -> b}',
+     ('ParseError', 1, 1, "malformed binding 'f(Q) -> b'")),
+    ('subst', '{ -> a}',
+     ('ParseError', 1, 1, "malformed binding '-> a'")),
+    ('subst', '{X Y -> a}',
+     ('ParseError', 1, 1, "malformed binding 'X Y -> a'")),
+    ('subst', '{X -> a, X -> b}',
+     ('ParseError', 1, 1, 'variable X bound twice')),
 ]
 ENTRY_POINTS = {"native": parse_native, "tptp": parse_tptp_cnf,
                 "literal": parse_literal_text, "clause": parse_clause_text,
@@ -607,6 +618,9 @@ class TestCli:
         (4, ["factorize 0 j"], 4, "index 'j' is not an integer"),
         (13, ["learned u3:", "conflict c9 {}"], 14,
          "section u3 has no clause line"),
+        (2, ["conflict c4 {X -> a, f(Q) -> b, X -> a}"], 2,
+         "malformed binding 'f(Q) -> b'"),
+        (2, ["conflict c4 {X -> a, X -> a}"], 2, "variable X bound twice"),
     ])
     def test_check_proof_rejects_malformed_lines(self, tmp_path, capsys, line,
                                                  replacement, at, message):
@@ -676,6 +690,26 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "run", boom)
         assert main(["--input", self.E1, "--beta", "R(b)", "--ordering",
                      "lpo", "--precedence", "a<b<P<Q<R"]) == 70
+
+    def test_a_value_error_in_a_run_is_an_internal_error(self, capsys,
+                                                         monkeypatch):
+        # only a bound that cannot be set up is a configuration error; any
+        # other ValueError raised during a run is a crash
+        def clash(state):
+            raise ValueError("conflicting bindings for X")
+
+        monkeypatch.setattr(strategy, "apply_resolve", clash)
+        assert main(["--input", self.E1, "--beta", "R(b)", "--ordering",
+                     "lpo", "--precedence", "a<b<P<Q<R"]) == 70
+        assert capsys.readouterr().err == \
+            "internal error: ValueError: conflicting bindings for X\n"
+
+    def test_a_synthesized_bound_needs_kbo(self, capsys):
+        assert main(["--input", self.E1, "--ordering", "lpo",
+                     "--beta-weight", "3"]) == 64
+        assert capsys.readouterr().err == (
+            "configuration error: a weight-synthesized bound needs the kbo "
+            "ordering; pass an explicit beta literal\n")
 
     def test_grow_stops_at_the_term_depth_limit(self, tmp_path, capsys):
         # each Grow nests the argument of P one level deeper; a Grow past

@@ -14,7 +14,7 @@ from sclfol.frontend import parse_native
 from sclfol.oracle import (
     CapExceeded, StepMismatch, check_entailment_definition, check_model,
     check_proof, ground_entails, ground_sat, ground_sat_bruteforce,
-    is_redundant_snapshot, subsumes,
+    is_redundant_snapshot,
 )
 from sclfol.orderings import (
     Bound, EnumerationCapExceeded, Precedence, bounded_instances,
@@ -24,7 +24,7 @@ from sclfol.proofs import (
     Derivation, Proof, ResolveStep, proof_from_text, proof_to_text,
 )
 from sclfol.strategy import RunConfig, configure_bound, run
-from sclfol.terms import Clause, Literal, Signature
+from sclfol.terms import Clause, Literal, Signature, subsumes
 from test_orderings import _random_bounds, _random_clause
 
 

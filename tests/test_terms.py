@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import weakref
+from collections import Counter
 from copy import deepcopy
 
 import pytest
@@ -338,6 +339,31 @@ def _ref_apply(sigma, obj):
     return Clause(tuple(_ref_apply(sigma, lit) for lit in obj.literals))
 
 
+def _subterms(obj, found=None):
+    """Every term occurring in ``obj``, by a walk."""
+    found = set() if found is None else found
+    if isinstance(obj, (Var, Fn)):
+        found.add(obj)
+    if isinstance(obj, (Fn, Atom)):
+        for a in obj.args:
+            _subterms(a, found)
+    elif isinstance(obj, Literal):
+        _subterms(obj.atom, found)
+    elif isinstance(obj, Clause):
+        for lit in obj.literals:
+            _subterms(lit, found)
+    return found
+
+
+def _substitutions(pattern, target):
+    """Every substitution taking the variables of ``pattern`` to terms
+    occurring in ``target``."""
+    variables = _ref_variables(pattern)
+    images = sorted(_subterms(target), key=_ref_text)
+    for chosen in itertools.product(images, repeat=len(variables)):
+        yield Subst(dict(zip(variables, chosen)))
+
+
 def _fields_of(obj):
     if isinstance(obj, Var):
         return (obj.name,)
@@ -514,6 +540,105 @@ class TestKernelsAgainstReferences:
             assert list(got.mapping.items()) == list(want.mapping.items())
             assert _ref_apply(got, obj) == target
         assert clashes > 100 and matched > 200
+
+    # ``match`` is the one matcher: the search, the match tables, subsumption
+    # and alpha-equivalence run on it, so it is checked against brute force
+
+    def small_clause(self, rng, size):
+        return Clause(tuple(
+            Literal(Atom(pred, tuple(self.term(rng, 2, self.VARS)
+                                     for _ in range(arity))),
+                    rng.random() < 0.5)
+            for pred, arity in (rng.choice(self.PREDICATES)
+                                for _ in range(size))))
+
+    def renamed(self, rng, clause):
+        """``clause`` with its variables renamed, not always apart, onto X,
+        Y, Z, U and V, its literals shuffled."""
+        image = {v: Var(rng.choice("XYZUV"))
+                 for v in _ref_variables(clause)}
+        lits = list(_ref_apply(Subst(image), clause).literals)
+        rng.shuffle(lits)
+        return Clause(tuple(lits))
+
+    def test_match_by_enumeration(self):
+        # match(p, t) answers exactly when some assignment of p's variables
+        # to subterms of the ground t takes p to t, and its answer does
+        rng = random.Random(29)
+        matched = missed = 0
+        for _ in range(400):
+            lit, other = self.small_clause(rng, 2)
+            # a term, an atom or a literal; the target grounds it or another
+            pattern, source = rng.choice([
+                (self.term(rng, 2, self.VARS), self.term(rng, 2, self.VARS)),
+                (lit.atom, other.atom), (lit, other)])
+            if rng.random() < 0.6:
+                source = pattern
+            target = _ref_apply(
+                Subst({v: self.term(rng, 1, []) for v in self.VARS}), source)
+            want = any(_ref_apply(sigma, pattern) == target
+                       for sigma in _substitutions(pattern, target))
+            got = match(pattern, target)
+            assert (got is not None) == want, (pattern, target)
+            if got is None:
+                missed += 1
+            else:
+                matched += 1
+                assert _ref_apply(got, pattern) == target
+        assert matched > 150 and missed > 100
+
+    def test_alpha_equal_by_permutation(self):
+        # alpha_equal(c1, c2) holds exactly when some order of c2's literals
+        # has the canonical variant of c1
+        rng = random.Random(31)
+        counts = Counter()
+        for _ in range(500):
+            c1 = self.small_clause(rng, rng.randint(1, 4))
+            c2 = self.renamed(rng, c1)
+            if rng.random() < 0.3:  # an instance
+                c2 = _ref_apply(Subst({v: self.term(rng, 1, [v])
+                                       for v in self.VARS}), c2)
+            elif rng.random() < 0.2:  # another clause
+                c2 = self.small_clause(rng, len(c1))
+            want = any(canonical_variant(Clause(order)) ==
+                       canonical_variant(c1)
+                       for order in itertools.permutations(c2.literals))
+            assert alpha_equal(c1, c2) == want, (c1, c2)
+            counts[want] += 1
+        assert counts[True] > 150 and counts[False] > 150
+
+    def test_subsumes_by_enumeration(self):
+        # subsumes(g, s) holds exactly when a substitution taking g's
+        # variables to subterms of s, whose own variables stay as they are,
+        # takes g's literals to those at distinct positions of s
+        rng = random.Random(37)
+        counts = Counter()
+        for _ in range(300):
+            g = self.small_clause(rng, rng.randint(1, 3))
+            s = Clause(self.renamed(rng, g).literals
+                       + self.small_clause(rng, rng.randint(0, 2)).literals)
+            if rng.random() < 0.5:  # an instance, sharing variable names
+                s = _ref_apply(Subst({v: self.term(rng, 1, [Var("X")])
+                                      for v in self.VARS}), s)
+            if rng.random() < 0.2:
+                s = self.small_clause(rng, rng.randint(1, 4))
+            lits = list(s.literals)
+            rng.shuffle(lits)
+            s = Clause(tuple(lits))
+            for general, specific in ((g, s), (s, g)):
+                injective = list(itertools.permutations(range(len(specific)),
+                                                        len(general)))
+                want = bool(injective) and any(
+                    any(all(image is specific[j]
+                            for image, j in zip(images, positions))
+                        for positions in injective)
+                    for images in (
+                        [_ref_apply(sigma, lit) for lit in general]
+                        for sigma in _substitutions(general, specific)))
+                assert terms.subsumes(general, specific) == want, \
+                    (general, specific)
+                counts[want] += 1
+        assert counts[True] > 200 and counts[False] > 200
 
 
 # ---------------------------------------------------------------------------
