@@ -177,9 +177,10 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
     Under count-KBO none is built only to be rejected: a lighter atom is
     always below and a heavier one never; at ``below``'s own weight the
     predicates after its head are skipped, and its argument tuples are cut
-    off at the first argument above the matching one of ``below``.  Ground
-    LPO does not order by weight, so there every atom of the weight is
-    built and compared; its bounds have no proper function symbols.
+    at ``below``'s by the positions of its arguments in the ascending term
+    lists, so no term is compared.  Ground LPO does not order by weight,
+    so there every atom of the weight is built and compared; its bounds
+    have no proper function symbols.
 
     With ``above``, under count-KBO only, only the atoms not below it: the
     inclusive lower cut that mirrors ``below``, which skips the predicates
@@ -200,8 +201,7 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
         return []
     out: list[Atom] = []
     for name, arity in _symbols(signature, _memo, ordering)[1]:
-        if fills is not None \
-                and not _fills(weight - 1, arity, fills.functions, fills):
+        if fills is not None and not _fills(weight - 1, arity, fills):
             continue
         args_below = args_above = None
         if weight == kbo_limit:
@@ -225,8 +225,11 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
 
 
 def _by_precedence(symbols, ordering) -> list[tuple[str, int]]:
-    return sorted(symbols, key=functools.cmp_to_key(
-        lambda f, g: ordering.precedence.compare(f[0], g[0])))
+    rank = ordering.precedence.rank
+    try:
+        return sorted(symbols, key=lambda symbol: rank[symbol[0]])
+    except KeyError as exc:
+        raise OrderingConfigError(f"symbol {exc.args[0]} not in precedence")
 
 
 def _symbols(signature: Signature, memo: dict, ordering) -> tuple:
@@ -248,49 +251,114 @@ def _arg_tuples(signature: Signature, total: int, arity: int, memo,
     only those lexicographically below it under count-KBO, and with
     ``above``, another such tuple, only those not below it.
 
-    Memoized without the cuts, so a weight split that no terms can fill is
-    found empty once, not once per choice of the arguments before it.  A
-    list built under a cut never enters the memo.
+    Memoized without the cuts, and built arity by arity: the list of
+    ``arity`` terms reads those of ``arity - 1`` terms with each total it
+    can leave, so every list is built once, and nothing recurses once per
+    argument position.  A list built under a cut never enters the memo.
     """
+    if below is not None or above is not None:
+        return _cut_tuples(signature, total, arity, memo, ordering, below,
+                           above)
     if arity == 0:
-        return [()] if total == 0 and below is None else []
-    key = (total, arity)
-    uncut = below is None and above is None
-    if uncut and key in memo:
-        return memo[key]
-    out: list[tuple] = []
-    for w in range(1, total - arity + 2):
-        for first in ground_terms_of_weight(signature, w, memo, ordering):
-            rest_below = rest_above = None
-            if above is not None:
-                c = ordering.compare_terms(first, above[0])
-                if c < 0:
+        return [()] if total == 0 else []
+    if total < arity:  # every term has a symbol
+        return []
+    tuples = memo.get((total, arity))
+    if tuples is None:
+        extra = total - arity
+        for k in range(1, arity + 1):
+            for t in range(k, k + extra + 1):
+                if (t, k) in memo:
                     continue
-                if c == 0:
-                    rest_above = above[1:]
-            if below is not None:
-                c = ordering.compare_terms(first, below[0])
-                if c > 0:
-                    return out
-                if c == 0:
-                    rest_below = below[1:]
-            out += [(first,) + tail
-                    for tail in _arg_tuples(signature, total - w, arity - 1,
-                                            memo, ordering, rest_below,
-                                            rest_above)]
-    if uncut:
-        memo[key] = out
+                if k == 1:
+                    memo[t, 1] = [(x,) for x in ground_terms_of_weight(
+                        signature, t, memo, ordering)]
+                else:
+                    memo[t, k] = [
+                        (first,) + tail for w in range(1, t - k + 2)
+                        for first in ground_terms_of_weight(
+                            signature, w, memo, ordering)
+                        for tail in memo[t - w, k - 1]]
+        tuples = memo[total, arity]
+    return tuples
+
+
+def _cut_tuples(signature: Signature, total: int, arity: int, memo,
+                ordering, below: Optional[tuple],
+                above: Optional[tuple]) -> list[tuple]:
+    """``_arg_tuples`` with a cut, under count-KBO.
+
+    The tuples below ``below`` are, in ascending order, for each position
+    ``i``, those that agree with it before ``i`` and hold a smaller term
+    at ``i``.  The tuples from ``above`` on are ``above`` itself and then,
+    for each position ``i`` from the last, those that agree with it before
+    ``i`` and hold a larger term at ``i``.  ``_tuples_between`` finds
+    those terms by position, so no terms are compared.
+    """
+    if below is None:
+        out, rests = [above], [total]
+        for x in above[:-1]:
+            rests.append(rests[-1] - symbol_count(x))
+        for i in range(arity - 1, -1, -1):
+            out += _tuples_between(signature, memo, ordering, above[:i],
+                                   above[i], None, rests[i], arity - i - 1)
+        return out
+    constants = ground_terms_of_weight(signature, 1, memo, ordering)
+    if not constants or below.count(constants[0]) == arity:
+        return []  # the least tuple, so nothing is below it
+    out, rest = [], total
+    for i, hi in enumerate(below):
+        out += _tuples_between(signature, memo, ordering, below[:i], None,
+                               hi, rest, arity - i - 1)
+        rest -= symbol_count(hi)
+    if above is not None:
+        # both cuts at one weight, so a Grow within one weight and
+        # predicate: the tuples from ``above`` on, if it is below ``below``
+        try:
+            out = out[out.index(above):]
+        except ValueError:
+            return []
+    return out
+
+
+def _tuples_between(signature: Signature, memo, ordering, prefix: tuple,
+                    lo, hi, rest: int, left: int) -> list[tuple]:
+    """The tuples ``prefix + (x,) + tail``, ascending, with ``x`` a ground
+    term strictly between ``lo`` and ``hi`` under count-KBO (either may be
+    None, for no limit) and ``tail`` any ``left`` terms with what is left
+    of ``rest`` symbols.  ``ground_terms_of_weight`` lists each weight's
+    terms ascending and terms are shared, so the weights between those of
+    ``lo`` and ``hi`` are taken whole and theirs are cut at their
+    positions."""
+    low = 1 if lo is None else symbol_count(lo)
+    high = rest - left if hi is None else symbol_count(hi)
+    out: list[tuple] = []
+    for w in range(low, high + 1):
+        xs = ground_terms_of_weight(signature, w, memo, ordering)
+        start = xs.index(lo) + 1 if w == low and lo is not None else 0
+        stop = xs.index(hi) if w == high and hi is not None else len(xs)
+        if start < stop:
+            tails = _arg_tuples(signature, rest - w, left, memo, ordering)
+            for x in xs[start:stop]:
+                head = prefix + (x,)
+                out += [head + tail for tail in tails]
     return out
 
 
 class _Fills(dict):
-    """The answers of ``_fills`` for one signature and ordering, by
-    ``(total, arity)``, with the function symbols and the predicates, each
-    in ascending precedence, as ``_symbols`` gives them."""
+    """What is found out about one signature and ordering to build the
+    largest atom of a weight: the function symbols and the predicates,
+    each in ascending precedence, as ``_symbols`` gives them; which sums
+    of the proper functions' arities occur (see ``_fills``); and, by
+    ``(total, arity)``, the answers of ``_largest_args``."""
 
     def __init__(self, functions: list, predicates: list):
         super().__init__()
         self.functions, self.predicates = functions, predicates
+        arities = {k for _, k in functions}
+        self.has_constant = 0 in arities
+        self.arities = sorted(arities - {0})
+        self.sums = [True]  # n -> is n a sum of proper arities
 
 
 def largest_atom_of_weight(signature: Signature, weight: int,
@@ -304,52 +372,62 @@ def largest_atom_of_weight(signature: Signature, weight: int,
     the heaviest, and then largest, term that leaves a weight the remaining
     arguments can fill.  ``_memo`` keeps what is found out about the
     signature across calls: a bound's ``fills``, which the bounds grown
-    from it share, so a run sorts the symbols and answers each ``_fills``
-    question once.
+    from it share, so a run sorts the symbols and builds each argument
+    tuple once.
     """
-    memo = _Fills(*_symbols(signature, {}, ordering)) if _memo is None \
+    fills = _Fills(*_symbols(signature, {}, ordering)) if _memo is None \
         else _memo
-    functions = memo.functions
-    for name, arity in reversed(memo.predicates):
-        if _fills(weight - 1, arity, functions, memo):
-            return Atom(name, _largest_args(weight - 1, arity, functions,
-                                            memo))
+    for name, arity in reversed(fills.predicates):
+        if _fills(weight - 1, arity, fills):
+            return Atom(name, _largest_args(weight - 1, arity, fills))
     return None
 
 
-def _fills(total: int, arity: int, functions, memo: dict) -> bool:
-    """Do some ``arity`` ground terms over ``functions`` have ``total``
-    symbols between them?  One term does when some head's arguments fill
-    the rest.  ``memo`` keeps the answers."""
+def _fills(total: int, arity: int, fills: _Fills) -> bool:
+    """Do some ``arity`` ground terms over ``fills.functions`` have
+    ``total`` symbols between them?
+
+    A ground term whose function symbols of arity at least one have
+    arities ``k1, ..., km`` has ``1 + k1 + ... + km`` symbols, and every
+    such sum occurs (nest the functions, filling the other arguments with
+    a constant).  So ``arity`` terms fill ``total`` when ``total - arity``
+    is a sum of proper arities.  Without a proper function only 0 is, as
+    in Bernays-Schoenfinkel problems; with a unary one every number is.
+    Otherwise the sums are found once, in ascending order, in
+    ``fills.sums``.
+    """
     if arity == 0:
         return total == 0
-    if total < arity:  # every term has a symbol
+    extra = total - arity
+    if extra < 0 or not fills.has_constant:
         return False
-    key = (total, arity)
-    if key not in memo:
-        if arity == 1:
-            memo[key] = any(_fills(total - 1, k, functions, memo)
-                            for _, k in functions)
-        else:
-            memo[key] = any(_fills(w, 1, functions, memo)
-                            and _fills(total - w, arity - 1, functions, memo)
-                            for w in range(1, total - arity + 2))
-    return memo[key]
+    arities = fills.arities
+    if not arities:
+        return extra == 0
+    if arities[0] == 1:
+        return True
+    sums = fills.sums
+    while len(sums) <= extra:
+        n = len(sums)
+        sums.append(any(sums[n - k] for k in arities if k <= n))
+    return sums[extra]
 
 
-def _largest_args(total: int, arity: int, functions, memo: dict) -> tuple:
+def _largest_args(total: int, arity: int, fills: _Fills) -> tuple:
     """The lexicographically largest ``arity`` ground terms with ``total``
-    symbols between them; ``functions`` in ascending precedence."""
-    args = []
-    for left in range(arity - 1, -1, -1):
-        w = next(w for w in range(total - left, 0, -1)
-                 if _fills(w, 1, functions, memo)
-                 and _fills(total - w, left, functions, memo))
-        name, k = next((n, k) for n, k in reversed(functions)
-                       if _fills(w - 1, k, functions, memo))
-        args.append(Fn(name, _largest_args(w - 1, k, functions, memo)))
-        total -= w
-    return tuple(args)
+    symbols between them; kept in ``fills``."""
+    args = fills.get((total, arity))
+    if args is None:
+        functions, args, rest = fills.functions, [], total
+        for left in range(arity - 1, -1, -1):
+            w = next(w for w in range(rest - left, 0, -1)
+                     if _fills(w, 1, fills) and _fills(rest - w, left, fills))
+            name, k = next((n, k) for n, k in reversed(functions)
+                           if _fills(w - 1, k, fills))
+            args.append(Fn(name, _largest_args(w - 1, k, fills)))
+            rest -= w
+        args = fills[total, arity] = tuple(args)
+    return args
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,35 @@ def test_each_term_is_built_once_per_run(monkeypatch):
             f"{atom}: {n} times" for atom, n in returned.items() if n > 1]
 
 
+def test_bound_setup_compares_no_terms(monkeypatch, bs_corpus):
+    # count-KBO lists each weight's terms in ascending order, so the
+    # enumeration cuts argument tuples at the cut terms' positions: no
+    # terms are compared while a bound is built, afresh or by a Grow
+    calls = Counter()
+    building = []
+    compare_terms = orderings.CountKBO.compare_terms
+    bound_init = orderings.Bound.__init__
+
+    def counted_compare(ordering, s, t):
+        calls["building a bound" if building else "elsewhere"] += 1
+        return compare_terms(ordering, s, t)
+
+    def tracked_init(bound, *args, **kwargs):
+        building.append(bound)
+        try:
+            bound_init(bound, *args, **kwargs)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(orderings.CountKBO, "compare_terms", counted_compare)
+    monkeypatch.setattr(orderings.Bound, "__init__", tracked_init)
+    for clauses in bs_corpus[:50]:
+        run(clauses, RunConfig(max_steps=50_000))
+    for parsed, cfg in _grow_fn_runs(20):
+        run(parsed.clauses, cfg, parsed.names)
+    assert calls["elsewhere"] > 0 and calls["building a bound"] == 0, calls
+
+
 def test_random_heuristic_trace_fingerprint(bs_corpus):
     cfg = RunConfig(heuristic="random", check="invariants", max_steps=50_000)
     results = [run(clauses, cfg) for clauses in bs_corpus[:100]]

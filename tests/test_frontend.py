@@ -750,6 +750,36 @@ class TestCli:
             assert "Traceback" not in captured.err
             assert f"nested more than {MAX_TERM_DEPTH} deep" in captured.err
 
+    @pytest.mark.parametrize("text, flags", [
+        ("P(a) | Q(b)\n~P(a)\n", ["--beta-weight", "500"]),
+        ("P(a,b) | Q(b)\n~P(a,b)\n", ["--beta", f"R({'a,' * 1200}b)"])],
+        ids=["synthesized", "explicit"])
+    def test_wide_bounds_set_up(self, tmp_path, capsys, text, flags):
+        # a bound of hundreds of arguments: nothing in bound setup recurses
+        # once per argument position, and the model checks again
+        problem = tmp_path / "wide.native"
+        problem.write_text(text)
+        model = tmp_path / "wide.model"
+        assert main(["--input", str(problem), "--format", "native", *flags,
+                     "--model", str(model)]) == 1
+        assert main(["check-model", "--input", str(problem), "--format",
+                     "native", "--model", str(model)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "MODEL OK"
+
+    def test_grow_past_a_wide_bound_finds_no_heavier_atom(self, tmp_path,
+                                                          capsys):
+        # over constants alone R's atoms all weigh what beta weighs, so a
+        # Grow finds the signature exhausted and the run ends satisfiable
+        # within the bound it has
+        problem = tmp_path / "wide.native"
+        problem.write_text("P(a,b) | Q(b)\n~P(a,b)\n")
+        assert main(["--input", str(problem), "--format", "native",
+                     "--beta", f"R({'a,' * 1200}b)", "--grow", "2",
+                     "--stats"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "SATISFIABLE-BOUNDED"
+        assert "growths=0" in out
+
     @pytest.mark.parametrize("command,flag", [
         ([], "--input"), (["check-proof"], "--proof"),
         (["check-model"], "--model")])

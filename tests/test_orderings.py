@@ -13,13 +13,15 @@ from sclfol.calculus import (
     propagation_candidates, reasonable_decisions,
 )
 from sclfol.orderings import (
-    Bound, EnumerationCapExceeded, OrderingConfigError, Precedence,
+    Bound, CountKBO, EnumerationCapExceeded, OrderingConfigError, Precedence,
     TrailOrder, bounded_codes, bounded_groundings, bounded_instances,
     ground_atoms_of_weight, ground_terms_of_weight, grounding_of,
     make_ordering,
 )
 from sclfol.state import Decision, ProblemState, Trail, TrailEntry
-from sclfol.strategy import RunConfig, SignatureExhausted, next_beta, run
+from sclfol.strategy import (
+    RunConfig, SignatureExhausted, configure_bound, next_beta, run,
+)
 from sclfol.terms import (
     Atom, Clause, Fn, Literal, Signature, Subst, Var, apply, match,
     symbol_count, variables_of,
@@ -290,6 +292,112 @@ def _bruteforce_next_beta(atoms, beta, cmp, kind):
     lightest = min(map(symbol_count, heavier))
     return max((a for a in heavier if symbol_count(a) == lightest),
                key=functools.cmp_to_key(cmp))
+
+
+def _bruteforce_below(sig, beta, ordering):
+    """Every atom over ``sig`` below ``beta`` under count-KBO, ascending,
+    found by comparing each atom of at most ``beta``'s symbol count."""
+    cmp = ordering.compare_atoms
+    return tuple(sorted((a for a in _bruteforce_atoms(sig, symbol_count(beta))
+                         if cmp(a, beta) < 0), key=functools.cmp_to_key(cmp)))
+
+
+class TestBoundSetup:
+    @pytest.mark.parametrize("functions", [
+        (), ("a",), ("a", "b"), ("a", "f"), ("a", "g"), ("a", "b", "g", "h"),
+        ("a", "f", "g"), ("f", "g")],
+        ids=lambda names: "".join(names) or "none")
+    def test_fills_agrees_with_bruteforce(self, functions):
+        # constants only (the closed form), a unary function (every weight
+        # from 1 up), binary and ternary ones alone (only some weights) and
+        # no constant (no ground term); the questions come in a seeded
+        # random order, so the kept sums grow out of order
+        arities = {"a": 0, "b": 0, "f": 1, "g": 2, "h": 3}
+        sig = Signature((("P", 1),),
+                        tuple((name, arities[name]) for name in functions))
+        # the weights of the ground terms, built up as f(t1, ..., tk)
+        # weighs 1 plus the weights of t1, ..., tk
+        weights = {1} if sig.constants else set()
+        for _ in range(12):
+            weights |= {1 + sum(ws) for _, k in sig.functions if k
+                        for ws in itertools.product(weights, repeat=k)
+                        if 1 + sum(ws) <= 12}
+        fills = orderings._Fills(*orderings._symbols(
+            sig, {}, CountKBO(Precedence.default_for(sig))))
+        questions = [(total, arity)
+                     for total in range(13) for arity in range(5)]
+        random.Random(20261021).shuffle(questions)
+        sums = {arity: {sum(ws) for ws in itertools.product(weights,
+                                                            repeat=arity)}
+                for arity in range(5)}
+        for total, arity in questions:
+            assert orderings._fills(total, arity, fills) == \
+                (total in sums[arity]), (functions, total, arity)
+
+    def test_grow_chains_agree_with_fresh_bounds_and_bruteforce(self):
+        # three count-KBO Grows to next_beta from betas of at most three
+        # symbols: each grown bound holds the atoms of a fresh bound of
+        # its beta, and those that brute force puts below it; so the cuts
+        # by position see the largest atoms of their weights, which
+        # _random_bounds does not draw
+        rng = random.Random(20261022)
+        grown = 0
+        for _ in range(100):
+            sig = Signature(
+                tuple((f"P{i}", rng.randint(0, 2))
+                      for i in range(rng.randint(1, 2))),
+                tuple((c, 0) for c in "ab"[:rng.randint(1, 2)])
+                + rng.choice([(), (("f", 1),), (("g", 2),),
+                              (("f", 1), ("g", 2))]))
+            symbols = list(sig.symbols())
+            rng.shuffle(symbols)
+            ordering = make_ordering("kbo", Precedence(symbols))
+            beta = rng.choice(_bruteforce_atoms(sig, 3))
+            bound = Bound(Literal(beta), ordering, sig)
+            for _ in range(3):
+                try:
+                    beta2 = next_beta(bound)
+                except SignatureExhausted:
+                    break
+                bound = bound.grow_to(beta2)
+                context = f"{symbols} {sig} {beta} -> {beta2}"
+                assert bound.atoms_below() == \
+                    Bound(beta2, ordering, sig).atoms_below() == \
+                    _bruteforce_below(sig, beta2.atom, ordering), context
+                grown += 1
+        assert grown > 100, grown
+
+    def test_synthesized_bounds_agree_with_bruteforce(self):
+        # configure_bound at beta weights 5-12 on random clause sets over
+        # constants, under the default and under a random precedence: its
+        # atoms are those brute force puts below the synthesized beta,
+        # whose fresh predicate takes the least constant everywhere, so
+        # none of that predicate's atoms is below it.  Up to 10^4 atoms of
+        # the fresh predicate are compared one by one.
+        rng = random.Random(20261023)
+        for case in range(40):
+            sig = Signature(
+                tuple((f"P{i}", rng.randint(0, 3))
+                      for i in range(rng.randint(1, 3))),
+                tuple((c, 0) for c in "abc"[:rng.randint(1, 3)]))
+            weight = rng.randint(5, 8 if len(sig.constants) == 3 else 12)
+            clauses = [_random_clause(rng, sig) for _ in range(3)]
+            symbols = sorted({s for c in clauses
+                              for s in Signature.from_clauses([c]).symbols()})
+            rng.shuffle(symbols)
+            cfg = RunConfig(beta_weight=weight,
+                            precedence=symbols if case % 2 else None)
+            bound = configure_bound(clauses, cfg)
+            assert bound.atoms_below() == _bruteforce_below(
+                bound.signature, bound.beta.atom, bound.ordering), \
+                f"{clauses} {cfg}"
+
+    def test_a_symbol_missing_from_the_precedence_is_refused(self):
+        # the symbols are sorted by their ranks in the precedence, which
+        # must hold each of them
+        ordering = make_ordering("kbo", Precedence(["a", "P"]))
+        with pytest.raises(OrderingConfigError, match="symbol g not in"):
+            Bound(lit("P(a)"), ordering, sig_agp())
 
 
 class TestBoundedGroundings:
