@@ -391,22 +391,15 @@ def _fills(total: int, arity: int, fills: _Fills) -> bool:
     arities ``k1, ..., km`` has ``1 + k1 + ... + km`` symbols, and every
     such sum occurs (nest the functions, filling the other arguments with
     a constant).  So ``arity`` terms fill ``total`` when ``total - arity``
-    is a sum of proper arities.  Without a proper function only 0 is, as
-    in Bernays-Schoenfinkel problems; with a unary one every number is.
-    Otherwise the sums are found once, in ascending order, in
-    ``fills.sums``.
+    is a sum of proper arities; the sums are found once, in ascending
+    order, in ``fills.sums``.
     """
     if arity == 0:
         return total == 0
     extra = total - arity
     if extra < 0 or not fills.has_constant:
         return False
-    arities = fills.arities
-    if not arities:
-        return extra == 0
-    if arities[0] == 1:
-        return True
-    sums = fills.sums
+    sums, arities = fills.sums, fills.arities
     while len(sums) <= extra:
         n = len(sums)
         sums.append(any(sums[n - k] for k in arities if k <= n))

@@ -143,8 +143,7 @@ BETA_SYMBOL = "betaTop"
 
 
 def default_beta_weight(clauses: Sequence[Clause]) -> int:
-    biggest = max((sum([symbol_count(lit.atom) for lit in c.literals])
-                   for c in clauses if c.literals), default=1)
+    biggest = max((symbol_count(c) for c in clauses if len(c) > 0), default=1)
     return biggest + 2
 
 

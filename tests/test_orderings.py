@@ -308,8 +308,8 @@ class TestBoundSetup:
         ("a", "f", "g"), ("f", "g")],
         ids=lambda names: "".join(names) or "none")
     def test_fills_agrees_with_bruteforce(self, functions):
-        # constants only (the closed form), a unary function (every weight
-        # from 1 up), binary and ternary ones alone (only some weights) and
+        # constants only (one weight), a unary function (every weight from
+        # 1 up), binary and ternary ones alone (only some weights) and
         # no constant (no ground term); the questions come in a seeded
         # random order, so the kept sums grow out of order
         arities = {"a": 0, "b": 0, "f": 1, "g": 2, "h": 3}
