@@ -36,14 +36,17 @@ The index holds:
   grounding is built for an instance; a candidate is decoded when a search
   yields it, its grounding read off the match tables by
   ``orderings.grounding_of``;
-* the atoms that instantiate a pool literal, each with its first source,
-  by id, read off the literals' match tables.  A Decide walks them and
-  skips the defined atoms; ``first_reasonable_decision`` stops at the
-  first candidate that enables no conflict, which is one whose complement
-  is the undefined literal of no unit.  The walk starts at a cursor, an id
-  below which every sourced atom is defined, and moves it past the defined
-  atoms it starts with.  A sync lowers it to the id of each atom in the
-  entries the new trail drops, and new sources lower it to theirs.
+* the decision sources, a table by atom id: the first source of each atom
+  that instantiates a pool literal, read off the literals' match tables,
+  or ``None``.  A Decide walks it by id, skipping the atoms that are
+  defined or have no source, and builds an atom's two options the first
+  time it yields them, keeping them in the atom's slot.
+  ``first_reasonable_decision`` stops at the first candidate that enables
+  no conflict, which is one whose complement is the undefined literal of
+  no unit.  The walk starts at a cursor, an id below which every sourced
+  atom is defined, and moves it past the atoms it skips at the start.  A
+  sync lowers it to the id of each atom in the entries the new trail
+  drops, and new sources lower it to the least id they source.
 
 When the pool extends the one the index was built for (a learned clause
 is appended), only the new clauses are grounded and matched; any other
@@ -51,22 +54,23 @@ pool rebuilds it.  The index keeps no assignment of its own: it reads
 ``Trail.first`` through the atom of each code, and the entry at that
 position off ``Trail.log``.  A sync collects the instances of the atoms
 of the entries the old and the new trail do not share
-(``Trail.shared_prefix``), sliced off their logs, and files each of them
-again under the new trail, so a step pays for what changed.  Nothing is
-counted, so returning to an earlier trail through Skip or Backtrack takes
-nothing back: it files the same instances again.
+(``Trail.shared_prefix``), sliced off their logs, and files them again
+under the new trail in one loop, which also files an extension's new
+instances, so a step pays for what changed.  Nothing is counted, so
+returning to an earlier trail through Skip or Backtrack takes nothing
+back: it files the same instances again.
 
 The index holds no reference to its bound, and a Grow hands its decision
 sources on (``GroundIndex.grown``): every atom below the old bound is below
 the new one, and its first source depends on the pool alone.  The grown
 bound's atoms begin with the old ones under either ordering, so every atom
-keeps its id, and the grown index keeps the old sources and the atoms
-still without one, which only a clause learned later can source; it
-sources only the new atoms from the pool.  The grown bound also takes over
-the match tables (``Bound.grow_to``), so a run matches each pool literal
-against each atom once and walks the pool's groundings afresh on each
-bound.  The old index is not kept.  None of this changes which candidates
-come out, or in which order.
+keeps its id.  The grown index copies the table, options built so far
+included, and sources only the new atoms from the pool; an old atom
+without a source gets one only from a clause learned later.  The grown
+bound also takes over the match tables (``Bound.grow_to``), so a run
+matches each pool literal against each atom once and walks the pool's
+groundings afresh on each bound.  The old index is not kept.  None of this
+changes which candidates come out, or in which order.
 """
 
 from __future__ import annotations
@@ -363,7 +367,7 @@ class PropagationOption:
     literal: Literal  # the ground literal that would go on the trail
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecideOption:
     clause: Clause
     lit_index: int
@@ -379,14 +383,20 @@ class GroundIndex:
     holds no reference to the bound; the methods that need it are passed
     it.
 
+    ``sources`` is indexed by atom id: ``None`` for an atom that no pool
+    literal instantiates, else the atom's first source, as its pool clause,
+    the literal's position in it and the images of the literal's variables
+    (``variables_in_order``), until a decide walk first yields the atom and
+    puts its two ``DecideOption``s there, positive first.  It ends at the
+    last sourced atom.
+
     ``extend`` adds the clauses appended to the pool; ``sync`` files the
     instances again under another trail, which must be consistent;
     ``grown`` hands the decision sources to the index of a grown bound.
     """
 
-    def __init__(self, bound, unsourced: Optional[bytearray] = None):
-        """The empty index of ``bound``, whose atoms without a decision
-        source are ``unsourced``, by default all of them."""
+    def __init__(self, bound):
+        """The empty index of ``bound``."""
         self.atoms: tuple[Atom, ...] = bound.atoms_below()  # by id
         self.atom_id: dict[Atom, int] = bound.atom_id
         self.pool: tuple[Clause, ...] = ()  # the pool sources are taken from
@@ -402,12 +412,8 @@ class GroundIndex:
         self.trail = Trail()  # the trail the instances are filed under
         # the initial and learned clauses of the state last synced to
         self.parts: tuple = (None, None)
-        # 1 at the id of each atom with no source
-        self.unsourced = unsourced if unsourced is not None \
-            else bytearray(b"\1") * len(self.atoms)
-        # (id, atom, its positive and its negative option), by id
-        self.sources: list[tuple[int, Atom, DecideOption, DecideOption]] = []
-        # no atom of a source with a lower id is undefined under
+        self.sources: list = []
+        # no atom with a source and a lower id is undefined under
         # ``self.trail``
         self.cursor = 0
 
@@ -415,55 +421,35 @@ class GroundIndex:
         """The empty index of ``bound``, grown from ``parent``, the bound of
         this index, with this index's decision sources.  The atoms below
         ``bound`` begin with those below ``parent`` (see ``Bound``), which
-        keep their ids and their sources, or stay unsourced for the clauses
-        appended later; only the new atoms are sourced, from the rows of
-        the pool literals' match tables.
+        keep their ids and their slots, options built so far included, or
+        stay unsourced for the clauses appended later; only the new atoms
+        are sourced, from the rows of the pool literals' match tables.
         """
-        atoms, old = bound.atoms_below(), parent.atoms_below()
-        index = GroundIndex(bound, self.unsourced
-                            + bytearray(b"\1") * (len(atoms) - len(old)))
-        index.pool = self.pool
-        index.sources = self.sources
-        found = []
+        index = GroundIndex(bound)
+        index.pool, index.sources = self.pool, list(self.sources)
         for clause in self.pool:
-            found += _source(clause, index.unsourced, bound, len(old))
-        index._add_sources(found)
+            _source(clause, index.sources, bound, len(parent.atoms_below()))
         return index
 
     def extend(self, pool: tuple[Clause, ...], bound):
-        found = []
         for clause in pool[len(self.pool):]:
-            found += _source(clause, self.unsourced, bound)
-        self._add_sources(found)
-        on_empty = not self.trail
-        occurrences = self.occurrences
+            self.cursor = min(self.cursor,
+                              _source(clause, self.sources, bound))
+        instances, occurrences = self.instances, self.occurrences
+        start = i = len(instances)
         for clause in pool[self.grounded:]:
             for codes in bounded_codes(clause, bound):
-                i = len(self.instances)
                 distinct = tuple(dict.fromkeys(codes))
-                self.instances.append((clause, codes))
+                instances.append((clause, codes))
                 self.distinct.append(distinct)
                 for code in distinct:
                     occurrences.setdefault(code >> 1, []).append(i)
-                if not on_empty:
-                    self._file(i)
-                elif len(distinct) == 1:  # every literal is undefined
-                    self.units[i] = distinct[0]
-                    self.awaiting[distinct[0]] += 1
-                elif not distinct:
-                    self.falsified.add(i)
+                i += 1
+        self._file(range(start, i))
         self.pool = pool
         self.grounded = len(pool)
 
-    def _add_sources(self, found: list):
-        if not found:
-            return
-        self.sources = sorted(self.sources + found, key=_atom_id)
-        self.cursor = min(self.cursor, min(map(_atom_id, found)))
-
     def sync(self, trail: Trail):
-        if trail is self.trail:
-            return
         old = self.trail
         shared = old.shared_prefix(trail)
         # the entries after the shared ones, sliced off each trail's log
@@ -479,79 +465,75 @@ class GroundIndex:
             if i is not None and i < self.cursor:
                 self.cursor = i
         self.trail = trail
-        for i in touched:
-            self._file(i)
+        self._file(touched)
 
-    def _file(self, i: int):
-        """Files instance ``i`` as a unit, as false, or neither, by the
-        truth values of its distinct literals under ``self.trail``."""
+    def _file(self, touched):
+        """Files each instance numbered in ``touched`` as a unit, as false,
+        or neither, by the truth values of its distinct literals under
+        ``self.trail``."""
+        if not touched:
+            return
         # ``first`` before ``log``: it moves a trail shorter than its log
-        # to a log of its own
+        # to a log of its own, which a sync that touches nothing skips
         first, entries = self.trail.first, self.trail.log
-        atoms = self.atoms
-        undefined = []
-        for code in self.distinct[i]:
-            pos = first.get(atoms[code >> 1])
-            if pos is None:
-                undefined.append(code)
-            elif entries[pos].literal.positive == (not code & 1):
-                undefined = None  # a true literal: neither
-                break
-        old = self.units.pop(i, None)
-        if old is not None:
-            self.awaiting[old] -= 1
-        if undefined is not None and len(undefined) == 1:
-            self.units[i] = undefined[0]
-            self.awaiting[undefined[0]] += 1
-        if undefined == []:
-            self.falsified.add(i)
-        else:
-            self.falsified.discard(i)
+        atoms, distinct = self.atoms, self.distinct
+        units, awaiting, falsified = self.units, self.awaiting, self.falsified
+        for i in touched:
+            undefined = []
+            for code in distinct[i]:
+                pos = first.get(atoms[code >> 1])
+                if pos is None:
+                    undefined.append(code)
+                elif entries[pos].literal.positive == (not code & 1):
+                    undefined = None  # a true literal: neither
+                    break
+            old = units.pop(i, None)
+            if old is not None:
+                awaiting[old] -= 1
+            if undefined == []:
+                falsified.add(i)
+            else:
+                falsified.discard(i)
+                if undefined and len(undefined) == 1:
+                    units[i] = undefined[0]
+                    awaiting[undefined[0]] += 1
 
 
-def _source(clause: Clause, unsourced: bytearray, bound,
-            first: int = 0) -> list:
-    """Makes ``clause`` the first source of the ``unsourced`` atoms from id
-    ``first`` on that its literals match, by their ``atom_matches``, and
-    marks them sourced; returns their source entries."""
-    found = []
-    atoms = bound.atoms_below()
+def _source(clause: Clause, sources: list, bound, first: int = 0) -> int:
+    """Makes ``clause`` the first source of the atoms from id ``first`` on
+    that its literals match, by their ``atom_matches``, and that have no
+    source in ``sources``, which it lengthens to the last of them; returns
+    the least id it sources, or ``len(sources)``."""
+    least = len(sources)
     for q, lit in enumerate(clause.literals):
         table = atom_matches(lit.atom, bound)
-        variables = None
+        if table and table[-1][0] >= len(sources):
+            sources += [None] * (table[-1][0] + 1 - len(sources))
         for i, images in islice(table, bisect.bisect_left(
                 table, first, key=_atom_id), None):
-            if not unsourced[i]:
-                continue
-            unsourced[i] = 0
-            if variables is None:
-                variables = variables_in_order(lit.atom)
-            m = Subst(dict(zip(variables, images)))
-            found.append((i, atoms[i],
-                          DecideOption(clause, q, m, not lit.positive,
-                                       Literal(atoms[i], True)),
-                          DecideOption(clause, q, m, lit.positive,
-                                       Literal(atoms[i], False))))
-    return found
+            if sources[i] is None:
+                sources[i] = (clause, q, images)
+                if i < least:
+                    least = i
+    return least
 
 
 def _ground_index(state: ProblemState) -> GroundIndex:
     """The bound's index, extended to the state's pool and synced to its
     trail; rebuilt when the pool does not extend the one it was built
-    for.  Taken as it is when it was last synced to the same trail,
-    initial and learned clauses."""
+    for.  Only synced when it was last synced to the same initial and
+    learned clauses, and taken as it is when also to the same trail."""
     index = state.bound.ground_index
-    if index is not None and index.trail is state.trail \
-            and index.parts[0] is state.initial \
-            and index.parts[1] is state.learned:
-        return index
-    pool = state.pool
-    if index is None or pool[:len(index.pool)] != index.pool:
-        index = state.bound.ground_index = GroundIndex(state.bound)
-    if len(pool) > index.grounded:
-        index.extend(pool, state.bound)
-    index.sync(state.trail)
-    index.parts = (state.initial, state.learned)
+    if index is None or index.parts[0] is not state.initial \
+            or index.parts[1] is not state.learned:
+        pool = state.pool
+        if index is None or pool[:len(index.pool)] != index.pool:
+            index = state.bound.ground_index = GroundIndex(state.bound)
+        if len(pool) > index.grounded:
+            index.extend(pool, state.bound)
+        index.parts = (state.initial, state.learned)
+    if index.trail is not state.trail:
+        index.sync(state.trail)
     return index
 
 
@@ -596,26 +578,34 @@ def propagation_candidates(state: ProblemState,
 
 def _decide_options(state: ProblemState,
                     avoid: tuple[str, ...]) -> Iterator[DecideOption]:
-    """The options of the sources of undefined atoms, in order.  The walk
-    starts at the index's cursor, and moves it past the defined atoms it
-    starts with."""
+    """The options of the sourced undefined atoms, in id order, each pair
+    built from its source the first time it is yielded and kept in its
+    slot.  The walk starts at the index's cursor, and moves it past the
+    atoms it starts with that are defined or have no source."""
     index = _ground_index(state)
-    sources, defined = index.sources, state.trail.first
-    j = bisect.bisect_left(sources, index.cursor, key=_atom_id)
-    while j < len(sources) and sources[j][1] in defined:
+    sources, atoms, defined = index.sources, index.atoms, state.trail.first
+    j, n = index.cursor, len(sources)
+    while j < n and (sources[j] is None or atoms[j] in defined):
         j += 1
-    if j:
-        index.cursor = sources[j - 1][0] + 1
-    return _undefined_options(sources, j, defined, avoid)
-
-
-def _undefined_options(sources: list, j: int, defined: dict,
-                       avoid: tuple[str, ...]) -> Iterator[DecideOption]:
-    for j in range(j, len(sources)):
-        _, atom, positive, negative = sources[j]
-        if atom.pred not in avoid and atom not in defined:
-            yield positive
-            yield negative
+    index.cursor = j
+    for j in range(j, n):
+        slot = sources[j]
+        if slot is None:
+            continue
+        atom = atoms[j]
+        if atom.pred in avoid or atom in defined:
+            continue
+        if len(slot) == 3:  # (pool clause, literal index, images)
+            clause, q, images = slot
+            lit = clause[q]
+            m = Subst._of(dict(zip(variables_in_order(lit.atom), images)))
+            slot = sources[j] = (
+                DecideOption(clause, q, m, not lit.positive,
+                             Literal(atom, True)),
+                DecideOption(clause, q, m, lit.positive,
+                             Literal(atom, False)))
+        yield slot[0]
+        yield slot[1]
 
 
 def decision_candidates(state: ProblemState,

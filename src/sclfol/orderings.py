@@ -676,16 +676,25 @@ def _walk_codes(q: int, images: tuple, codes: tuple[int, ...], steps: list,
     extend the one taking its first ``q`` literals to ``codes`` and the
     variables they hold, in first-occurrence order, to ``images``.
     ``steps`` holds each literal's sign bit, the positions in ``images`` of
-    its earlier variables, and its rows by their images there."""
-    if len(out) > bound.cap:
-        raise EnumerationCapExceeded(bound.cap, f"groundings of {clause}")
-    if q == len(steps):
+    its earlier variables, and its rows by their images there.  The cap
+    is tested on entry and, at the last literal, before each grounding."""
+    cap = bound.cap
+    if len(out) > cap:
+        raise EnumerationCapExceeded(cap, f"groundings of {clause}")
+    if q == len(steps):  # the empty clause
         out.append(codes)
         return
     sign, slots, rows = steps[q]
-    for i, new in rows.get(tuple([images[s] for s in slots]), ()):
-        _walk_codes(q + 1, images + new, codes + (2 * i + sign,), steps,
-                    clause, bound, out)
+    matched = rows.get(tuple([images[s] for s in slots]), ())
+    if q + 1 < len(steps):
+        for i, new in matched:
+            _walk_codes(q + 1, images + new, codes + (2 * i + sign,), steps,
+                        clause, bound, out)
+        return
+    for i, _ in matched:  # the last literal: each row is a grounding
+        if len(out) > cap:
+            raise EnumerationCapExceeded(cap, f"groundings of {clause}")
+        out.append(codes + (2 * i + sign,))
 
 
 def grounding_of(clause: Clause, codes: tuple[int, ...],

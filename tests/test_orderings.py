@@ -24,7 +24,7 @@ from sclfol.strategy import (
 )
 from sclfol.terms import (
     Atom, Clause, Fn, Literal, Signature, Subst, Var, apply, match,
-    symbol_count, variables_of,
+    symbol_count, variables_in_order, variables_of,
 )
 
 
@@ -550,6 +550,89 @@ class TestBoundedGroundings:
             f"{clause} below {bound.beta}: {n} walks"
             for (bound, clause), n in walks.items() if n > 1]
 
+    def test_cap_check_matches_the_recursive_walk(self, monkeypatch):
+        # the walk adds its last literal's rows in a loop and tests the cap
+        # before each; it raises for exactly the caps for which the walk
+        # that made one call per grounding raised, on random one-literal,
+        # joined two- and three-literal, ground and empty clauses, with
+        # every cap from 0 to one past the grounding count
+        rng = random.Random(20261022)
+        shapes, last = Counter(), Counter()
+        for kind, ordering, sig, atoms, beta, context in itertools.islice(
+                _random_bounds(), 0, None, 4):
+            bound = Bound(Literal(beta), ordering, sig)
+            below = bound.atoms_below()
+            clauses = [_random_clause(rng, sig) for _ in range(4)] + [
+                Clause(tuple(Literal(rng.choice(below if below and
+                                                rng.random() < 0.8
+                                                else atoms),
+                                     rng.random() < 0.5)
+                             for _ in range(rng.randint(1, 3)))),
+                Clause(())]
+            for clause in clauses:
+                count = len(bounded_codes(clause, bound))
+                if count > 40:
+                    continue
+                shapes[_clause_shape(clause)] += 1
+                for cap in range(count + 2):
+                    monkeypatch.setattr(bound, "cap", cap)
+                    bound._groundings.pop(clause, None)
+                    steps = [(sign, slots, orderings._rows(pattern, shared,
+                                                           bound))
+                             for pattern, sign, shared, slots
+                             in orderings._plan(clause, bound)]
+                    expected = None
+                    try:
+                        _recursive_walk(0, (), (), steps, clause, bound, [])
+                    except EnumerationCapExceeded as e:
+                        expected = str(e)
+                    got = None
+                    try:
+                        bounded_codes(clause, bound)
+                    except EnumerationCapExceeded as e:
+                        got = str(e)
+                    assert got == expected, f"{context}: {clause}, cap {cap}"
+                    if cap == count - 1:  # raised only by a later step
+                        last[got is not None] += 1
+                    else:
+                        assert (got is None) == (cap >= count), \
+                            f"{context}: {clause}, cap {cap}"
+                monkeypatch.undo()
+        assert len(shapes) == 7 and min(shapes.values()) > 5, shapes
+        assert last[True] > 5 and last[False] > 5, last
+
+
+def _clause_shape(clause):
+    """Empty, ground, one literal, or two or three literals joined by a
+    shared variable or not."""
+    if not clause.literals:
+        return "empty"
+    if not variables_of(clause):
+        return "ground"
+    if len(clause) == 1:
+        return "one literal"
+    seen, joined = set(), False
+    for lit in clause.literals:
+        variables = set(variables_in_order(lit.atom))
+        joined = joined or bool(seen & variables)
+        seen |= variables
+    return f"{len(clause)} literals, {'joined' if joined else 'apart'}"
+
+
+def _recursive_walk(q, images, codes, steps, clause, bound, out):
+    """The grounding walk of ``bounded_codes`` as it was with one call per
+    grounding, which tests the cap on entry: the reference for the caps it
+    raises for."""
+    if len(out) > bound.cap:
+        raise EnumerationCapExceeded(bound.cap, f"groundings of {clause}")
+    if q == len(steps):
+        out.append(codes)
+        return
+    sign, slots, rows = steps[q]
+    for i, new in rows.get(tuple([images[s] for s in slots]), ()):
+        _recursive_walk(q + 1, images + new, codes + (2 * i + sign,), steps,
+                        clause, bound, out)
+
 
 class TestDecisionIndex:
     def test_agrees_with_a_scan_of_every_atom(self):
@@ -695,6 +778,18 @@ class TestGroundIndex:
             assert all(instance == apply(sigma, clause)
                        for clause, sigma, instance in decoded), where
 
+    def test_source_table_after_each_extend(self, monkeypatch, bs_corpus):
+        # the decision-source table against a scan after every extend and
+        # Grow, along the random walks above and the first 100 corpus
+        # runs; a learned clause appended after a decide walk sources
+        # atoms below the cursor, which must come down to them
+        cases = _check_source_tables(monkeypatch)
+        self.test_agrees_with_rescans_along_random_walks()
+        for clauses in bs_corpus[:100]:
+            run(clauses, RunConfig(max_steps=50_000))
+        assert cases["extend"] > 100 and cases["sourced below the cursor"] \
+            > 5, cases
+
 
 class TestCarriedGrow:
     def test_grown_index_agrees_with_scans(self):
@@ -741,6 +836,83 @@ class TestCarriedGrow:
                 assert state.bound.atom_id == fresh.atom_id, context
                 grown[kind] += 1
         assert grown["kbo"] > 0 and grown["lpo"] > 0, grown
+
+    def test_source_table_after_each_grow(self, monkeypatch):
+        # the decision-source table against a scan after every extend and
+        # Grow of the walks above: a Grow carries the slots whose options a
+        # decide walk built, and the units learned after it source the
+        # atoms the pool left without a source, some below the cursor
+        cases = _check_source_tables(monkeypatch)
+        self.test_grown_index_agrees_with_scans()
+        assert cases["carried built options"] > 5 and \
+            cases["sourced below the cursor"] > 5, cases
+
+
+def _check_source_tables(monkeypatch):
+    """Makes every ``GroundIndex.extend`` and ``grown`` check the source
+    table they leave with ``_assert_source_table``.  Returns the counts of
+    the calls and of the cases met: an extension that sources an atom
+    below the cursor it starts with, and a Grow that carries a slot whose
+    options are built."""
+    cases = Counter()
+    extend, grown = GroundIndex.extend, GroundIndex.grown
+
+    def checked_extend(index, pool, bound):
+        cursor, before = index.cursor, list(index.sources)
+        extend(index, pool, bound)
+        _assert_source_table(index, bound)
+        cases["extend"] += 1
+        if any(slot is not None and (i >= len(before) or before[i] is None)
+               for i, slot in enumerate(index.sources[:cursor])):
+            cases["sourced below the cursor"] += 1
+
+    def checked_grown(index, parent, bound):
+        new = grown(index, parent, bound)
+        _assert_source_table(new, bound)
+        cases["grown"] += 1
+        if any(slot is not None and len(slot) == 2 for slot in new.sources):
+            cases["carried built options"] += 1
+        return new
+
+    monkeypatch.setattr(GroundIndex, "extend", checked_extend)
+    monkeypatch.setattr(GroundIndex, "grown", checked_grown)
+    return cases
+
+
+def _assert_source_table(index, bound):
+    """Each slot of ``index.sources`` holds the first pool clause and
+    literal whose pattern ``match``es the slot's atom, with the images of
+    the literal's variables or the two options built from them, or
+    ``None`` when no pool literal matches; the table ends at its last
+    sourced atom.  No atom below the cursor has a source and is undefined
+    under the index's trail."""
+    atoms, sources = bound.atoms_below(), index.sources
+    where = (f"below {bound.beta}: {'; '.join(map(str, index.pool))} "
+             f"on {index.trail}")
+    assert len(sources) <= len(atoms), where
+    assert not sources or sources[-1] is not None, where
+    for i, atom in enumerate(atoms):
+        slot = sources[i] if i < len(sources) else None
+        source = next(((clause, q, m)
+                       for clause in index.pool
+                       for q, lit in enumerate(clause.literals)
+                       for m in (match(lit.atom, atom),) if m is not None),
+                      None)
+        if source is None:
+            assert slot is None, f"{atom} {where}"
+            continue
+        clause, q, sigma = source
+        pattern = clause[q]
+        assert slot == (clause, q, tuple(
+            sigma.mapping[v] for v in variables_in_order(pattern.atom))) \
+            or slot == (
+                DecideOption(clause, q, sigma, not pattern.positive,
+                             Literal(atom, True)),
+                DecideOption(clause, q, sigma, pattern.positive,
+                             Literal(atom, False))), f"{atom} {where}"
+    for i in range(min(index.cursor, len(sources))):
+        assert sources[i] is None or index.trail.is_defined(
+            Literal(atoms[i])), f"{atoms[i]} below the cursor {where}"
 
 
 def _assert_same_bound(bound, fresh, context):
