@@ -81,7 +81,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .orderings import _atom_id, atom_matches, bounded_codes, grounding_of
+from .orderings import atom_id_of, atom_matches, bounded_codes, \
+    grounding_of
 from .state import Decision, NotOnTrail, ProblemState, Propagation, Trail, \
     TrailEntry, clause_level
 from .terms import (
@@ -155,7 +156,8 @@ def apply_propagate(state: ProblemState, clause: Clause, lit_index: int,
                          f"the trail")
     _require(not state.trail.is_defined(lit_val), "propagate",
              lambda: f"{lit_val} is already defined")
-    entry = TrailEntry(lit_val, Propagation(Closure(annotated, sigma), ann_idx))
+    entry = TrailEntry(lit_val, Propagation(Closure(annotated, sigma), ann_idx,
+                                            (clause, lit_index)))
     return ProblemState(state.trail.push(entry), state.initial, state.learned,
                         state.bound, state.decisions, None)
 
@@ -510,7 +512,7 @@ def _source(clause: Clause, sources: list, bound, first: int = 0) -> int:
         if table and table[-1][0] >= len(sources):
             sources += [None] * (table[-1][0] + 1 - len(sources))
         for i, images in islice(table, bisect.bisect_left(
-                table, first, key=_atom_id), None):
+                table, first, key=atom_id_of), None):
             if sources[i] is None:
                 sources[i] = (clause, q, images)
                 if i < least:

@@ -26,7 +26,8 @@ import re
 from dataclasses import dataclass
 
 from .terms import (
-    Atom, Clause, Fn, Literal, SignatureError, Subst, Term, Var, _declare,
+    Atom, Clause, Fn, Literal, SignatureError, Subst, Term, Var,
+    declare_symbol,
 )
 
 
@@ -290,7 +291,7 @@ def _check_symbols(lines: list[_Tokens]):
             own, other = (preds, funcs) if is_pred else (funcs, preds)
             if own.get(name) != arity:  # a new symbol, or a clash
                 try:
-                    _declare(own, other, name, arity, is_pred)
+                    declare_symbol(own, other, name, arity, is_pred)
                 except SignatureError as exc:
                     raise tk.error(i, str(exc)) from None
 

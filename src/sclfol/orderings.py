@@ -144,9 +144,11 @@ def make_ordering(kind: str, precedence: Precedence):
 # Terms and atoms of one weight come out in ascending count-KBO order under
 # the precedence of the ordering passed in: head symbols by precedence, then
 # argument tuples lexicographically, each argument by weight first.  A
-# ``_memo`` holds the term and argument lists of one signature and ordering,
-# and under ``"symbols"`` its function symbols and predicates, each in
-# ascending precedence, sorted on first use.
+# memo holds what is found out about one signature and ordering: by weight,
+# the term lists; by ``(total, arity)``, the uncut argument tuples; under
+# ``"symbols"``, the sorted symbols and the arity-sum table (``_symbols``).
+# A ``Bound`` keeps one as ``memo`` and hands it to the bounds grown from
+# it, and ``strategy.next_beta`` reads it too.
 
 def ground_terms_of_weight(signature: Signature, weight: int,
                            _memo=None, ordering=None) -> list[Fn]:
@@ -168,43 +170,39 @@ def ground_terms_of_weight(signature: Signature, weight: int,
 def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
                            below: Optional[Atom] = None,
                            ordering=None,
-                           above: Optional[Atom] = None,
-                           fills: Optional["_Fills"] = None) -> list[Atom]:
+                           above: Optional[Atom] = None) -> list[Atom]:
     """All ground atoms with exactly ``weight`` symbols, ascending under
     count-KBO (by default with ``Precedence.default_for(signature)``).
+    A predicate whose arguments cannot fill the weight is skipped without
+    building any of them.
 
-    With ``below``, only the atoms that ``ordering`` puts strictly below it.
-    Under count-KBO none is built only to be rejected: a lighter atom is
-    always below and a heavier one never; at ``below``'s own weight the
+    The cuts are count-KBO cuts, whatever ``ordering``'s kind: it gives
+    only the precedence.  With ``below``, only the atoms strictly below
+    it, and none is built only to be rejected: a lighter atom is always
+    below and a heavier one never; at ``below``'s own weight the
     predicates after its head are skipped, and its argument tuples are cut
     at ``below``'s by the positions of its arguments in the ascending term
-    lists, so no term is compared.  Ground LPO does not order by weight,
-    so there every atom of the weight is built and compared; its bounds
-    have no proper function symbols.
-
-    With ``above``, under count-KBO only, only the atoms not below it: the
-    inclusive lower cut that mirrors ``below``, which skips the predicates
-    before its head and the argument tuples before its arguments.
-
-    With ``fills``, the signature's ``_Fills``, a predicate whose arguments
-    cannot fill the weight is skipped without building any of them.
+    lists, so no term is compared.  With ``above``, only the atoms not
+    below it: the inclusive lower cut that mirrors ``below``, which skips
+    the predicates before its head and the argument tuples before its
+    arguments.
     """
     if _memo is None:
         _memo = {}
     if ordering is None:
         ordering = CountKBO(Precedence.default_for(signature))
-    kbo_limit = symbol_count(below) \
-        if below is not None and isinstance(ordering, CountKBO) else None
+    limit = None if below is None else symbol_count(below)
     floor = None if above is None else symbol_count(above)
-    if kbo_limit is not None and weight > kbo_limit \
+    if limit is not None and weight > limit \
             or floor is not None and weight < floor:
         return []
+    symbols = _symbols(signature, _memo, ordering)
     out: list[Atom] = []
-    for name, arity in _symbols(signature, _memo, ordering)[1]:
-        if fills is not None and not _fills(weight - 1, arity, fills):
+    for name, arity in symbols[1]:
+        if not _fills(weight - 1, arity, symbols):
             continue
         args_below = args_above = None
-        if weight == kbo_limit:
+        if weight == limit:
             c = ordering.precedence.compare(name, below.pred)
             if c > 0:
                 break
@@ -219,8 +217,6 @@ def ground_atoms_of_weight(signature: Signature, weight: int, _memo=None,
         out += [Atom(name, args)
                 for args in _arg_tuples(signature, weight - 1, arity, _memo,
                                         ordering, args_below, args_above)]
-    if below is not None and kbo_limit is None:
-        out = [a for a in out if ordering.compare_atoms(a, below) < 0]
     return out
 
 
@@ -234,12 +230,14 @@ def _by_precedence(symbols, ordering) -> list[tuple[str, int]]:
 
 def _symbols(signature: Signature, memo: dict, ordering) -> tuple:
     """The function symbols and the predicates of ``signature``, each in
-    ascending precedence; kept in ``memo``."""
+    ascending precedence, and the table of which sums of the proper
+    functions' arities occur (see ``_fills``); kept in ``memo``."""
     symbols = memo.get("symbols")
     if symbols is None:
+        functions = _by_precedence(signature.functions, ordering)
         symbols = memo["symbols"] = (
-            _by_precedence(signature.functions, ordering),
-            _by_precedence(signature.predicates, ordering))
+            functions, _by_precedence(signature.predicates, ordering),
+            [any(k == 0 for _, k in functions)])
     return symbols
 
 
@@ -345,82 +343,56 @@ def _tuples_between(signature: Signature, memo, ordering, prefix: tuple,
     return out
 
 
-class _Fills(dict):
-    """What is found out about one signature and ordering to build the
-    largest atom of a weight: the function symbols and the predicates,
-    each in ascending precedence, as ``_symbols`` gives them; which sums
-    of the proper functions' arities occur (see ``_fills``); and, by
-    ``(total, arity)``, the answers of ``_largest_args``."""
-
-    def __init__(self, functions: list, predicates: list):
-        super().__init__()
-        self.functions, self.predicates = functions, predicates
-        arities = {k for _, k in functions}
-        self.has_constant = 0 in arities
-        self.arities = sorted(arities - {0})
-        self.sums = [True]  # n -> is n a sum of proper arities
-
-
 def largest_atom_of_weight(signature: Signature, weight: int,
-                           ordering: CountKBO,
-                           _memo: Optional[_Fills] = None) -> Optional[Atom]:
+                           ordering: CountKBO, memo: dict) -> Optional[Atom]:
     """The count-KBO-largest ground atom with exactly ``weight`` symbols, or
-    None when there is none; built directly, without the other atoms.
+    None when there is none; built without the other atoms of the weight.
 
     Its head is the highest-precedence predicate whose arguments can fill
     the weight.  Arguments compare lexicographically, so each one in turn is
-    the heaviest, and then largest, term that leaves a weight the remaining
-    arguments can fill.  ``_memo`` keeps what is found out about the
-    signature across calls: a bound's ``fills``, which the bounds grown
-    from it share, so a run sorts the symbols and builds each argument
-    tuple once.
+    the heaviest term that leaves a weight the remaining arguments can
+    fill, and the largest of that weight: the last of its ascending list.
+    ``memo`` is a bound's, shared with the bounds grown from it, so those
+    lists are built once for a run.
     """
-    fills = _Fills(*_symbols(signature, {}, ordering)) if _memo is None \
-        else _memo
-    for name, arity in reversed(fills.predicates):
-        if _fills(weight - 1, arity, fills):
-            return Atom(name, _largest_args(weight - 1, arity, fills))
+    symbols = _symbols(signature, memo, ordering)
+    for name, arity in reversed(symbols[1]):
+        if _fills(weight - 1, arity, symbols):
+            args, rest = [], weight - 1
+            for left in range(arity - 1, -1, -1):
+                w = next(w for w in range(rest - left, 0, -1)
+                         if _fills(w, 1, symbols)
+                         and _fills(rest - w, left, symbols))
+                args.append(ground_terms_of_weight(signature, w, memo,
+                                                   ordering)[-1])
+                rest -= w
+            return Atom(name, tuple(args))
     return None
 
 
-def _fills(total: int, arity: int, fills: _Fills) -> bool:
-    """Do some ``arity`` ground terms over ``fills.functions`` have
-    ``total`` symbols between them?
+def _fills(total: int, arity: int, symbols: tuple) -> bool:
+    """Do some ``arity`` ground terms over the function symbols of
+    ``symbols`` (as ``_symbols`` gives them) have ``total`` symbols between
+    them?
 
     A ground term whose function symbols of arity at least one have
     arities ``k1, ..., km`` has ``1 + k1 + ... + km`` symbols, and every
     such sum occurs (nest the functions, filling the other arguments with
-    a constant).  So ``arity`` terms fill ``total`` when ``total - arity``
-    is a sum of proper arities; the sums are found once, in ascending
-    order, in ``fills.sums``.
+    a constant).  So ``arity`` terms fill ``total`` when there is a
+    constant and ``total - arity`` is a sum of proper arities; the table
+    of ``symbols`` answers both, by ``n``, from 0 on (0 is the empty sum,
+    so its entry says whether there is a constant), and grows on demand.
     """
     if arity == 0:
         return total == 0
     extra = total - arity
-    if extra < 0 or not fills.has_constant:
+    if extra < 0:
         return False
-    sums, arities = fills.sums, fills.arities
+    functions, _, sums = symbols
     while len(sums) <= extra:
         n = len(sums)
-        sums.append(any(sums[n - k] for k in arities if k <= n))
+        sums.append(any(sums[n - k] for _, k in functions if 0 < k <= n))
     return sums[extra]
-
-
-def _largest_args(total: int, arity: int, fills: _Fills) -> tuple:
-    """The lexicographically largest ``arity`` ground terms with ``total``
-    symbols between them; kept in ``fills``."""
-    args = fills.get((total, arity))
-    if args is None:
-        functions, args, rest = fills.functions, [], total
-        for left in range(arity - 1, -1, -1):
-            w = next(w for w in range(rest - left, 0, -1)
-                     if _fills(w, 1, fills) and _fills(rest - w, left, fills))
-            name, k = next((n, k) for n, k in reversed(functions)
-                           if _fills(w - 1, k, fills))
-            args.append(Fn(name, _largest_args(w - 1, k, fills)))
-            rest -= w
-        args = fills[total, arity] = tuple(args)
-    return args
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +419,20 @@ class Bound:
     searches, the soundness checks and the oracle's entailment and
     redundancy checks all read), and the ``calculus.GroundIndex`` of the
     searches (see the ``calculus`` module docstring).  What depends on the
-    signature and ordering alone it keeps too: the ground terms and uncut
-    argument tuples it enumerated (``_terms``), and ``fills``, which
-    ``largest_atom_of_weight`` reads.
+    signature and ordering alone it keeps in ``memo`` (see "Ground
+    term/atom enumeration"), which ``next_beta`` reads too.
 
-    A Grow builds a new bound with ``grow_to``, which hands it those two
-    and the clauses' walk plans, which depend on the clauses alone; so a
-    run builds each term once.  The grown bound's first atoms are those of
-    the one it grew from, since every atom below the old beta is below any
+    A Grow builds a new bound with ``grow_to``, which hands it the memo and
+    the clauses' walk plans, which depend on the clauses alone; so a run
+    builds each term once.  The grown bound's first atoms are those of the
+    one it grew from, since every atom below the old beta is below any
     atom from that beta on, so every atom keeps its id across the Grow: it
     copies its parent's ``atom_id`` and takes over the match tables, which
     match only the new atoms when next read.  So a run matches each
     pattern against each atom once.  Under count-KBO it also enumerates
-    only the atoms from its parent's beta on; under ground LPO it
-    enumerates its atoms afresh.  A grown bound keeps no reference to its
+    only the atoms from its parent's beta on; under ground LPO it compares
+    every atom of the finite signature with beta afresh, but builds no
+    term.  A grown bound keeps no reference to its
     parent, and a parent of another signature or ordering hands it nothing.
     """
 
@@ -479,21 +451,17 @@ class Bound:
         self.signature = signature
         self.cap = cap
         self._groundings: dict[Clause, tuple[tuple[int, ...], ...]] = {}
-        # pattern -> (the number of atoms matched against it, its table)
-        self._matches: dict[Atom, tuple[int, tuple]] = {}
         self.ground_index = None  # kept by ``calculus``
-        # the walk plans (see ``_plan``), and weight -> ground terms and
-        # (total, arity) -> uncut argument tuples, with the sorted symbols
-        self._plans, self._terms = ({}, {}) if parent is None \
-            else (parent._plans, parent._terms)
-        self.fills = _Fills(*_symbols(signature, self._terms, ordering)) \
-            if parent is None else parent.fills
-        self._atoms_below = tuple(self._enumerate_below(parent))
-        self._ids_from: Optional[dict] = {}  # the ids ``atom_id`` extends
-        if parent is not None:
-            # the parent's atoms come first
-            self._matches = dict(parent._matches)
-            self._ids_from = parent.atom_id
+        # the walk plans (see ``_plan``) and the signature's memo
+        self._plans, self.memo = ({}, {}) if parent is None \
+            else (parent._plans, parent.memo)
+        atoms = self._atoms_below = tuple(self._enumerate_below(parent))
+        # the parent's atoms come first, with their ids and match tables:
+        # pattern -> (the number of atoms matched against it, its table)
+        ids = self.atom_id = {} if parent is None else dict(parent.atom_id)
+        ids.update(zip(atoms[len(ids):], range(len(ids), len(atoms))))
+        self._matches: dict[Atom, tuple[int, tuple]] = \
+            {} if parent is None else dict(parent._matches)
 
     def atoms_below(self) -> tuple[Atom, ...]:
         return self._atoms_below
@@ -506,53 +474,51 @@ class Bound:
             by_pred.setdefault(atom.pred, []).append(atom)
         return {pred: tuple(atoms) for pred, atoms in by_pred.items()}
 
-    @cached_property
-    def atom_id(self) -> dict[Atom, int]:
-        """Each atom below beta mapped to its position in
-        ``atoms_below()``.  A grown bound copies its parent's map and
-        adds only the new atoms."""
-        ids, self._ids_from = dict(self._ids_from), None
-        atoms = self._atoms_below
-        ids.update(zip(atoms[len(ids):], range(len(ids), len(atoms))))
-        return ids
-
     def _enumerate_below(self, parent: Optional["Bound"]) -> list[Atom]:
         """The atoms below beta, ascending.  Under count-KBO, a ``parent``
         bound below this one gives the first of them, all the atoms below
         its beta; the enumeration starts at that beta's weight, cut below
         at the beta itself, which is the least atom the parent does not
         hold.  The cap test fails where it would without a parent: the
-        counts at the lighter weights are the parent's, which passed it."""
+        counts at the lighter weights are the parent's, which passed it.
+        Under ground LPO, the signature is finite: every atom of each
+        weight is compared with beta, and those below are sorted.  The
+        weights come one by one, so an enumeration that passes the cap
+        builds no heavier one."""
         beta_atom = self.beta.atom
-        found: list[Atom] = []
-        lowest = None  # the least atom not in ``found``
-        if isinstance(self.ordering, CountKBO):
-            if parent is not None:
-                found = list(parent._atoms_below)
-                lowest = parent.beta.atom
-            weights = range(1 if lowest is None else symbol_count(lowest),
-                            symbol_count(beta_atom) + 1)
-        elif isinstance(self.ordering, GroundLPO):
+        if isinstance(self.ordering, GroundLPO):
             if self.signature.has_proper_functions:
                 raise OrderingConfigError(
                     "LPO bound over a signature with non-constant function "
                     "symbols can have infinitely many atoms below the bound; "
                     "use the count-KBO ordering instead")
-            weights = range(1, 2 + max(
-                (k for _, k in self.signature.predicates), default=0))
+            cmp, found = self.ordering.compare_atoms, []
+            for w in range(1, 2 + max(
+                    (k for _, k in self.signature.predicates), default=0)):
+                found += [a for a in ground_atoms_of_weight(
+                              self.signature, w, self.memo,
+                              ordering=self.ordering)
+                          if cmp(a, beta_atom) < 0]
+                if len(found) > self.cap:
+                    raise EnumerationCapExceeded(self.cap,
+                                                 f"atoms below {self.beta}")
+            found.sort(key=functools.cmp_to_key(cmp))
+        elif isinstance(self.ordering, CountKBO):
+            found, lowest = [], None  # the least atom not in ``found``
+            if parent is not None:
+                found, lowest = list(parent._atoms_below), parent.beta.atom
+            for w in range(1 if lowest is None else symbol_count(lowest),
+                           symbol_count(beta_atom) + 1):
+                found += ground_atoms_of_weight(self.signature, w, self.memo,
+                                                below=beta_atom,
+                                                ordering=self.ordering,
+                                                above=lowest)
+                if len(found) > self.cap:
+                    raise EnumerationCapExceeded(self.cap,
+                                                 f"atoms below {self.beta}")
         else:
             raise OrderingConfigError(
                 f"unsupported ordering {type(self.ordering).__name__}")
-        for w in weights:
-            found += ground_atoms_of_weight(self.signature, w, self._terms,
-                                            below=beta_atom,
-                                            ordering=self.ordering,
-                                            above=lowest, fills=self.fills)
-            if len(found) > self.cap:
-                raise EnumerationCapExceeded(self.cap,
-                                             f"atoms below {self.beta}")
-        if isinstance(self.ordering, GroundLPO):
-            found.sort(key=functools.cmp_to_key(self.ordering.compare_atoms))
         return found
 
     def literal_below(self, lit: Literal) -> bool:
@@ -582,7 +548,7 @@ class Bound:
 # complement is ``code ^ 1``.  The functions after ``bounded_codes`` decode
 # its codes.
 
-_atom_id = itemgetter(0)  # of a match table row or a source entry
+atom_id_of = itemgetter(0)  # of a match table row
 
 
 def atom_matches(pattern: Atom,
@@ -708,7 +674,7 @@ def grounding_of(clause: Clause, codes: tuple[int, ...],
         if not is_ground(lit.atom):
             table = atom_matches(lit.atom, bound)
             _, images = table[bisect.bisect_left(table, code >> 1,
-                                                 key=_atom_id)]
+                                                 key=atom_id_of)]
             for v, image in zip(variables_in_order(lit.atom), images):
                 sub.setdefault(v, image)
     return Subst._of(sub)

@@ -11,7 +11,7 @@ found).  The empty-clause closure is distinct from "no conflict".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Optional, Union
 
@@ -32,6 +32,9 @@ class Decision:
 class Propagation:
     closure: Closure
     lit_index: int  # position of the propagated literal inside the closure
+    # the pool clause and literal index it was applied to; None by hand
+    source: Optional[tuple[Clause, int]] = field(
+        default=None, compare=False, repr=False)
 
     def __str__(self):
         return str(self.closure)

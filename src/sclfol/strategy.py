@@ -217,25 +217,32 @@ def configure_bound(clauses: Sequence[Clause], cfg: RunConfig) -> Bound:
 def next_beta(bound: Bound) -> Literal:
     """The canonical next bound literal: the largest atom of the smallest
     constructible weight above the current one (KBO), or the successor atom
-    in the finite enumeration (LPO).  Raises when no larger atom exists."""
+    in the finite enumeration (LPO).  Raises when no larger atom exists.
+
+    Under count-KBO an atom of a predicate of arity ``k`` weighs ``1 + k``
+    plus a sum of proper function arities.  So the next weight that holds
+    an atom, if any, is at most ``1 + k`` for the largest ``k`` or, with a
+    constant and a proper function, beta's plus the least proper arity."""
     ordering = bound.ordering
     beta_atom = bound.beta.atom
     sig = bound.signature
     if isinstance(ordering, CountKBO):
         base = symbol_count(beta_atom)
-        window = max(16, 2 + max([k for _, k in sig.functions] or [0])
-                     + max([k for _, k in sig.predicates] or [0]))
-        for w in range(base + 1, base + window + 1):
-            atom = largest_atom_of_weight(sig, w, ordering, bound.fills)
+        last = 1 + max([k for _, k in sig.predicates] or [0])
+        proper = [k for _, k in sig.functions if k]
+        if proper and sig.constants:
+            last = max(last, base + min(proper))
+        for w in range(base + 1, last + 1):
+            atom = largest_atom_of_weight(sig, w, ordering, bound.memo)
             if atom is not None:
                 return Literal(atom)
         raise SignatureExhausted(str(bound.beta))
     assert isinstance(ordering, GroundLPO)
     # an LPO bound has no proper function symbols, so its atoms are finite
     heaviest = 1 + max([k for _, k in sig.predicates] or [0])
-    memo: dict = {}
     above = [a for w in range(1, heaviest + 1)
-             for a in ground_atoms_of_weight(sig, w, memo, ordering=ordering)
+             for a in ground_atoms_of_weight(sig, w, bound.memo,
+                                             ordering=ordering)
              if ordering.compare_atoms(a, beta_atom) > 0]
     if not above:
         raise SignatureExhausted(str(bound.beta))
@@ -255,7 +262,6 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
     state = ProblemState.start(clauses, bound)
     rec = _Recorder(cfg, list(names), state)
     rng = random.Random(cfg.seed) if cfg.heuristic == "random" else None
-    growths = 0
 
     # past the initial bound, a cap reached by a Grow or by one clause's
     # groundings ends the run out of resources
@@ -298,7 +304,7 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
                 continue
 
             # stalled: the trail models the bounded grounding
-            if growths < cfg.max_growths:
+            if rec.stats.growths < cfg.max_growths:
                 try:
                     beta2 = next_beta(state.bound)
                 except SignatureExhausted:
@@ -306,7 +312,6 @@ def run(clauses: Sequence[Clause], cfg: RunConfig,
                 new = apply_grow(state, beta2)
                 if _too_deep(new.bound):
                     return rec.finish_sat(state)
-                growths += 1
                 rec.on_grow(state, new)
                 state = new
                 continue
@@ -436,10 +441,6 @@ class _Recorder:
         self.episode_resolves = 0
         self.episode_snapshot: Optional[TrailOrder] = None
         self.episode_pool: tuple[Clause, ...] = ()
-        # by the id of each propagation the run placed: the annotation
-        # itself, which keeps the id from being reused, and its pool
-        # clause's name, literal index and the clause
-        self.propagation_sources: dict = {}
         self.last_rule: Optional[str] = None
         self.sound_cache: dict = {}
         # under --check full, the clauses the initial ones entail, each
@@ -521,9 +522,6 @@ class _Recorder:
     def on_propagate(self, state: ProblemState, option: PropagationOption):
         self._count_pushed(state)
         entry = state.trail[-1]
-        self.propagation_sources[id(entry.annotation)] = (
-            entry.annotation, self.name_of(option.clause), option.lit_index,
-            option.clause)
         annotated = entry.annotation.closure.clause
         if self.derived is not None and annotated is not option.clause \
                 and option.clause in self.derived \
@@ -573,14 +571,10 @@ class _Recorder:
         self._after("factorize", f"{i} {j}", state)
 
     def on_resolve(self, state: ProblemState, top, conflict_index: int):
-        source = self.propagation_sources.get(id(top.annotation))
-        if source is None:
-            # propagation placed by a script rather than this driver
-            name, lit_index = self.name_of(top.annotation.closure.clause), \
-                top.annotation.lit_index
-            pool_clause = top.annotation.closure.clause
-        else:
-            _, name, lit_index, pool_clause = source
+        # a propagation built by hand has no source: its closure stands in
+        pool_clause, lit_index = top.annotation.source or (
+            top.annotation.closure.clause, top.annotation.lit_index)
+        name = self.name_of(pool_clause)
         sigma = top.annotation.closure.subst.restrict(
             variables_of(pool_clause))
         self.episode_steps.append(

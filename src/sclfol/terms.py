@@ -726,7 +726,8 @@ class Signature:
         for lit in itertools.chain(
                 (lit for c in clauses for lit in c), extra_literals):
             atom = lit.atom
-            _declare(preds, funcs, atom.pred, len(atom.args), is_pred=True)
+            declare_symbol(preds, funcs, atom.pred, len(atom.args),
+                           is_pred=True)
             for t in atom.args:
                 _see_term(t, funcs, preds)
         return Signature(
@@ -762,12 +763,15 @@ def _see_term(t, funcs: dict, preds: dict):
     """Declares the function symbols of ``t``, outermost first."""
     if isinstance(t, Var):
         return
-    _declare(funcs, preds, t.name, len(t.args), is_pred=False)
+    declare_symbol(funcs, preds, t.name, len(t.args), is_pred=False)
     for a in t.args:
         _see_term(a, funcs, preds)
 
 
-def _declare(own: dict, other: dict, name: str, arity: int, is_pred: bool):
+def declare_symbol(own: dict, other: dict, name: str, arity: int,
+                   is_pred: bool):
+    """Records ``name`` with ``arity`` in ``own``; raises SignatureError
+    if ``other``, the other namespace, or ``own`` with another arity has it."""
     kind = "predicate" if is_pred else "function"
     if name in other:
         raise SignatureError(

@@ -1,5 +1,6 @@
 """Source checks that need no run of the prover: the package parses at the
-oldest Python it declares, and no module imports what it never reads."""
+oldest Python it declares, no module imports what it never reads, and no
+module imports another's private names."""
 
 import ast
 import pathlib
@@ -48,3 +49,14 @@ def test_no_unused_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
     assert imported - _read_names(tree) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported(path):
+    # a module of the package reads another's private names only through
+    # a public one
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [f"{node.module}.{a.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for a in node.names if a.name.startswith("_")]
+    assert private == []

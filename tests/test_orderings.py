@@ -322,8 +322,8 @@ class TestBoundSetup:
             weights |= {1 + sum(ws) for _, k in sig.functions if k
                         for ws in itertools.product(weights, repeat=k)
                         if 1 + sum(ws) <= 12}
-        fills = orderings._Fills(*orderings._symbols(
-            sig, {}, CountKBO(Precedence.default_for(sig))))
+        fills = orderings._symbols(
+            sig, {}, CountKBO(Precedence.default_for(sig)))
         questions = [(total, arity)
                      for total in range(13) for arity in range(5)]
         random.Random(20261021).shuffle(questions)
@@ -366,6 +366,97 @@ class TestBoundSetup:
                     _bruteforce_below(sig, beta2.atom, ordering), context
                 grown += 1
         assert grown > 100, grown
+
+    def test_lpo_grow_chains_agree_with_fresh_bounds_and_bruteforce(self):
+        # ground-LPO Grows to next_beta over constants, from a random beta
+        # until the signature is exhausted: each grown bound is a fresh
+        # bound of its beta, holds the atoms brute force puts below it,
+        # and grows to the least atom above it; exhaustion comes exactly
+        # at the largest atom
+        rng = random.Random(20261024)
+        grown = 0
+        for _ in range(30):
+            sig = Signature(
+                tuple((f"P{i}", rng.randint(0, 3))
+                      for i in range(rng.randint(1, 3))),
+                tuple((c, 0) for c in "abc"[:rng.randint(1, 3)]))
+            symbols = list(sig.symbols())
+            rng.shuffle(symbols)
+            ordering = make_ordering("lpo", Precedence(symbols))
+            cmp = ordering.compare_atoms
+            atoms = _bruteforce_atoms(sig, 4)
+            beta = rng.choice(atoms)
+            bound = Bound(Literal(beta), ordering, sig)
+            while True:
+                context = f"{symbols} {sig} beta {beta}"
+                fresh = Bound(Literal(beta), ordering, sig)
+                assert bound.atom_id == fresh.atom_id, context
+                assert bound.atoms_below() == fresh.atoms_below() == tuple(
+                    sorted((a for a in atoms if cmp(a, beta) < 0),
+                           key=functools.cmp_to_key(cmp))), context
+                try:
+                    beta2 = next_beta(bound)
+                except SignatureExhausted:
+                    assert _bruteforce_next_beta(atoms, beta, cmp, "lpo") \
+                        is None, context
+                    break
+                assert beta2.atom == _bruteforce_next_beta(atoms, beta, cmp,
+                                                           "lpo"), context
+                beta = beta2.atom
+                bound = bound.grow_to(beta2)
+                grown += 1
+        assert grown > 100, grown
+
+    def test_lpo_cap_stops_before_heavier_weights(self, monkeypatch):
+        # over 11 constants, the 121 atoms of P/2 pass a cap of 100 below a
+        # beta of Q/3, which LPO puts above every P atom: the enumeration
+        # stops at weight 3 and builds none of the 1,331 Q atoms
+        sig = Signature((("P", 2), ("Q", 3)),
+                        tuple((f"c{i:02}", 0) for i in range(11)))
+        ordering = make_ordering("lpo", Precedence.default_for(sig))
+        weights = []
+
+        def recorded(signature, weight, *args, **kwargs):
+            weights.append(weight)
+            return ground_atoms_of_weight(signature, weight, *args, **kwargs)
+
+        monkeypatch.setattr(orderings, "ground_atoms_of_weight", recorded)
+        beta = Literal(Atom("Q", (Fn("c00"),) * 3))
+        with pytest.raises(EnumerationCapExceeded):
+            Bound(beta, ordering, sig, cap=100)
+        assert weights == [1, 2, 3]
+        # with the cap one higher than the P atoms, every weight is built
+        weights.clear()
+        assert len(Bound(beta, ordering, sig, cap=121).atoms_below()) == 121
+        assert weights == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("functions", [
+        (("a", 0), ("b", 0)), (("a", 0), ("f", 1)), (("a", 0), ("g", 2)),
+        (("f", 1), ("g", 2))],
+        ids=["constants", "unary", "binary", "no-constant"])
+    def test_kbo_next_beta_agrees_with_bruteforce(self, functions):
+        # next_beta is the largest atom of the least heavier weight that
+        # holds one, and the signature is exhausted when brute force finds
+        # no heavier atom
+        rng = random.Random(20261025)
+        for _ in range(25):
+            sig = Signature(
+                (("P0", 0),) + tuple((f"P{i}", rng.randint(0, 3))
+                                     for i in range(1, rng.randint(1, 3))),
+                functions)
+            symbols = list(sig.symbols())
+            rng.shuffle(symbols)
+            ordering = make_ordering("kbo", Precedence(symbols))
+            cmp = ordering.compare_atoms
+            light = _bruteforce_atoms(sig, 4)
+            for beta in rng.sample(light, min(3, len(light))):
+                try:
+                    got = next_beta(Bound(Literal(beta), ordering, sig)).atom
+                except SignatureExhausted:
+                    got = None
+                assert got == _bruteforce_next_beta(
+                    _bruteforce_atoms(sig, symbol_count(beta) + 3), beta,
+                    cmp, "kbo"), f"{symbols} {sig} beta {beta}"
 
     def test_synthesized_bounds_agree_with_bruteforce(self):
         # configure_bound at beta weights 5-12 on random clause sets over
